@@ -5,10 +5,12 @@ Usage: python3 perfbench/child.py REQUEST_JSON
 ``run.py`` starts this with ``PYTHONPATH`` pointing at the checkout's
 ``src`` and ``NICECUBIC_CACHE_DIR`` at the run's private cache. The request
 names the workload kind and step; the response, written to the request's
-``out`` path, carries the raw outputs for ``checks.py``, the time of the
-timed region, the peak RSS and, for a traced pass, the per-function totals.
-Importing the package happens before the timed region, so a pass measures
-the library call alone.
+``out`` path, carries the raw outputs for ``checks.py``, the time of each
+unit of work (one order, suite or graph), calibration times taken before
+the first unit, between units and after the last (see ``calibrate``), the
+peak RSS and, for a traced pass, the per-function totals. Importing the
+package happens before any unit, so a pass measures the library calls
+alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import resource
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 
 
 def _peak_rss_mb() -> float:
@@ -78,10 +81,11 @@ def pass_enumerate(request: dict, clock) -> dict:
     outputs, errors = {}, {}
     with clock:
         for n in request["orders"]:
-            try:
-                outputs[str(n)] = [e.graph6 for e in enumeration.enumerate_cubic(n)]
-            except Exception as exc:  # counted as a failed operation
-                errors[str(n)] = _error(exc)
+            with clock.unit(str(n)):
+                try:
+                    outputs[str(n)] = [e.graph6 for e in enumeration.enumerate_cubic(n)]
+                except Exception as exc:  # counted as a failed operation
+                    errors[str(n)] = _error(exc)
     return {"corpus": outputs, "errors": errors}
 
 
@@ -91,49 +95,84 @@ def pass_verify(request: dict, clock) -> dict:
     reports, errors = [], {}
     with clock:
         for name in sorted(suites.SUITES):
-            try:
-                report = suites.verify_suite(name, max_n=request["max_n"], jobs=request["jobs"])
-                reports.append(report.to_dict())
-            except Exception as exc:  # counted as a failed operation
-                errors[name] = _error(exc)
+            with clock.unit(name):
+                try:
+                    report = suites.verify_suite(name, max_n=request["max_n"], jobs=request["jobs"])
+                    reports.append(report.to_dict())
+                except Exception as exc:  # counted as a failed operation
+                    errors[name] = _error(exc)
     return {"reports": reports, "errors": errors}
 
 
 def pass_analyze(request: dict, clock) -> dict:
-    from time import perf_counter
-
     from nicecubic import analyze
 
     with open(request["stream"]) as source:
         lines = source.read().split()
-    texts, graph_ms, errors = [], [], {}
+    texts, errors = [], {}
     with clock:
         for index, line in enumerate(lines):
-            start = perf_counter()
-            try:
-                reports, parse_errors = analyze.analyze_text(line)
-                texts.append(analyze.to_json(reports))
-                if parse_errors:
-                    errors[str(index)] = "; ".join(parse_errors)
-            except Exception as exc:  # counted as a failed operation
-                texts.append(None)
-                errors[str(index)] = _error(exc)
-            graph_ms.append((perf_counter() - start) * 1000)
-    return {"texts": texts, "graph_ms": graph_ms, "errors": errors}
+            with clock.unit(str(index)):
+                try:
+                    reports, parse_errors = analyze.analyze_text(line)
+                    texts.append(analyze.to_json(reports))
+                    if parse_errors:
+                        errors[str(index)] = "; ".join(parse_errors)
+                except Exception as exc:  # counted as a failed operation
+                    texts.append(None)
+                    errors[str(index)] = _error(exc)
+    return {"texts": texts, "errors": errors}
 
 
 class Clock:
-    """Times the ``with`` block it guards."""
+    """Times each unit of work of a pass under the unit's name, and takes a
+    calibration time before every unit and after the last."""
 
-    seconds = 0.0
+    def __init__(self):
+        self.units: dict[str, float] = {}
+        self.calibrations: list[float] = []
 
     def __enter__(self):
-        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self._start
+        self.calibrations.append(calibrate())
         return False
+
+    @contextmanager
+    def unit(self, name: str):
+        self.calibrations.append(calibrate())
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.units[name] = time.perf_counter() - start
+
+
+# A fixed graph search in plain Python (dict, list and set operations, as in
+# the program): 64 vertices, each joined to its ring neighbours and its
+# opposite vertex.
+_CALIBRATION_GRAPH = {v: [(v + 1) % 64, (v - 1) % 64, (v + 32) % 64] for v in range(64)}
+
+
+def calibrate() -> float:
+    """Seconds one fixed piece of interpreter work takes now (about 2 ms),
+    the median of three tries. The shared host runs this process at speeds
+    up to 1.6x apart, switching every few seconds; ``run.py`` divides each
+    unit's time by the calibration times around it."""
+    tries = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for root in list(range(64)) * 2:
+            seen = {root}
+            todo = [root]
+            while todo:
+                for w in _CALIBRATION_GRAPH[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+        tries.append(time.perf_counter() - start)
+    return sorted(tries)[1]
 
 
 SETUPS = {"enumerate": setup_enumerate, "verify": setup_verify, "analyze": setup_analyze}
@@ -147,7 +186,9 @@ def main(request_path: str) -> int:
 
     kind = request["kind"]
     if request["step"] == "setup":
+        before = calibrate()
         response = SETUPS[kind](request)
+        response["calibrations"] = [before, calibrate()]
     else:
         tracer = None
         if request.get("trace"):
@@ -157,7 +198,8 @@ def main(request_path: str) -> int:
             tracer.install()
         clock = Clock()
         response = PASSES[kind](request, clock)
-        response["wall_s"] = clock.seconds
+        response["unit_s"] = clock.units
+        response["calibrations"] = clock.calibrations
         if tracer is not None:
             tracer.uninstall()
             tracer.write_spans(request["spans_path"])

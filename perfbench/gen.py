@@ -5,9 +5,10 @@ The stream mixes connected simple random cubic graphs, drawn by the pairing
 ``data/family_specs.json``. Both come from fixed pools so that every member
 has a reference dossier computed once (``make_reference.py``): pool member
 ``(n, i)`` is always the same graph, and ``--seed`` decides which members
-enter the stream and in which order. Every order and every family kind
-contributes a fixed number of members, so streams for different seeds cost
-about the same.
+enter the stream and in which order. Every order and every (family kind,
+order) stratum contributes a fixed number of members, and the few members
+of the largest orders are fixed, so streams for different seeds cost about
+the same.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 
 ORDERS = (14, 16, 18, 20, 22, 24)
 POOL_PER_ORDER = 30
@@ -78,10 +80,27 @@ def family_specs() -> list[dict]:
     return json.loads((DATA_DIR / "family_specs.json").read_text())
 
 
-def plan(seed: int, per_order: dict[int, int], family_per_kind: dict[str, int]) -> list[str]:
-    """Pool keys of the stream for ``seed``, in stream order: ``per_order[n]``
-    random members of each order n and ``family_per_kind[kind]`` members of
-    each family kind.
+def family_orders() -> list[int]:
+    """Order of every family spec, read from the graph6 lines of the
+    reference dossiers (the first character of a short graph6 line is
+    n + 63)."""
+    reference = json.loads((REFERENCE_DIR / "analyze.json").read_text())
+    return [ord(reference[f"family:{i}"]["graph6"][0]) - 63 for i in range(len(family_specs()))]
+
+
+def plan(
+    seed: int, per_order: dict[int, int], anchors: dict[int, int], family_max_n: int
+) -> list[str]:
+    """Pool keys of the stream for ``seed``, in stream order.
+
+    - ``per_order[n]`` random members of order n, drawn by the seed;
+    - the first ``anchors[n]`` pool members of order n, the same for every
+      seed: at the largest orders the cost of one member varies by up to 2x
+      (0.5 to 1 s at n = 24), so drawing them would make the stream's cost
+      depend on the seed;
+    - one member of every (family kind, order) stratum with order at most
+      ``family_max_n``, drawn by the seed; members of one stratum cost about
+      the same.
 
     Random members are keyed ``cubic:<n>:<i>``, family members
     ``family:<index into family_specs()>``.
@@ -90,10 +109,13 @@ def plan(seed: int, per_order: dict[int, int], family_per_kind: dict[str, int]) 
     keys = []
     for n, count in sorted(per_order.items()):
         keys += [f"cubic:{n}:{i}" for i in sorted(rng.sample(range(POOL_PER_ORDER), count))]
-    specs = family_specs()
-    for kind, count in sorted(family_per_kind.items()):
-        indices = [i for i, spec in enumerate(specs) if spec["family"] == kind]
-        keys += [f"family:{i}" for i in sorted(rng.sample(indices, count))]
+    for n, count in sorted(anchors.items()):
+        keys += [f"cubic:{n}:{i}" for i in range(count)]
+    strata: dict[tuple[str, int], list[int]] = {}
+    for index, (spec, n) in enumerate(zip(family_specs(), family_orders())):
+        if n <= family_max_n:
+            strata.setdefault((spec["family"], n), []).append(index)
+    keys += [f"family:{rng.choice(indices)}" for _, indices in sorted(strata.items())]
     rng.shuffle(keys)
     return keys
 

@@ -7,9 +7,21 @@ Usage (from the root of a checkout):
 
 Every step runs ``child.py`` in a new interpreter against a private corpus
 cache under ``.perfbench-tmp/``, which is removed when the run ends. A run
-sets up (several times where set-up is cheap), then makes closed-loop passes:
-as many whole passes as fit in ``--seconds`` at the speed of the first pass,
-and at least two.
+sets up several times, then makes closed-loop passes until ``--seconds`` have
+gone by, and at least three. A pass times each unit of its work (one order,
+suite or graph).
+
+The shared host runs the benchmark at speeds up to 1.6x apart, switching
+every few seconds to minutes, so raw times of the same code spread by 10 to
+35 % between runs. The gated times are therefore calibrated: the child
+times a fixed piece of interpreter work (``child.calibrate``) before every
+unit and after the last, and each unit's time is scaled by
+``CALIBRATION_REF_S`` over the mean of the two calibrations around it. That
+gives seconds at a fixed reference speed of the interpreter. ``pass_s`` is
+the sum over units of each unit's median calibrated time over the passes;
+``setup_s`` is the median calibrated set-up time. The raw times are printed
+beside them.
+
 Every output is checked (``checks.py``). The last line of standard output is
 one JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``:
 with ``--trace 0`` the end-to-end metrics, each a median over set-ups or
@@ -40,7 +52,10 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import gen  # noqa: E402
 
-MIN_PASSES = 2
+MIN_PASSES = 3
+# ``child.calibrate()`` on the reference speed: its time in the fast state of
+# the 2-core development box (Intel Xeon, Python 3.11).
+CALIBRATION_REF_S = 0.00175
 RUN_LIMIT_S = 170.0
 
 
@@ -53,46 +68,48 @@ class Workload:
     params: dict
 
 
-CORPUS_ORDERS = [4, 6, 8, 10, 12]
-# Random members per order: fewer of the large orders, whose dossiers take
-# up to 1 s each, so that two passes fit the run.
-PER_ORDER = {14: 8, 16: 8, 18: 7, 20: 6, 22: 4, 24: 3}
-FAMILY_PER_KIND = {"F": 4, "G1": 3, "G2": 3, "T": 4}
+CORPUS_ORDERS = [4, 6, 8, 10]
+# The analyze stream: random members drawn by the seed, the first pool
+# members of the largest orders (the same for every seed) and one family
+# member per (kind, order) stratum up to n = 22.
+PER_ORDER = {14: 3, 16: 3, 18: 3, 20: 3}
+ANCHORS = {22: 2, 24: 1}
+FAMILY_MAX_N = 22
 
 WORKLOADS = {
     w.name: w
     for w in (
         Workload(
-            "enumerate-n12",
+            "enumerate-n10",
             "enumerate",
-            "cold enumerate_cubic for n = 4..12 into an empty cache; isomorphism dedup "
+            "cold enumerate_cubic for n = 4..10 into an empty cache; isomorphism dedup "
             "dominates, matching/structure/nice are idle",
-            setups=3,
+            setups=5,
             params={"orders": CORPUS_ORDERS},
         ),
         Workload(
-            "verify-all-n12",
+            "verify-all-n10",
             "verify",
-            "all 22 suites, serial, over the warm n <= 12 corpus (112 graphs); matching, "
+            "all 22 suites, serial, over the warm n <= 10 corpus (27 graphs); matching, "
             "graphs, structure, nice and suites do the work",
-            setups=1,
-            params={"orders": CORPUS_ORDERS, "max_n": 12, "jobs": 1},
+            setups=3,
+            params={"orders": CORPUS_ORDERS, "max_n": 10, "jobs": 1},
         ),
         Workload(
             "verify-all-n10-j2",
             "verify",
-            "all 22 suites with jobs=2 over the warm n <= 10 corpus (27 graphs), so the "
-            "process-pool path of verify_suite (a pool per suite, graph6 pickling) is measured",
-            setups=1,
-            params={"orders": CORPUS_ORDERS[:-1], "max_n": 10, "jobs": 2},
+            "all 22 suites with jobs=2 over the same corpus, so the process-pool path of "
+            "verify_suite (a pool per suite, graph6 pickling) is measured",
+            setups=3,
+            params={"orders": CORPUS_ORDERS, "max_n": 10, "jobs": 2},
         ),
         Workload(
             "analyze-n24",
             "analyze",
-            "one analyze_text + to_json per graph over a seeded stream of 50 graphs beyond "
-            "the corpus: 36 random cubic with n = 14..24, 14 F/G1/G2/T members with n <= 22",
-            setups=3,
-            params={"per_order": PER_ORDER, "family_per_kind": FAMILY_PER_KIND},
+            "one analyze_text + to_json per graph over a seeded stream of 29 graphs beyond "
+            "the corpus: 15 random cubic with n = 14..24, 14 F/G1/G2/T members with n <= 22",
+            setups=5,
+            params={"per_order": PER_ORDER, "anchors": ANCHORS, "family_max_n": FAMILY_MAX_N},
         ),
     )
 }
@@ -101,12 +118,12 @@ WORKLOADS = {
 SMOKE_PARAMS = {
     "enumerate": {"orders": [4, 6, 8]},
     "verify": {"orders": [4, 6, 8], "max_n": 8},
-    "analyze": {"per_order": {14: 1}, "family_per_kind": {"G1": 1, "T": 1}},
+    "analyze": {"per_order": {14: 1}, "anchors": {16: 1}, "family_max_n": 14},
 }
 
 END_TO_END = [
     ("setup_s", "s"),
-    ("wall_s", "s"),
+    ("pass_s", "s"),
     ("peak_rss_mb", "MB"),
 ]
 
@@ -171,7 +188,7 @@ PER_LAYER = [
     ("analyze.analyze_graph.calls", "analyze.analyze_graph", "calls", "count", "lower"),
     ("analyze.analyze_graph.self_s", "analyze.analyze_graph", "self_s", "s", "lower"),
 ]
-SUITE_NAMES = sorted(checks.load_reference("verify")["12"])
+SUITE_NAMES = sorted(checks.load_reference("verify")["10"])
 PER_LAYER += [
     (f"suites.verify_suite.{name}.s", f"suites.verify_suite.{name}", "s", "s", "lower")
     for name in SUITE_NAMES
@@ -273,18 +290,28 @@ class Run:
 
     # -- set-up --------------------------------------------------------------
 
-    def setup(self) -> list[float]:
+    def setup(self) -> list[tuple[float, float]]:
+        """Sets up ``setups`` times; returns the raw and the calibrated
+        seconds of each set-up."""
         times = []
         kind = self.workload.kind
         extra = {}
         if kind == "analyze":
             self.stream_keys = gen.plan(
-                self.seed, self.params["per_order"], self.params["family_per_kind"]
+                self.seed,
+                self.params["per_order"],
+                self.params["anchors"],
+                self.params["family_max_n"],
             )
             extra["stream_keys"] = self.stream_keys
         for _ in range(self.workload.setups):
+            # Every set-up starts from an empty cache, so each one does the
+            # same work; the passes use the cache the last one warmed.
+            shutil.rmtree(self.cache)
+            self.cache.mkdir()
             response, elapsed = self.child("setup", self.cache, **extra)
-            times.append(elapsed)
+            speed = CALIBRATION_REF_S / statistics.mean(response["calibrations"])
+            times.append((elapsed, elapsed * speed))
             if kind == "verify":
                 self._confirm_corpus(response["corpus"])
             elif kind == "analyze":
@@ -314,6 +341,11 @@ class Run:
             extra["spans_path"] = str(trace_path)
         response, _ = self.child("pass", cache, **extra)
         self.check(response)
+        calibrations = response["calibrations"]
+        response["ref_unit_s"] = {
+            unit: seconds * 2 * CALIBRATION_REF_S / (calibrations[i] + calibrations[i + 1])
+            for i, (unit, seconds) in enumerate(response["unit_s"].items())
+        }
         return response
 
     def check(self, response: dict):
@@ -366,17 +398,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, smoke: bool,
             metrics = layer_metrics(run, traced, untraced)
             notes.append(f"spans written to {span_path.relative_to(ROOT)}")
             notes.append(
-                f"tracing overhead {metrics['trace.overhead_s']['value']:.3f} s "
-                f"(traced {traced['wall_s']:.3f} s, untraced {untraced['wall_s']:.3f} s)"
+                f"tracing overhead {metrics['trace.overhead_s']['value']:.3f} s calibrated "
+                f"(traced {sum(traced['ref_unit_s'].values()):.3f} s, "
+                f"untraced {sum(untraced['ref_unit_s'].values()):.3f} s)"
             )
         else:
-            passes = [run.one_pass(0)]
-            wanted = max(MIN_PASSES, int(seconds // passes[0]["wall_s"]))
-            while len(passes) < wanted:
+            passes = []
+            start = time.monotonic()
+            while len(passes) < MIN_PASSES or time.monotonic() - start < seconds:
                 passes.append(run.one_pass(len(passes)))
             metrics = {
-                "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
-                "wall_s": {"value": statistics.median([p["wall_s"] for p in passes]), "unit": "s"},
+                "setup_s": {"value": statistics.median(t for _, t in setup_times), "unit": "s"},
+                "pass_s": {"value": sum(unit_medians(passes, "ref_unit_s").values()), "unit": "s"},
                 "peak_rss_mb": {"value": statistics.median([p["peak_rss_mb"] for p in passes]), "unit": "MB"},
             }
             notes += _summary(run, setup_times, passes)
@@ -385,16 +418,26 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, smoke: bool,
         run.close()
 
 
-def _summary(run: Run, setup_times: list[float], passes: list[dict]) -> list[str]:
-    walls = [p["wall_s"] for p in passes]
+def unit_medians(passes: list[dict], key: str) -> dict[str, float]:
+    """Each unit's median time over the passes, raw (``unit_s``) or
+    calibrated (``ref_unit_s``)."""
+    return {unit: statistics.median(p[key][unit] for p in passes) for unit in passes[0][key]}
+
+
+def _summary(run: Run, setup_times: list[tuple[float, float]], passes: list[dict]) -> list[str]:
+    count = len(passes[0]["unit_s"])
+    raw_totals = ", ".join(f"{sum(p['unit_s'].values()):.3f}" for p in passes)
     lines = [
-        f"setup_s      {statistics.median(setup_times):.4f} s   median of {len(setup_times)} set-up(s)",
-        f"wall_s       {statistics.median(walls):.4f} s   median of {len(passes)} passes "
-        f"({', '.join(f'{w:.3f}' for w in walls)})",
+        f"setup_s      {statistics.median(t for _, t in setup_times):.4f} s   calibrated, median of "
+        f"{len(setup_times)} set-ups (raw {statistics.median(t for t, _ in setup_times):.4f} s)",
+        f"pass_s       {sum(unit_medians(passes, 'ref_unit_s').values()):.4f} s   calibrated, sum of "
+        f"the medians of {count} units over {len(passes)} passes",
+        f"wall_s       {sum(unit_medians(passes, 'unit_s').values()):.4f} s   raw, the same "
+        f"(pass totals {raw_totals})",
         f"peak_rss_mb  {statistics.median([p['peak_rss_mb'] for p in passes]):.2f} MB  median of {len(passes)} passes",
     ]
     if run.workload.kind == "analyze":
-        samples = [ms for p in passes for ms in p["graph_ms"]]
+        samples = [seconds * 1000 for p in passes for seconds in p["unit_s"].values()]
         deciles = statistics.quantiles(samples, n=10)
         beyond = sum(1 for ms in samples if ms > deciles[8])
         lines.append(f"graph_p50_ms {statistics.median(samples):.3f} ms  over {len(samples)} samples")
@@ -439,7 +482,8 @@ def layer_metrics(run: Run, traced: dict, untraced: dict) -> dict:
         else:
             value = entry[statistic]
         metrics[metric] = {"value": value, "unit": unit}
-    metrics["trace.overhead_s"] = {"value": traced["wall_s"] - untraced["wall_s"], "unit": "s"}
+    overhead = sum(traced["ref_unit_s"].values()) - sum(untraced["ref_unit_s"].values())
+    metrics["trace.overhead_s"] = {"value": overhead, "unit": "s"}
     metrics["trace.calls"] = {"value": sum(e["calls"] for f, e in totals.items()
                                            if not f.startswith("suites.verify_suite.")),
                               "unit": "count"}

@@ -66,9 +66,9 @@ def test_smoke_traced_reports_every_layer_metric(traced_twice):
     assert first["correct"] is True
     expected = {f"{w}.{m}" for w in run.WORKLOADS for m in LAYER_NAMES}
     assert set(first["metrics"]) == expected
-    assert first["metrics"]["enumerate-n12.isomorphism.is_isomorphic.calls"]["value"] > 0
-    assert first["metrics"]["enumerate-n12.matching.has_perfect_matching.calls"]["value"] == 0
-    assert first["metrics"]["verify-all-n12.matching.has_perfect_matching.calls"]["value"] > 0
+    assert first["metrics"]["enumerate-n10.isomorphism.is_isomorphic.calls"]["value"] > 0
+    assert first["metrics"]["enumerate-n10.matching.has_perfect_matching.calls"]["value"] == 0
+    assert first["metrics"]["verify-all-n10.matching.has_perfect_matching.calls"]["value"] > 0
     assert first["metrics"]["analyze-n24.analyze.analyze_graph.calls"]["value"] > 0
     for name in run.WORKLOADS:
         spans = (ROOT / ".perfbench-out" / f"spans-{name}-seed1.jsonl").read_text().splitlines()
@@ -145,11 +145,21 @@ def test_truncated_corpus_file_surfaces_as_failed_operations():
 
 
 def test_second_seed_gives_another_stream_of_the_same_shape():
-    first = gen.plan(1, run.PER_ORDER, run.FAMILY_PER_KIND)
-    second = gen.plan(2, run.PER_ORDER, run.FAMILY_PER_KIND)
-    assert first != second and first == gen.plan(1, run.PER_ORDER, run.FAMILY_PER_KIND)
-    shape = lambda keys: sorted(k.rsplit(":", 1)[0] if k.startswith("cubic:") else
-                                gen.family_specs()[int(k.split(":")[1])]["family"] for k in keys)
+    args = (run.PER_ORDER, run.ANCHORS, run.FAMILY_MAX_N)
+    first, second = gen.plan(1, *args), gen.plan(2, *args)
+    assert first != second and first == gen.plan(1, *args)
+    specs, orders = gen.family_specs(), gen.family_orders()
+
+    def shape(keys):
+        strata = []
+        for key in keys:
+            kind, n_or_index = key.split(":")[:2]
+            if kind == "family":
+                strata.append((specs[int(n_or_index)]["family"], orders[int(n_or_index)]))
+            else:
+                strata.append((kind, int(n_or_index)))
+        return sorted(strata)
+
     assert shape(first) == shape(second)
     reference = checks.load_reference("analyze")
     assert all(key in reference for key in first + second)
@@ -193,7 +203,7 @@ def test_fails_without_the_program(tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
-    proc = bench("--workload", "enumerate-n12", "--seed", "1", "--seconds", "1", "--trace", "0",
+    proc = bench("--workload", "enumerate-n10", "--seed", "1", "--seconds", "1", "--trace", "0",
                  cwd=tmp_path)
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
