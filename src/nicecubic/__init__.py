@@ -52,6 +52,7 @@ from .graphs import (
     Contraction,
     EdgeCut,
     Graph,
+    InducedSubgraph,
     VertexSet,
     bipartition,
     connected_components,

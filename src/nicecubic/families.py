@@ -37,9 +37,10 @@ from .graphs import (
     connected_components,
     connectivity_profile,
     contract,
-    enumerate_cuts,
     induced_subgraph,
     is_connected,
+    patched_side,
+    two_cut_orientations,
 )
 from .isomorphism import is_isomorphic, is_isomorphism
 from .nice import is_nice_vertex, nice_pair_sets_bounded, nice_vertices
@@ -360,15 +361,6 @@ class FamilyMembership:
     witness: dict[str, Any]
 
 
-def _induced_plus_edge(
-    g: Graph, side: frozenset[int], a: int, c: int
-) -> tuple[Graph, tuple[int, int]]:
-    sub, old_ids = induced_subgraph(g, side)
-    position = {old: new for new, old in enumerate(old_ids)}
-    a2, c2 = position[a], position[c]
-    return Graph(sub.n, list(sub.edges) + [(a2, c2)]), (a2, c2)
-
-
 def _splice_matches(
     base: Graph,
     attach_edge: tuple[int, int],
@@ -411,11 +403,11 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
         if len(remaining) < 6:
             return None
         if current.multiplicity(p2, q2):
-            sub, old_ids = induced_subgraph(current, remaining)
-            position = {old: new for new, old in enumerate(old_ids)}
-            current, (p, q) = sub, (position[p2], position[q2])
+            sub = induced_subgraph(current, remaining)
+            current, p, q = sub.graph, sub.old_to_new[p2], sub.old_to_new[q2]
             continue
-        host, (h1, h2) = _induced_plus_edge(current, remaining, p2, q2)
+        patched = patched_side(current, remaining, p2, q2)
+        host, h1, h2 = patched.graph, patched.old_to_new[p2], patched.old_to_new[q2]
         profile = connectivity_profile(host)
         if not (profile.cubic and profile.connected and profile.bipartition is not None
                 and host.simple):
@@ -431,19 +423,16 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
 
 def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int, Graph, tuple[int, int]]]:
     """(side, a, c, side-graph-with-restored-edge, restored-edge) for every
-    2-cut side, ordered by side size, then lowest cut, then side."""
+    2-cut side, ordered by side size, then cut order (a stable sort)."""
     out = []
-    for cut in enumerate_cuts(g, 2, nontrivial_only=True):
-        (e1u, e1v), (e2u, e2v) = (g.edges[i] for i in cut.edge_indices)
-        for side in (cut.side, frozenset(range(g.n)) - cut.side):
-            a = e1u if e1u in side else e1v
-            c = e2u if e2u in side else e2v
-            if a == c or g.multiplicity(a, c):
-                continue
-            graph, restored = _induced_plus_edge(g, side, a, c)
-            out.append((len(side), cut.edge_indices, sorted(side), side, a, c, graph, restored))
-    out.sort(key=lambda item: item[:3])
-    return [(side, a, c, graph, restored) for _, _, _, side, a, c, graph, restored in out]
+    for side, a, c, _, _ in two_cut_orientations(g):
+        if a == c or g.multiplicity(a, c):
+            continue
+        patched = patched_side(g, side, a, c)
+        restored = (patched.old_to_new[a], patched.old_to_new[c])
+        out.append((side, a, c, patched.graph, restored))
+    out.sort(key=lambda item: len(item[0]))
+    return out
 
 
 def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
@@ -460,14 +449,13 @@ def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
             return None
         candidates = [
             item for item in _two_cut_candidates(current)
-            if bipartition(induced_subgraph(current, item[0])[0]) is None
+            if bipartition(induced_subgraph(current, item[0]).graph) is None
         ]
         if not candidates:
             return None
         side, a, c, residue, restored = candidates[0]
         block_side = (frozenset(range(current.n)) - side) | {a, c}
-        block, block_22 = _induced_plus_edge(current, block_side, a, c)
-        block_witness = _recognize_hdiamond(block)
+        block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
             return None
         built_block, built_22 = build_hdiamond(
@@ -500,8 +488,7 @@ def _recognize_t(g: Graph) -> list[dict] | None:
         if is_isomorphic(leaf, k33()) is None:
             return None
         block_side = (frozenset(range(current.n)) - side) | {a, c}
-        block, _ = _induced_plus_edge(current, block_side, a, c)
-        block_witness = _recognize_hdiamond(block)
+        block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
             return None
         built_block, built_22 = build_hdiamond(

@@ -12,7 +12,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -125,6 +125,20 @@ class ConnectivityProfile:
     three_connected: bool
     cubic: bool
     bipartition: Bipartition | None
+
+
+@dataclass(frozen=True)
+class InducedSubgraph:
+    """Subgraph induced by a vertex set, relabeled to 0..k-1.
+
+    Kept vertices keep their relative order. ``old_to_new`` maps each kept
+    host vertex to its new id and ``new_to_old[new]`` is the host vertex the
+    new vertex came from, so witnesses pass between the two labelings.
+    """
+
+    graph: Graph
+    old_to_new: dict[int, int]
+    new_to_old: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -254,23 +268,28 @@ def connectivity_profile(g: Graph) -> ConnectivityProfile:
     )
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by s, relabeled to 0..|s|-1.
-
-    Returns (subgraph, old_ids) where old_ids[new] is the host vertex the new
-    vertex came from (old ids in increasing order).
-    """
+def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
+    """Subgraph induced by s, relabeled to 0..|s|-1 in increasing host order."""
     vs = sorted(set(s))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("vertex set not contained in graph")
     old_to_new = {old: new for new, old in enumerate(vs)}
-    keep = set(vs)
     edges = [
         (old_to_new[u], old_to_new[v])
         for u, v in g.edges
-        if u in keep and v in keep
+        if u in old_to_new and v in old_to_new
     ]
-    return Graph(len(vs), edges), tuple(vs)
+    return InducedSubgraph(Graph(len(vs), edges), old_to_new, tuple(vs))
+
+
+def patched_side(g: Graph, side: Iterable[int], a: int, c: int) -> InducedSubgraph:
+    """The subgraph induced by a cut side plus the edge ac between two of its
+    vertices (the edge that restores degree 3 at the ends of a 2-cut)."""
+    sub = induced_subgraph(g, side)
+    patch = (sub.old_to_new[a], sub.old_to_new[c])
+    return InducedSubgraph(
+        Graph(sub.graph.n, sub.graph.edges + (patch,)), sub.old_to_new, sub.new_to_old
+    )
 
 
 def contract(g: Graph, x: Iterable[int]) -> Contraction:
@@ -353,6 +372,26 @@ def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[Edge
                 found.append(cut)
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
+
+
+def all_cuts(g: Graph) -> Iterator[EdgeCut]:
+    """Every edge cut, one per {X, X-bar}: the sides containing vertex 0, by
+    size and then lexicographically. Exponential; small orders only."""
+    rest = range(1, g.n)
+    for size in range(g.n - 1):
+        for extra in combinations(rest, size):
+            yield edge_cut(g, (0,) + extra)
+
+
+def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, int]]:
+    """(side, a, c, b, d) for both sides of every nontrivial 2-cut, in cut
+    order: the cut edges are ab and cd, with a and c inside the side."""
+    for cut in enumerate_cuts(g, 2, nontrivial_only=True):
+        (e1u, e1v), (e2u, e2v) = (g.edges[i] for i in cut.edge_indices)
+        for side in (cut.side, frozenset(range(g.n)) - cut.side):
+            a, b = (e1u, e1v) if e1u in side else (e1v, e1u)
+            c, d = (e2u, e2v) if e2u in side else (e2v, e2u)
+            yield side, a, c, b, d
 
 
 def _component_ids_without_edges(g: Graph, banned: tuple[int, ...]) -> list[int]:

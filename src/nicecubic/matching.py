@@ -220,15 +220,8 @@ def is_matching_covered(g: Graph) -> bool:
         return False
     if g.n % 2 or not g.edges:
         return False
-    checked: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if (u, v) in checked:
-            continue
-        checked.add((u, v))
-        rest, _ = induced_subgraph(g, set(range(g.n)) - {u, v})
-        if not has_perfect_matching(rest):
-            return False
-    return True
+    # parallel edges share their endpoints, so each is forced once
+    return all(nice_check(g, edge) for edge in dict.fromkeys(g.edges))
 
 
 def nice_check(g: Graph, w: Iterable[int]) -> bool:
@@ -236,5 +229,4 @@ def nice_check(g: Graph, w: Iterable[int]) -> bool:
     ws = set(w)
     if not all(0 <= v < g.n for v in ws):
         raise ValueError("vertex set not contained in graph")
-    rest, _ = induced_subgraph(g, set(range(g.n)) - ws)
-    return has_perfect_matching(rest)
+    return has_perfect_matching(induced_subgraph(g, set(range(g.n)) - ws).graph)

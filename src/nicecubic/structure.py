@@ -16,22 +16,23 @@ from typing import Iterable, Literal
 
 from .errors import DomainError, InternalCheckError, NotTightCutError
 from .graphs import (
+    Bipartition,
     EdgeCut,
     Graph,
     VertexSet,
     Contraction,
+    all_cuts,
     bipartition,
     connected_components,
     connectivity_profile,
     contract,
-    edge_cut,
     enumerate_cuts,
-    induced_subgraph,
     is_connected,
 )
 from .matching import (
     has_perfect_matching,
     is_matching_covered,
+    nice_check,
     perfect_matchings,
 )
 
@@ -145,11 +146,19 @@ def _barrier_sets(g: Graph) -> list[frozenset[int]]:
                 f"barrier enumeration on a non matching covered host is capped "
                 f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
             )
-        for size in range(1, cap + 1):
-            for subset in combinations(range(g.n), size):
-                if is_barrier(g, subset):
-                    found.append(frozenset(subset))
+        found = exhaustive_barrier_sets(g)
     return found
+
+
+def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
+    """Every nonempty barrier, by sweeping all vertex sets of size at most
+    n/2 in size-then-lexicographic order. Exponential; small orders only."""
+    return [
+        frozenset(subset)
+        for size in range(1, g.n // 2 + 1)
+        for subset in combinations(range(g.n), size)
+        if is_barrier(g, subset)
+    ]
 
 
 def classify(g: Graph) -> Classification:
@@ -173,7 +182,7 @@ def classify(g: Graph) -> Classification:
         and len(parts.a) == len(parts.b) >= 2
         and has_perfect_matching(g)
     ):
-        by_deletion = _brace_by_four_deletion(g, parts)
+        by_deletion = brace_by_four_deletion(g, parts)
         if by_deletion != brace:
             raise InternalCheckError(
                 "brace characterizations disagree: "
@@ -191,40 +200,28 @@ def classify(g: Graph) -> Classification:
 def _is_bicritical(g: Graph) -> bool:
     if not g.edges or g.n % 2:
         return False
-    full = set(range(g.n))
-    for x, y in combinations(range(g.n), 2):
-        rest, _ = induced_subgraph(g, full - {x, y})
-        if not has_perfect_matching(rest):
-            return False
-    return True
+    return all(nice_check(g, pair) for pair in combinations(range(g.n), 2))
 
 
 def _is_two_extendable(g: Graph) -> bool:
     if g.n < 6 or not is_connected(g) or not has_perfect_matching(g):
         return False
-    full = set(range(g.n))
-    m = len(g.edges)
-    for i in range(m):
-        u1, v1 = g.edges[i]
-        for j in range(i + 1, m):
-            u2, v2 = g.edges[j]
-            if len({u1, v1, u2, v2}) < 4:
-                continue
-            rest, _ = induced_subgraph(g, full - {u1, v1, u2, v2})
-            if not has_perfect_matching(rest):
-                return False
+    for e1, e2 in combinations(g.edges, 2):
+        ends = set(e1 + e2)
+        if len(ends) == 4 and not nice_check(g, ends):
+            return False
     return True
 
 
-def _brace_by_four_deletion(g: Graph, parts) -> bool:
-    full = set(range(g.n))
+def brace_by_four_deletion(g: Graph, parts: Bipartition) -> bool:
+    """True iff deleting any two vertices from each color class leaves a
+    perfectly matchable graph: the balanced four-deletion sweep."""
     side_a, side_b = sorted(parts.a), sorted(parts.b)
-    for a1, a2 in combinations(side_a, 2):
-        for b1, b2 in combinations(side_b, 2):
-            rest, _ = induced_subgraph(g, full - {a1, a2, b1, b2})
-            if not has_perfect_matching(rest):
-                return False
-    return True
+    return all(
+        nice_check(g, pair_a + pair_b)
+        for pair_a in combinations(side_a, 2)
+        for pair_b in combinations(side_b, 2)
+    )
 
 
 def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
@@ -283,20 +280,9 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
     else:
         if g.n > _SUBSET_ENUMERATION_CAP:
             raise DomainError("general tight-cut sweep capped at desk scale")
-        candidates = _all_nontrivial_cuts(g)
+        candidates = [cut for cut in all_cuts(g) if cut.nontrivial]
     witnesses = [is_tight_cut(g, cut) for cut in candidates]
     return [w for w in witnesses if w.tight]
-
-
-def _all_nontrivial_cuts(g: Graph) -> list[EdgeCut]:
-    out = []
-    rest = list(range(1, g.n))
-    for size in range(1, g.n - 2):
-        for extra in combinations(rest, size):
-            side = frozenset((0,) + extra)
-            if 2 <= len(side) <= g.n - 2:
-                out.append(edge_cut(g, side))
-    return out
 
 
 def tight_cut_contractions(g: Graph, witness: CutWitness) -> tuple[Contraction, Contraction]:

@@ -16,6 +16,7 @@ from nicecubic.graphs import (
     enumerate_cuts,
     induced_subgraph,
     is_connected,
+    patched_side,
 )
 from nicecubic.isomorphism import is_isomorphic
 
@@ -92,20 +93,51 @@ def test_vertex_and_edge_connectivity_agree_on_cubic(g):
 
 
 def test_induced_subgraph_triangle_from_k4():
-    sub, old_ids = induced_subgraph(k4(), {1, 2, 3})
-    assert old_ids == (1, 2, 3)
-    assert sub == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    sub = induced_subgraph(k4(), {1, 2, 3})
+    assert sub.new_to_old == (1, 2, 3)
+    assert sub.old_to_new == {1: 0, 2: 1, 3: 2}
+    assert sub.graph == Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_induced_subgraph_identity():
-    sub, old_ids = induced_subgraph(k4(), range(4))
-    assert sub == k4()
-    assert old_ids == (0, 1, 2, 3)
+    sub = induced_subgraph(k4(), range(4))
+    assert sub.graph == k4()
+    assert sub.new_to_old == (0, 1, 2, 3)
+    assert sub.old_to_new == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_induced_subgraph_triangle_side_of_k33_triangle():
-    sub, old_ids = induced_subgraph(k33_triangle(), {5, 6, 7})
-    assert sub == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    sub = induced_subgraph(k33_triangle(), {5, 6, 7})
+    assert sub.graph == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert sub.new_to_old == (5, 6, 7)
+    assert sub.old_to_new == {5: 0, 6: 1, 7: 2}
+
+
+@settings(max_examples=60)
+@given(simple_graphs(max_n=8), st.data())
+def test_induced_subgraph_record_maps_are_inverse(g, data):
+    mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    side = {v for v, keep in enumerate(mask) if keep}
+    sub = induced_subgraph(g, side)
+    assert sub.new_to_old == tuple(sorted(side))
+    assert sub.old_to_new == {old: new for new, old in enumerate(sub.new_to_old)}
+    assert sub.graph.n == len(side)
+    expected = sorted(
+        tuple(sorted((sub.old_to_new[u], sub.old_to_new[v])))
+        for u, v in g.edges
+        if u in side and v in side
+    )
+    assert list(sub.graph.edges) == expected
+
+
+def test_patched_side_restores_the_cut_edge():
+    # two copies of K4 minus an edge, joined by the 2-cut {(0, 4), (1, 5)}
+    k4_minus = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    g = Graph(8, k4_minus + [(u + 4, v + 4) for u, v in k4_minus] + [(0, 4), (1, 5)])
+    patched = patched_side(g, {4, 5, 6, 7}, 4, 5)
+    assert patched.graph == k4()
+    assert patched.new_to_old == (4, 5, 6, 7)
+    assert patched.old_to_new == {4: 0, 5: 1, 6: 2, 7: 3}
 
 
 def test_contract_single_vertex_is_identity_up_to_relabel():

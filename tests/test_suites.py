@@ -1,8 +1,8 @@
 import pytest
 
 from nicecubic.enumeration import CorpusEntry
-from nicecubic.errors import UnknownSuiteError
-from nicecubic.graph6 import write_graph6
+from nicecubic.errors import InternalCheckError, UnknownSuiteError
+from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.suites import SUITES, list_suites, verify_suite
 
 LIGHT_SUITES = [
@@ -34,11 +34,21 @@ def test_all_suites_pass_up_to_10(name, cache_dir):
     assert report.suite == name
 
 
-@pytest.mark.parametrize(
-    "name", ["matching-covered-2-connected", "edge-in-perfect-matching"]
-)
-def test_matching_coverage_invariants_up_to_12(name, cache_dir, corpus12):
-    report = verify_suite(name, max_n=12, cache_dir=cache_dir)
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_all_suites_pass_at_12(name, corpus12):
+    # together with the n <= 10 gate above, every suite passes at n <= 12
+    entries = [e for e in corpus12 if e.graph.n == 12]
+    report = verify_suite(name, max_n=12, entries=entries)
+    assert report.passed, report.violations
+
+
+def test_two_cut_nice_transfer_colors_cut_ends_in_side_labels():
+    # both graphs have bipartite 2-cut sides; the cut ends must be colored
+    # in the side's own labels, not by their host ids
+    lines = ["K???wxceF?[?", "KG?WpLW_D?wA"]
+    entries = [CorpusEntry(parse_graph6(line), line, "constructed") for line in lines]
+    report = verify_suite("two-cut-nice-transfer", max_n=12, entries=entries)
+    assert report.graphs_checked == 2
     assert report.passed, report.violations
 
 
@@ -76,6 +86,28 @@ def test_violations_carry_graph6_and_replay(monkeypatch, cache_dir):
     entry = report.to_dict()["violations"][0]
     assert entry["graph6"]
     assert "verify" in entry["replay"]
+
+
+def test_internal_check_error_becomes_a_violation(monkeypatch, cache_dir):
+    from nicecubic import suites as suites_module
+
+    def checker(g):
+        if g.n == 4:
+            raise InternalCheckError("characterizations disagree")
+        return []
+
+    fake = suites_module.Suite(
+        "always-raises",
+        "synthetic claim whose checker trips an internal cross-check",
+        ("test",),
+        checker,
+    )
+    monkeypatch.setitem(suites_module.SUITES, "always-raises", fake)
+    report = verify_suite("always-raises", max_n=6, cache_dir=cache_dir)
+    assert report.graphs_checked == 3
+    assert [(v.graph6, v.detail) for v in report.violations] == [
+        ("C~", "characterizations disagree")
+    ]
 
 
 def test_entries_override(cache_dir):
