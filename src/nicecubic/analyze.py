@@ -14,7 +14,6 @@ from .errors import DomainError, GraphParseError
 from .families import recognize_family
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, connectivity_profile
-from .matching import has_perfect_matching, is_matching_covered
 from .nice import nice_pair_matrix, nice_vertices
 from .structure import barriers, classify, nontrivial_tight_cuts
 
@@ -26,7 +25,9 @@ _ANALYSIS_SIZE_CAP = 24
 def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
     """Full dossier for one graph. Sections that require structure the graph
     lacks (a perfect matching, cubicity, bipartiteness) mark themselves not
-    applicable instead of failing."""
+    applicable instead of failing. So does the barrier section of a host
+    that is not matching covered and has more than 20 vertices, where the
+    exhaustive barrier sweep is capped."""
     profile = connectivity_profile(g)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -64,8 +65,11 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
         "brace": flags.brace,
     }
 
-    if has_perfect_matching(g) and g.n >= 2:
+    try:
         items = barriers(g, mode="all")
+    except DomainError:
+        pass  # no perfect matching, or over the sweep's cap
+    else:
         report["barriers"] = {
             "applicable": True,
             "count": len(items),
@@ -80,7 +84,7 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
             ],
         }
 
-    if g.n >= 2 and is_matching_covered(g):
+    if flags.matching_covered:
         witnesses = nontrivial_tight_cuts(g)
         report["nontrivial_tight_cuts"] = {
             "applicable": True,

@@ -5,12 +5,15 @@ assigned the moment a vertex is first attached, which is the
 lexicographically-smallest-extension constraint and cuts the duplication per
 isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets by
 a distance-profile invariant and settles ties with explicit isomorphism
-tests. Corpora are cached on disk as graph6 files keyed by (n, connected).
+tests. Corpora are cached on disk as graph6 files keyed by (n, connected),
+written atomically; a cached connected corpus whose size is not the published
+count is regenerated.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -21,6 +24,10 @@ from .graphs import Graph
 from .isomorphism import canonical_graph, invariant_key, is_isomorphic
 
 CACHE_ENV = "NICECUBIC_CACHE_DIR"
+
+# Connected cubic graphs per order (OEIS A002851); a cached connected corpus
+# of a listed order with another count is truncated or stale and regenerated.
+CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301}
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,14 @@ def enumerate_cubic(
         if path.is_file():
             try:
                 graphs = [parse_graph6(line) for line in path.read_text().splitlines() if line.strip()]
+            except ValueError:
+                graphs = None  # corrupt cache, regenerate below
+            expected = CONNECTED_COUNTS.get(n) if connected_only else None
+            if graphs is not None and expected in (None, len(graphs)):
                 return [
                     CorpusEntry(g, write_graph6(g), "file")
                     for g in graphs
                 ]
-            except ValueError:
-                pass  # corrupt cache, regenerate below
     classes = _connected_cubic_classes(n)
     if not connected_only:
         by_order = {
@@ -193,7 +202,10 @@ def enumerate_cubic(
     if use_cache and directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
         path = _cache_file(directory, n, connected_only)
-        path.write_text("".join(e.graph6 + "\n" for e in entries))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "w") as out:
+            out.write("".join(e.graph6 + "\n" for e in entries))
+        os.replace(tmp, path)
     return entries
 
 

@@ -181,21 +181,6 @@ def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(connected_components(g)) == 1
 
 
-def _connected_ignoring_edges(g: Graph, banned: tuple[int, ...]) -> bool:
-    banned_set = set(banned)
-    if g.n == 0:
-        return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for i, y in g.incidence[x]:
-            if i not in banned_set and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n
-
-
 def bipartition(g: Graph) -> Bipartition | None:
     """Two-coloring of g, or None if an odd cycle exists.
 
@@ -221,44 +206,23 @@ def bipartition(g: Graph) -> Bipartition | None:
     )
 
 
-def _vertex_connectivity_at_least(g: Graph, k: int) -> bool:
-    # Brute force over deletion sets of size < k; adequate at desk scale.
-    if not is_connected(g):
-        return False
-    if g.n <= k:
-        return False
-    for size in range(1, k):
-        for cut in combinations(range(g.n), size):
-            if len(connected_components(g, cut)) > 1:
-                return False
-    return True
-
-
-def _edge_connectivity_at_least(g: Graph, k: int) -> bool:
-    if not is_connected(g):
-        return False
-    m = len(g.edges)
-    for size in range(1, k):
-        for banned in combinations(range(m), size):
-            if not _connected_ignoring_edges(g, banned):
-                return False
-    return True
-
-
 def connectivity_profile(g: Graph) -> ConnectivityProfile:
     """Vertex-connectivity classes up to 3, cubic flag and bipartition.
 
-    For simple cubic graphs the 2-/3-connectivity answers are computed through
-    edge connectivity (for cubic graphs vertex and edge connectivity agree,
-    and edge cuts are cheaper to sweep).
+    A graph is k-connected when it is connected, has more than k vertices and
+    no deletion of fewer than k vertices disconnects it; the profile sweeps
+    every single vertex and every vertex pair. On cubic graphs vertex and
+    edge connectivity agree (kappa = lambda), so there the flags are also
+    the 2- and 3-edge-connectivity classes.
     """
     connected = is_connected(g)
-    if g.simple and g.is_cubic and g.n >= 4:
-        two = connected and _edge_connectivity_at_least(g, 2)
-        three = two and _edge_connectivity_at_least(g, 3)
-    else:
-        two = g.n >= 3 and _vertex_connectivity_at_least(g, 2)
-        three = g.n >= 4 and two and _vertex_connectivity_at_least(g, 3)
+    two = connected and g.n >= 3 and all(
+        len(connected_components(g, (v,))) == 1 for v in range(g.n)
+    )
+    three = two and g.n >= 4 and all(
+        len(connected_components(g, pair)) == 1
+        for pair in combinations(range(g.n), 2)
+    )
     return ConnectivityProfile(
         connected=connected,
         two_connected=two,
@@ -334,9 +298,10 @@ def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[Edge
     """All edge cuts with exactly k edges, one representative per {X, X-bar}.
 
     The representative side is the one containing vertex 0. Works by sweeping
-    k-subsets F of edges: F is a cut of some side iff the components of G - F
-    admit a 2-coloring in which every F edge crosses; each 2-coloring of the
-    F-component multigraph yields one side.
+    k-subsets F of edges: a side with cut exactly F is a union of the t <= k+1
+    components of G - F across which every F edge runs, so each F is settled
+    by trying the 2^(t-1) unions that contain vertex 0's component. Sorted by
+    edge indices, then side.
     """
     if not is_connected(g):
         raise DomainError("cut enumeration requires a connected graph")
@@ -349,20 +314,14 @@ def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[Edge
         t = max(comp_id) + 1
         if t < 2:
             continue
-        links = []
-        ok = True
-        for i in subset:
-            u, v = g.edges[i]
-            cu, cv = comp_id[u], comp_id[v]
-            if cu == cv:
-                ok = False
-                break
-            links.append((cu, cv))
-        if not ok:
+        links = [(comp_id[u], comp_id[v]) for u, v in (g.edges[i] for i in subset)]
+        if any(a == b for a, b in links):
             continue
-        colorings = _cross_colorings(t, links, comp_id[0])
-        for coloring in colorings:
-            side = frozenset(v for v in range(g.n) if coloring[comp_id[v]])
+        # bit c of `chosen` puts component c on vertex 0's side (component 0)
+        for chosen in range(1, 1 << t, 2):
+            if any((chosen >> a & 1) == (chosen >> b & 1) for a, b in links):
+                continue
+            side = frozenset(v for v in range(g.n) if chosen >> comp_id[v] & 1)
             cut = EdgeCut(
                 side=side,
                 edge_indices=subset,
@@ -411,46 +370,3 @@ def _component_ids_without_edges(g: Graph, banned: tuple[int, ...]) -> list[int]
                     queue.append(y)
         next_id += 1
     return comp_id
-
-
-def _cross_colorings(t: int, links: list[tuple[int, int]], anchor: int) -> list[list[bool]]:
-    """2-colorings of components 0..t-1 in which every link crosses.
-
-    The connected part containing ``anchor`` is pinned to color True, so each
-    {X, X-bar} pair appears once, with the anchor's side selected.
-    """
-    adj: list[list[int]] = [[] for _ in range(t)]
-    for a, b in links:
-        adj[a].append(b)
-        adj[b].append(a)
-    color = [-1] * t
-    parts: list[list[int]] = []
-    for start in range(t):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        part = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    part.append(y)
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return []
-        parts.append(part)
-    anchor_part = next(idx for idx, part in enumerate(parts) if anchor in part)
-    free = [idx for idx in range(len(parts)) if idx != anchor_part]
-    out = []
-    for bits in range(1 << len(free)):
-        assign = [False] * t
-        for node in parts[anchor_part]:
-            assign[node] = color[node] == color[anchor]
-        for pos, idx in enumerate(free):
-            flip = bool(bits >> pos & 1)
-            for node in parts[idx]:
-                assign[node] = (color[node] == 0) != flip
-        out.append(assign)
-    return out

@@ -91,22 +91,21 @@ def barriers(g: Graph, mode: BarrierMode = "all") -> list[Barrier]:
     When the host is matching covered, only independent sets are swept (every
     barrier of a matching covered graph is independent), which keeps
     enumeration feasible to around 16 vertices. Parity caps |S| at n/2.
+    Either sweep lists every barrier, so a nontrivial barrier is minimal iff
+    no other listed nontrivial barrier is a proper subset of it.
     """
     if not has_perfect_matching(g):
         raise DomainError("barriers are defined for graphs with a perfect matching")
     if mode not in ("all", "nontrivial", "minimal_nontrivial"):
         raise ValueError(f"unknown barrier mode {mode!r}")
     candidates = _barrier_sets(g)
+    nontrivial_sets = [vs for vs in candidates if len(vs) >= 2]
     out = []
     for vs in candidates:
         nontrivial = len(vs) >= 2
         if mode != "all" and not nontrivial:
             continue
-        minimal = nontrivial and not any(
-            is_barrier(g, sub)
-            for size in range(2, len(vs))
-            for sub in combinations(sorted(vs), size)
-        )
+        minimal = nontrivial and not any(sub < vs for sub in nontrivial_sets)
         if mode == "minimal_nontrivial" and not minimal:
             continue
         out.append(
@@ -170,14 +169,14 @@ def classify(g: Graph) -> Classification:
     """
     matching_covered = g.n >= 2 and is_matching_covered(g)
     bicritical = _is_bicritical(g)
-    connected = is_connected(g)
-    brick = bicritical and connectivity_profile(g).three_connected
+    profile = connectivity_profile(g)
+    brick = bicritical and profile.three_connected
     two_extendable = _is_two_extendable(g)
-    parts = bipartition(g)
+    parts = profile.bipartition
     brace = two_extendable and parts is not None
     if (
         parts is not None
-        and connected
+        and profile.connected
         and g.n >= 6
         and len(parts.a) == len(parts.b) >= 2
         and has_perfect_matching(g)

@@ -53,6 +53,7 @@ from .structure import (
     brace_by_four_deletion,
     classify,
     exhaustive_barrier_sets,
+    is_barrier,
     is_tight_cut,
     nontrivial_tight_cuts,
     tight_cut_contractions,
@@ -110,6 +111,16 @@ class Suite:
 def _is_independent(g: Graph, vs) -> bool:
     vs = sorted(vs)
     return not any(g.multiplicity(a, b) for a, b in combinations(vs, 2))
+
+
+def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
+    """The definition: a barrier of two or more vertices no proper subset of
+    which, of two or more vertices, is a barrier. Exponential in |vs|."""
+    return len(vs) >= 2 and not any(
+        is_barrier(g, sub)
+        for size in range(2, len(vs))
+        for sub in combinations(sorted(vs), size)
+    )
 
 
 # --- checkers ---------------------------------------------------------------
@@ -171,9 +182,15 @@ def _check_barrier_properties(g: Graph) -> list[str] | None:
             problems.append(f"barrier {sorted(s)} leaves an even component")
         if not _is_independent(g, s):
             problems.append(f"barrier {sorted(s)} is not independent")
-    reported = {b.vertices for b in barriers(g, mode="all")}
-    if reported != set(exhaustive):
+    reported = barriers(g, mode="all")
+    if {b.vertices for b in reported} != set(exhaustive):
         problems.append("pruned barrier enumeration disagrees with exhaustive sweep")
+    for b in reported:
+        if b.minimal_nontrivial != is_minimal_nontrivial_barrier(g, b.vertices):
+            problems.append(
+                f"barrier {sorted(b.vertices)} has minimal_nontrivial="
+                f"{b.minimal_nontrivial}, the subset sweep disagrees"
+            )
     return problems
 
 

@@ -73,3 +73,19 @@ def test_render_text_mentions_key_facts():
     assert "nice vertices 6" in text
     assert "K33_triangle" in text
     assert "3-connected" in text
+
+
+# Two blocks joined by a bridge: a perfect matching, but not matching
+# covered, and above the 20-vertex cap of the exhaustive barrier sweep.
+BRIDGED_22 = "U?LR?MoqCA??????????B??g?B???W?J??EO?B?_"
+
+
+def test_capped_barrier_sweep_leaves_section_not_applicable(schema):
+    reports, errors = analyze_text(BRIDGED_22 + "\n")
+    assert errors == []
+    _validate(reports, schema)
+    (report,) = reports
+    assert report["vertices"] == 22
+    assert not report["classification"]["matching_covered"]
+    assert report["barriers"] == {"applicable": False}
+    assert report["nice_vertices"]["applicable"]

@@ -37,6 +37,16 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_capped_barrier_host_exits_zero(tmp_path, capsys):
+    from .test_analyze import BRIDGED_22
+
+    path = tmp_path / "in.g6"
+    path.write_text(BRIDGED_22 + "\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["graph6"] for r in payload["reports"]] == [BRIDGED_22]
+
+
 def test_enumerate_to_file(tmp_path):
     out = tmp_path / "n6.g6"
     assert main(["enumerate", "--n", "6", "--out", str(out)]) == 0

@@ -99,6 +99,17 @@ def test_corrupt_cache_regenerated(tmp_path):
     assert entries[0].provenance == "enumerated"
 
 
+def test_truncated_cache_regenerated(tmp_path, corpus10):
+    ids = [e.graph6 for e in corpus10 if e.graph.n == 10]
+    path = tmp_path / "cubic-n10-connected.g6"
+    path.write_text("".join(line + "\n" for line in ids[:7]))
+    entries = enumerate_cubic(10, cache_dir=tmp_path)
+    assert [e.graph6 for e in entries] == ids
+    assert all(e.provenance == "enumerated" for e in entries)
+    assert path.read_text().splitlines() == ids
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_disconnected_enumeration(cache_dir):
     entries = enumerate_cubic(10, connected_only=False, cache_dir=cache_dir)
     connected = enumerate_cubic(10, cache_dir=cache_dir)
@@ -108,22 +119,3 @@ def test_disconnected_enumeration(cache_dir):
     assert len(disconnected) == 2
     for entry in disconnected:
         assert entry.graph.is_cubic
-
-
-def test_profile_edge_route_matches_vertex_route_on_corpus(corpus10):
-    from itertools import combinations
-
-    from nicecubic.graphs import connected_components
-
-    for entry in corpus10:
-        g = entry.graph
-        profile = connectivity_profile(g)
-        two = is_connected(g) and g.n >= 3 and all(
-            len(connected_components(g, {v})) == 1 for v in range(g.n)
-        )
-        three = two and g.n >= 4 and all(
-            len(connected_components(g, pair)) == 1
-            for pair in combinations(range(g.n), 2)
-        )
-        assert profile.two_connected == two
-        assert profile.three_connected == three

@@ -1,7 +1,8 @@
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
@@ -9,7 +10,6 @@ from nicecubic.errors import DomainError
 from nicecubic.graphs import (
     Graph,
     bipartition,
-    connected_components,
     connectivity_profile,
     contract,
     edge_cut,
@@ -73,23 +73,38 @@ def test_cut_vertex_detected():
     assert p.connected and not p.two_connected
 
 
-@settings(max_examples=60)
-@given(simple_graphs(max_n=8))
-def test_vertex_and_edge_connectivity_agree_on_cubic(g):
-    # On simple cubic graphs the profile takes the edge-connectivity route;
-    # compare against the direct vertex-based answers.
-    if not (g.simple and g.is_cubic and g.n >= 4):
-        return
+def _networkx_classes(g):
+    """(2-connected, 3-connected) from networkx's vertex connectivity, with
+    the convention that a k-connected graph has more than k vertices."""
+    if g.n < 2:
+        return False, False
+    kappa = nx.node_connectivity(_to_networkx(g))
+    return g.n >= 3 and kappa >= 2, g.n >= 4 and kappa >= 3
+
+
+def _to_networkx(g):
+    # parallel edges do not change vertex connectivity
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(simple_graphs(max_n=8), multigraphs(max_n=7)))
+def test_connectivity_profile_matches_networkx(g):
     p = connectivity_profile(g)
-    two = is_connected(g) and all(
-        len(connected_components(g, {v})) == 1 for v in range(g.n)
-    )
-    three = two and all(
-        len(connected_components(g, pair)) == 1
-        for pair in combinations(range(g.n), 2)
-    )
-    assert p.two_connected == two
-    assert p.three_connected == three
+    assert (p.two_connected, p.three_connected) == _networkx_classes(g)
+
+
+def test_vertex_and_edge_connectivity_agree_on_cubic_corpus(corpus10):
+    # kappa = lambda on cubic graphs: the profile's vertex sweep also
+    # classifies 2- and 3-edge-connectivity there
+    for entry in corpus10:
+        h = _to_networkx(entry.graph)
+        assert nx.edge_connectivity(h) == nx.node_connectivity(h), entry.graph6
+        p = connectivity_profile(entry.graph)
+        assert (p.two_connected, p.three_connected) == _networkx_classes(entry.graph)
 
 
 def test_induced_subgraph_triangle_from_k4():
@@ -197,28 +212,29 @@ def test_enumerate_cuts_finds_triangle_separation():
 
 
 def _cuts_by_brute_force(g, k, nontrivial_only):
-    seen = set()
+    found = []
     for size in range(1, g.n):
         for extra in combinations(range(1, g.n), size - 1):
-            side = frozenset((0,) + extra)
-            if len(side) != size:
-                continue
-            cut = edge_cut(g, side)
+            cut = edge_cut(g, (0,) + extra)
             if len(cut.edge_indices) != k:
                 continue
             if nontrivial_only and not cut.nontrivial:
                 continue
-            seen.add(side)
-    return seen
+            found.append(cut)
+    found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
+    return found
 
 
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(min_n=2, max_n=7), st.integers(min_value=1, max_value=4), st.booleans())
+# sides that join two of the three components of G - F
+@example(Graph(3, [(0, 1), (1, 2)]), 2, False)
+@example(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, True)
 def test_enumerate_cuts_matches_brute_force(g, k, nontrivial_only):
+    # the full ordered lists: edge indices, side and nontrivial flag
     if not is_connected(g):
         return
-    fast = {c.side for c in enumerate_cuts(g, k, nontrivial_only)}
-    assert fast == _cuts_by_brute_force(g, k, nontrivial_only)
+    assert enumerate_cuts(g, k, nontrivial_only) == _cuts_by_brute_force(g, k, nontrivial_only)
 
 
 @settings(max_examples=40)

@@ -4,6 +4,7 @@ from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
 from nicecubic.graphs import Graph, edge_cut
 from nicecubic.isomorphism import is_isomorphic
+from nicecubic.matching import is_matching_covered
 from nicecubic.structure import (
     barriers,
     classify,
@@ -12,6 +13,9 @@ from nicecubic.structure import (
     odd_component_count,
     tight_cut_contractions,
 )
+from nicecubic.suites import is_minimal_nontrivial_barrier
+
+from .test_nice import _bridged_cubic
 
 
 def test_odd_component_count_basics():
@@ -36,6 +40,16 @@ def test_barriers_k33_color_classes():
 def test_barriers_k33_triangle_minimal():
     minimal = barriers(k33_triangle(), mode="minimal_nontrivial")
     assert [sorted(b.vertices) for b in minimal] == [[2, 3, 4]]
+
+
+def test_minimal_flags_match_subset_sweep_on_bridged_cubic():
+    # not matching covered, so barriers() takes the exhaustive branch
+    g = _bridged_cubic()
+    assert not is_matching_covered(g)
+    items = barriers(g)
+    assert {b.minimal_nontrivial for b in items if b.nontrivial} == {True, False}
+    for b in items:
+        assert b.minimal_nontrivial == is_minimal_nontrivial_barrier(g, b.vertices)
 
 
 def test_barriers_require_perfect_matching():
