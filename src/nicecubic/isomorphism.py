@@ -168,8 +168,9 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """A permutation old->new minimizing the relabeled edge multiset.
 
-    Individualization-refinement search; the leaf count is on the order of
-    the automorphism group, fine at desk scale.
+    Individualization-refinement search; a branch that only swaps twin
+    vertices is skipped, and otherwise the leaf count is on the order of the
+    automorphism group, fine at desk scale.
     """
     best: list | None = None
 
@@ -210,15 +211,35 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
                 best = [key, tuple(perm)]
             return
         cell = cells[target]
+        tried: set[int] = set()
         for v in sorted(cell):
+            # swapping twins is an automorphism fixing the partition, so its
+            # subtree repeats an earlier one's leaves; the first minimum stays
+            if twin_class[v] in tried:
+                continue
+            tried.add(twin_class[v])
             rest = [u for u in cell if u != v]
             search(cells[:target] + [[v], rest] + cells[target + 1:])
 
     if g.n == 0:
         return ()
+    twin_class = _twin_classes(g)
     search([list(range(g.n))])
     assert best is not None
     return best[1]
+
+
+def _twin_classes(g: Graph) -> list[int]:
+    """Each vertex's least twin: v and w are twins iff they meet every other
+    vertex with equal multiplicity (an equivalence relation)."""
+    def twins(v: int, w: int) -> bool:
+        return all(
+            g.multiplicity(v, x) == g.multiplicity(w, x)
+            for x in g.neighbor_sets[v] | g.neighbor_sets[w]
+            if x != v and x != w
+        )
+
+    return [next(w for w in range(v + 1) if w == v or twins(v, w)) for v in range(g.n)]
 
 
 def canonical_graph(g: Graph) -> Graph:

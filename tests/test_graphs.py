@@ -97,7 +97,7 @@ def test_connectivity_profile_matches_networkx(g):
     assert (p.two_connected, p.three_connected) == _networkx_classes(g)
 
 
-def test_vertex_and_edge_connectivity_agree_on_cubic_corpus(corpus10):
+def test_vertex_and_edge_connectivity_agree_on_cubic(corpus10):
     # kappa = lambda on cubic graphs: the profile's vertex sweep also
     # classifies 2- and 3-edge-connectivity there
     for entry in corpus10:
