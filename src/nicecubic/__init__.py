@@ -72,6 +72,7 @@ from .matching import (
     make_matching,
     maximum_matching,
     nice_check,
+    pair_deletion_table,
     perfect_matchings,
     tutte_condition_holds,
 )

@@ -25,7 +25,7 @@ nice-vertex/nice-pair counts. Disagreement raises InternalCheckError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Any
 
 from .catalog import k33, k33_triangle, k33_triangle_non_nice, k4, triangular_prism
@@ -45,7 +45,7 @@ from .graphs import (
 from .isomorphism import is_isomorphic, is_isomorphism
 from .nice import is_nice_vertex, nice_pair_sets_bounded, nice_vertices
 from .splicing import chain_end_edges, edge_splice, linear_chain, splice, twotwo_edges
-from .structure import is_barrier
+from .structure import barriers
 
 
 # ---------------------------------------------------------------------------
@@ -555,23 +555,13 @@ def _is_valid_splice_host(h: Graph) -> bool:
     )
 
 
-def _minimal_size3_barriers(g: Graph) -> list[frozenset[int]]:
-    """Independent size-3 barriers with no size-2 sub-barrier, in sorted order."""
-    out = []
-    for triple in combinations(range(g.n), 3):
-        a, b, c = triple
-        if g.multiplicity(a, b) or g.multiplicity(a, c) or g.multiplicity(b, c):
-            continue
-        if not is_barrier(g, triple):
-            continue
-        if any(is_barrier(g, pair) for pair in combinations(triple, 2)):
-            continue
-        out.append(frozenset(triple))
-    return out
-
-
 def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
-    for s in _minimal_size3_barriers(g):
+    # the host is simple, cubic and 3-connected, so matching covered and every
+    # barrier is independent; minimal size-3 barriers come in sorted order
+    for barrier in barriers(g, mode="minimal_nontrivial"):
+        s = barrier.vertices
+        if len(s) != 3:
+            continue
         comps = connected_components(g, s)
         if len(comps) != 3:
             continue

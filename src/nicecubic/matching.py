@@ -1,10 +1,20 @@
-"""Maximum matching, perfect-matching enumeration and the nice-subgraph test.
+"""Maximum matching, perfect-matching enumeration, the pair-deletion table
+and the nice-subgraph test.
 
 Matchings are edge-index sets so that parallel edges stay distinguishable;
 a perfect matching through one of three parallel edges is a different
 matching than through another, which matters when counting how often a cut
 is crossed. Search order is deterministic (lowest index first) so outputs
 are reproducible across runs.
+
+There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
+``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
+once per vertex to read, from one perfect matching, which vertex pairs
+leave a perfectly matchable graph when deleted. Matching covered and
+bicritical are read off that table; in a matching covered graph, u with the
+vertices v outside row u form one maximal barrier (Kotzig; Lovász &
+Plummer, *Matching Theory*, §5.2), which is how ``structure.barriers``
+finds them.
 """
 
 from __future__ import annotations
@@ -15,7 +25,10 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, VertexSet, connected_components, induced_subgraph, is_connected
+
+# Row u of a pair-deletion table: every v != u with g - u - v perfectly matchable.
+PairDeletionTable = tuple[VertexSet, ...]
 
 
 @dataclass(frozen=True)
@@ -55,8 +68,26 @@ def make_matching(g: Graph, edge_indices: Iterable[int]) -> Matching:
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching via augmenting search with blossom
     contraction (general graphs). Deterministic lowest-index tie-breaking."""
-    n = g.n
-    adj = [sorted(g.neighbor_sets[v]) for v in range(n)]
+    match = _maximum_mates(_adjacency(g))
+    lowest_index: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(g.edges):
+        lowest_index.setdefault(e, i)
+    indices = [
+        lowest_index[(v, match[v])]
+        for v in range(g.n)
+        if match[v] > v
+    ]
+    return make_matching(g, indices)
+
+
+def _adjacency(g: Graph) -> list[list[int]]:
+    return [sorted(g.neighbor_sets[v]) for v in range(g.n)]
+
+
+def _maximum_mates(adj: list[list[int]]) -> list[int]:
+    """Mate of each vertex in a maximum matching (-1 if exposed): a greedy
+    start, then one augmenting search from each exposed vertex."""
+    n = len(adj)
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -66,6 +97,30 @@ def maximum_matching(g: Graph) -> Matching:
                     match[u] = v
                     break
 
+    for v in range(n):
+        if match[v] == -1:
+            end, parent, _ = _find_augmenting(adj, match, v)
+            while end != -1:
+                prev = parent[end]
+                nxt = match[prev]
+                match[end] = prev
+                match[prev] = end
+                end = nxt
+    return match
+
+
+def _find_augmenting(
+    adj: list[list[int]], match: list[int], root: int
+) -> tuple[int, list[int], list[bool]]:
+    """Edmonds' blossom search from the exposed vertex ``root``.
+
+    Returns the exposed end of an augmenting path (-1 if there is none), the
+    tree's parent links that trace the path back, and the outer flags. When
+    root is the only exposed vertex and no path exists, the outer vertices
+    are exactly those some maximum matching leaves exposed (Gallai–Edmonds).
+    ``match`` is read, never written.
+    """
+    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -94,57 +149,32 @@ def maximum_matching(g: Graph) -> Matching:
             child = match[v]
             v = parent[match[v]]
 
-    def find_augmenting(root: int) -> int:
-        for i in range(n):
-            used[i] = False
-            parent[i] = -1
-            base[i] = i
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # Odd cycle through the tree: contract the blossom.
-                    cur_base = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        return to
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return -1
-
-    for v in range(n):
-        if match[v] == -1:
-            end = find_augmenting(v)
-            while end != -1:
-                prev = parent[end]
-                nxt = match[prev]
-                match[end] = prev
-                match[prev] = end
-                end = nxt
-
-    lowest_index: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(g.edges):
-        lowest_index.setdefault(e, i)
-    indices = [
-        lowest_index[(v, match[v])]
-        for v in range(n)
-        if match[v] > v
-    ]
-    return make_matching(g, indices)
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                # Odd cycle through the tree: contract the blossom.
+                cur_base = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur_base, to, in_blossom)
+                mark_path(to, cur_base, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur_base
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return to, parent, used
+                used[match[to]] = True
+                queue.append(match[to])
+    return -1, parent, used
 
 
 def has_perfect_matching(g: Graph) -> bool:
@@ -211,17 +241,55 @@ def count_perfect_matchings(g: Graph) -> int:
     return len(perfect_matchings(g))
 
 
+def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
+    """Row u is ``frozenset({v != u : g - u - v has a perfect matching})``;
+    None when g has no perfect matching.
+
+    One maximum matching M, then one blossom search per vertex: in g - u,
+    M minus u's edge is maximum and leaves only u's partner exposed, so the
+    outer vertices of the search from the partner are the vertices that some
+    maximum matching of g - u misses, i.e. the v with g - u - v perfectly
+    matchable. That is n searches where pair-by-pair deletion would need
+    n(n - 1)/2 fresh matchings.
+    """
+    if g.n % 2:
+        return None
+    adj = _adjacency(g)
+    match = _maximum_mates(adj)
+    if -1 in match:
+        return None
+    rows = []
+    for u in range(g.n):
+        partner = match[u]
+        without_u = list(adj)
+        without_u[u] = []
+        for x in adj[u]:
+            without_u[x] = [y for y in adj[x] if y != u]
+        match[u] = match[partner] = -1
+        _, _, outer = _find_augmenting(without_u, match, partner)
+        match[u], match[partner] = partner, u
+        rows.append(frozenset(v for v in range(g.n) if outer[v]))
+    return tuple(rows)
+
+
+def covers_every_edge(g: Graph, table: PairDeletionTable | None) -> bool:
+    """Matching covered, read off g's ``pair_deletion_table``: g is connected
+    with edges, has a perfect matching, and every edge uv has v in row u
+    (g - u - v is perfectly matchable, so uv lies in a perfect matching)."""
+    return (
+        table is not None
+        and bool(g.edges)
+        and is_connected(g)
+        and all(v in table[u] for u, v in g.edges)
+    )
+
+
 def is_matching_covered(g: Graph) -> bool:
     """True iff g is connected, has >= 2 vertices, and every edge lies in some
-    perfect matching (force the edge, match the rest)."""
+    perfect matching."""
     if g.n < 2:
         raise DomainError("matching covered is defined for graphs on >= 2 vertices")
-    if not is_connected(g):
-        return False
-    if g.n % 2 or not g.edges:
-        return False
-    # parallel edges share their endpoints, so each is forced once
-    return all(nice_check(g, edge) for edge in dict.fromkeys(g.edges))
+    return covers_every_edge(g, pair_deletion_table(g))
 
 
 def nice_check(g: Graph, w: Iterable[int]) -> bool:

@@ -30,9 +30,12 @@ from .graphs import (
     is_connected,
 )
 from .matching import (
+    PairDeletionTable,
+    covers_every_edge,
     has_perfect_matching,
     is_matching_covered,
     nice_check,
+    pair_deletion_table,
     perfect_matchings,
 )
 
@@ -88,17 +91,22 @@ def barriers(g: Graph, mode: BarrierMode = "all") -> list[Barrier]:
     The empty set formally qualifies whenever G has a perfect matching but is
     excluded here; callers care about vertices that barriers isolate.
 
-    When the host is matching covered, only independent sets are swept (every
-    barrier of a matching covered graph is independent), which keeps
-    enumeration feasible to around 16 vertices. Parity caps |S| at n/2.
-    Either sweep lists every barrier, so a nontrivial barrier is minimal iff
-    no other listed nontrivial barrier is a proper subset of it.
+    One ``pair_deletion_table`` decides the route. When the host is matching
+    covered its maximal barriers partition V (Kotzig), the class of u being
+    u plus every v with G - u - v not perfectly matchable, and every barrier
+    lies inside one class; so only the subsets of each class, of size at most
+    n/2, are tested. That costs n blossom searches plus one component count
+    per subset: one per vertex on a brick, about 2^(n/2 + 1) on a bipartite
+    host. Otherwise every vertex set of size at most n/2 is tested, capped at
+    20 vertices. Either sweep lists every barrier, so a nontrivial barrier is
+    minimal iff no other listed nontrivial barrier is a proper subset of it.
     """
-    if not has_perfect_matching(g):
+    table = pair_deletion_table(g)
+    if table is None:
         raise DomainError("barriers are defined for graphs with a perfect matching")
     if mode not in ("all", "nontrivial", "minimal_nontrivial"):
         raise ValueError(f"unknown barrier mode {mode!r}")
-    candidates = _barrier_sets(g)
+    candidates = _barrier_sets(g, table)
     nontrivial_sets = [vs for vs in candidates if len(vs) >= 2]
     out = []
     for vs in candidates:
@@ -120,33 +128,37 @@ def barriers(g: Graph, mode: BarrierMode = "all") -> list[Barrier]:
     return out
 
 
-def _barrier_sets(g: Graph) -> list[frozenset[int]]:
-    cap = g.n // 2
-    found: list[frozenset[int]] = []
-    if g.n >= 2 and is_matching_covered(g):
-        chosen: list[int] = []
+def _barrier_sets(g: Graph, table: PairDeletionTable) -> list[frozenset[int]]:
+    if covers_every_edge(g, table):
+        return [
+            frozenset(subset)
+            for cls in _maximal_barriers(table)
+            for size in range(1, min(len(cls), g.n // 2) + 1)
+            for subset in combinations(cls, size)
+            if is_barrier(g, subset)
+        ]
+    if g.n > _SUBSET_ENUMERATION_CAP:
+        raise DomainError(
+            f"barrier enumeration on a non matching covered host is capped "
+            f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
+        )
+    return exhaustive_barrier_sets(g)
 
-        def sweep(start: int):
-            if chosen and is_barrier(g, chosen):
-                found.append(frozenset(chosen))
-            if len(chosen) == cap:
-                return
-            for v in range(start, g.n):
-                if any(u in g.neighbor_sets[v] for u in chosen):
-                    continue
-                chosen.append(v)
-                sweep(v + 1)
-                chosen.pop()
 
-        sweep(0)
-    else:
-        if g.n > _SUBSET_ENUMERATION_CAP:
-            raise DomainError(
-                f"barrier enumeration on a non matching covered host is capped "
-                f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
-            )
-        found = exhaustive_barrier_sets(g)
-    return found
+def _maximal_barriers(table: PairDeletionTable) -> list[tuple[int, ...]]:
+    """The classes {u} + (V - u - row u) of a matching covered graph's table,
+    each once, in order of their lowest vertex."""
+    n = len(table)
+    placed = [False] * n
+    classes = []
+    for u in range(n):
+        if placed[u]:
+            continue
+        cls = tuple(v for v in range(n) if v == u or v not in table[u])
+        for v in cls:
+            placed[v] = True
+        classes.append(cls)
+    return classes
 
 
 def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
@@ -167,11 +179,12 @@ def classify(g: Graph) -> Classification:
     four-vertex deletion characterization and the 2-extendability definition)
     and the answers are required to agree.
     """
-    matching_covered = g.n >= 2 and is_matching_covered(g)
-    bicritical = _is_bicritical(g)
+    table = pair_deletion_table(g)
+    matching_covered = covers_every_edge(g, table)
+    bicritical = _is_bicritical(g, table)
     profile = connectivity_profile(g)
     brick = bicritical and profile.three_connected
-    two_extendable = _is_two_extendable(g)
+    two_extendable = _is_two_extendable(g, table)
     parts = profile.bipartition
     brace = two_extendable and parts is not None
     if (
@@ -179,7 +192,7 @@ def classify(g: Graph) -> Classification:
         and profile.connected
         and g.n >= 6
         and len(parts.a) == len(parts.b) >= 2
-        and has_perfect_matching(g)
+        and table is not None
     ):
         by_deletion = brace_by_four_deletion(g, parts)
         if by_deletion != brace:
@@ -196,14 +209,16 @@ def classify(g: Graph) -> Classification:
     )
 
 
-def _is_bicritical(g: Graph) -> bool:
-    if not g.edges or g.n % 2:
-        return False
-    return all(nice_check(g, pair) for pair in combinations(range(g.n), 2))
+def _is_bicritical(g: Graph, table: PairDeletionTable | None) -> bool:
+    """Every pair deletion leaves a perfect matching (a table exists only for
+    even order)."""
+    return bool(g.edges) and table is not None and all(
+        len(row) == g.n - 1 for row in table
+    )
 
 
-def _is_two_extendable(g: Graph) -> bool:
-    if g.n < 6 or not is_connected(g) or not has_perfect_matching(g):
+def _is_two_extendable(g: Graph, table: PairDeletionTable | None) -> bool:
+    if g.n < 6 or table is None or not is_connected(g):
         return False
     for e1, e2 in combinations(g.edges, 2):
         ends = set(e1 + e2)

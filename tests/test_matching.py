@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from nicecubic.catalog import k4, k33, triangular_prism
 from nicecubic.errors import DomainError
-from nicecubic.graphs import Graph
+from nicecubic.graphs import Graph, is_connected
 from nicecubic.matching import (
     count_perfect_matchings,
     has_perfect_matching,
@@ -14,6 +14,7 @@ from nicecubic.matching import (
     make_matching,
     maximum_matching,
     nice_check,
+    pair_deletion_table,
     perfect_matchings,
     tutte_condition_holds,
 )
@@ -134,6 +135,8 @@ def test_matching_covered_examples():
     assert is_matching_covered(c6)
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert not is_matching_covered(star)
+    # every edge lies in a perfect matching, but the graph is disconnected
+    assert not is_matching_covered(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_matching_covered_requires_two_vertices():
@@ -166,3 +169,37 @@ def test_returned_matchings_are_vertex_disjoint():
         make_matching(g, maximum_matching(g).edge_indices)
         for pm in perfect_matchings(g):
             make_matching(g, pm.edge_indices)  # raises on overlap
+
+
+def test_pair_deletion_table_small_cases():
+    assert pair_deletion_table(Graph(0)) == ()
+    assert pair_deletion_table(Graph(3, [(0, 1), (1, 2)])) is None
+    assert pair_deletion_table(Graph(4, [(0, 1), (0, 2), (0, 3)])) is None
+    assert pair_deletion_table(k4()) == tuple(
+        frozenset(range(4)) - {u} for u in range(4)
+    )
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert pair_deletion_table(path) == (
+        frozenset({1, 3}), frozenset({0}), frozenset({3}), frozenset({0, 2})
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=8, max_edges=16))
+def test_pair_deletion_table_agrees_with_nice_check(g):
+    if g.n >= 2:
+        # definitional: connected, and every edge index lies in some
+        # enumerated perfect matching
+        in_some = {i for m in perfect_matchings(g) for i in m.edge_indices}
+        covered = is_connected(g) and bool(g.edges) and len(in_some) == len(g.edges)
+        assert is_matching_covered(g) == covered
+    table = pair_deletion_table(g)
+    if not has_perfect_matching(g):
+        assert table is None
+        return
+    assert len(table) == g.n
+    assert all(u not in table[u] for u in range(g.n))
+    for u, v in combinations(range(g.n), 2):
+        expected = nice_check(g, (u, v))
+        assert (v in table[u]) == expected
+        assert (u in table[v]) == expected

@@ -1,13 +1,24 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
-from nicecubic.graphs import Graph, edge_cut
+from nicecubic.graphs import (
+    Graph,
+    connected_components,
+    connectivity_profile,
+    edge_cut,
+    induced_subgraph,
+)
 from nicecubic.isomorphism import is_isomorphic
-from nicecubic.matching import is_matching_covered
+from nicecubic.matching import is_matching_covered, pair_deletion_table, perfect_matchings
 from nicecubic.structure import (
     barriers,
     classify,
+    exhaustive_barrier_sets,
     is_tight_cut,
     nontrivial_tight_cuts,
     odd_component_count,
@@ -15,6 +26,7 @@ from nicecubic.structure import (
 )
 from nicecubic.suites import is_minimal_nontrivial_barrier
 
+from .strategies import multigraphs
 from .test_nice import _bridged_cubic
 
 
@@ -159,3 +171,69 @@ def test_nontrivial_tight_cuts_on_non_cubic_host():
     for witness in found:
         assert len(witness.cut.side) % 2 == 1
         assert len(witness.cut.edge_indices) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(max_n=8, max_edges=16))
+def test_bicritical_flag_matches_all_pairs_definition(g):
+    def matchable(vertices):
+        return bool(perfect_matchings(induced_subgraph(g, vertices).graph, limit=1))
+
+    everyone = set(range(g.n))
+    bicritical = (
+        bool(g.edges)
+        and g.n % 2 == 0
+        and all(matchable(everyone - set(pair)) for pair in combinations(everyone, 2))
+    )
+    assert classify(g).bicritical == bicritical
+
+
+@st.composite
+def matching_covered_multigraphs(draw, max_n=10):
+    """The edges of a random multigraph that lie in some perfect matching,
+    restricted to the component of vertex 0: a matching covered graph
+    (dropping edges in no perfect matching keeps every perfect matching)."""
+    n = draw(st.sampled_from(range(4, max_n + 1, 2)))
+    order = draw(st.permutations(range(n)))
+    edges = [tuple(order[i : i + 2]) for i in range(0, n, 2)]
+    edges += draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2 * n))
+    g = Graph(n, edges)
+    allowed = {i for m in perfect_matchings(g) for i in m.edge_indices}
+    g = Graph(n, [g.edges[i] for i in sorted(allowed)])
+    return induced_subgraph(g, connected_components(g)[0]).graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(matching_covered_multigraphs())
+def test_barrier_partition_route_matches_exhaustive_sweep(g):
+    assume(not g.is_cubic)
+    assert is_matching_covered(g)
+    found = [b.vertices for b in barriers(g)]
+    exhaustive = exhaustive_barrier_sets(g)
+    assert sorted(found, key=lambda s: (len(s), sorted(s))) == found
+    assert set(found) == set(exhaustive) and len(found) == len(exhaustive)
+
+
+def test_maximal_barrier_classes_on_corpus(corpus12):
+    seen_brick = seen_bipartite = False
+    for entry in corpus12:
+        g = entry.graph
+        if not is_matching_covered(g):
+            continue
+        table = pair_deletion_table(g)
+        classes = {
+            frozenset({u} | (set(range(g.n)) - {u} - table[u])) for u in range(g.n)
+        }
+        assert sum(len(c) for c in classes) == g.n, entry.graph6
+        assert frozenset().union(*classes) == frozenset(range(g.n))
+        found = [b.vertices for b in barriers(g)]
+        maximal = {s for s in found if not any(s < t for t in found)}
+        assert maximal == classes, entry.graph6
+        parts = connectivity_profile(g).bipartition
+        if parts is not None:
+            seen_bipartite = True
+            assert classes == {parts.a, parts.b}, entry.graph6
+        if classify(g).brick:
+            seen_brick = True
+            assert all(len(c) == 1 for c in classes), entry.graph6
+    assert seen_brick and seen_bipartite
