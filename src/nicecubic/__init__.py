@@ -99,7 +99,6 @@ from .splicing import (
 )
 from .structure import (
     Barrier,
-    BipartiteSplit,
     Classification,
     CutWitness,
     barriers,

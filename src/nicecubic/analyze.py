@@ -102,7 +102,7 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
         nice = nice_vertices(g)
         report["nice_vertices"] = {
             "applicable": True,
-            "method": nice.method,
+            "method": "definition",
             "upsilon": nice.upsilon,
             "vertices": sorted(nice.nice),
         }

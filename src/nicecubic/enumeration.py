@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -112,8 +113,6 @@ def _disconnected_cubic_classes(n: int, connected_by_order: dict[int, list[Graph
         if len(parts) < 2:
             continue
         per_size = {size: connected_by_order[size] for size in set(parts)}
-        from collections import Counter
-
         counts = Counter(parts)
         choices_per_size = [
             list(combinations_with_replacement(range(len(per_size[size])), mult))

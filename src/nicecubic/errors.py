@@ -32,11 +32,11 @@ class NotTightCutError(ValueError):
 
 
 class InternalCheckError(RuntimeError):
-    """Two independent computations of the same fact disagree.
+    """A family recognizer's witness does not rebuild its input.
 
-    Raised by the redundant cross-checks (brace classification, bipartite
-    tightness criterion, recognizer vs. nice-vertex counts). Indicates a bug
-    in this package, never a property of the input graph.
+    Raised when a peeled decomposition, replayed through the constructors,
+    is not isomorphic to the graph it was peeled from. Indicates a bug in
+    this package, never a property of the input graph.
     """
 
 

@@ -18,8 +18,10 @@ Families (tags match the CLI):
 
 Recognition is structural (2-cut/barrier peeling) and self-verifying: every
 returned witness is replayed through the constructors and checked isomorphic
-to the input, and the verdict is cross-checked against the independent
-nice-vertex/nice-pair counts. Disagreement raises InternalCheckError.
+to the input; a replay that does not rebuild its input raises
+InternalCheckError. That the recognized families are exactly the graphs with
+the extremal nice-vertex counts and nice-pair bounds is checked by the
+``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .graphs import (
     two_cut_orientations,
 )
 from .isomorphism import is_isomorphic, is_isomorphism
-from .nice import is_nice_vertex, nice_pair_sets_bounded, nice_vertices
+from .nice import is_nice_vertex
 from .splicing import chain_end_edges, edge_splice, linear_chain, splice, twotwo_edges
 from .structure import barriers
 
@@ -612,9 +614,7 @@ def recognize_family(g: Graph) -> FamilyMembership:
     """Classify g against the extremal families, with a verified witness.
 
     Accepts cubic graphs, plus the almost-cubic chain blocks (exactly one
-    22-edge) for Hdiamond recognition. The structural verdict is
-    cross-checked against the nice-vertex count or nice-pair bound the
-    corresponding theorem predicts; disagreement raises InternalCheckError.
+    22-edge) for Hdiamond recognition.
     """
     if g.n == 0 or not is_connected(g):
         raise DomainError("family recognition expects a connected graph")
@@ -627,9 +627,7 @@ def recognize_family(g: Graph) -> FamilyMembership:
         return FamilyMembership(
             family="Hdiamond", index=None, witness={"spec": witness["spec"]}
         )
-    verdict = _recognize_cubic(g)
-    _cross_check(g, verdict.family)
-    return verdict
+    return _recognize_cubic(g)
 
 
 def _recognize_cubic(g: Graph) -> FamilyMembership:
@@ -664,32 +662,6 @@ def _recognize_cubic(g: Graph) -> FamilyMembership:
         return FamilyMembership("none", None, {})
     index, steps = result
     return FamilyMembership("F", index, {"steps": steps})
-
-
-def _cross_check(g: Graph, family: str):
-    profile = connectivity_profile(g)
-    if profile.bipartition is None:
-        if not profile.two_connected:
-            return
-        count = nice_vertices(g).upsilon
-        low = family in ("K4", "F")
-        if (count == 4) != low:
-            raise InternalCheckError(
-                f"recognizer said {family!r} but the nice-vertex count is {count}"
-            )
-        if profile.three_connected and family != "K4":
-            mid = family in ("prism", "K33_triangle", "G1", "G2")
-            if (count == 6) != mid:
-                raise InternalCheckError(
-                    f"recognizer said {family!r} but the nice-vertex count is {count}"
-                )
-    else:
-        bounded = nice_pair_sets_bounded(g, 3)
-        if bounded != (family == "T"):
-            raise InternalCheckError(
-                f"recognizer said {family!r} but nice pair sets are "
-                f"{'bounded by 3x3' if bounded else 'not bounded by 3x3'}"
-            )
 
 
 def verify_membership(g: Graph, membership: FamilyMembership) -> bool:

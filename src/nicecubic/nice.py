@@ -1,9 +1,10 @@
 """Nice vertices and nice pairs in cubic graphs.
 
 A vertex is nice when deleting its closed neighborhood leaves a perfectly
-matchable graph. The definitional check is the ground truth; the barrier
-route (a vertex fails to be nice exactly when some barrier swallows its whole
-neighborhood) is a verification layer for 2-connected hosts.
+matchable graph, and that definition is the one path used here. The barrier
+characterization (on 2-connected hosts a vertex fails to be nice exactly when
+some barrier swallows its whole neighborhood) is checked against it by the
+``barrier-criterion-equivalence`` suite.
 
 In a cubic bipartite graph single vertices are never nice, so the unit of
 interest becomes a cross pair (a, b): delete both closed neighborhoods, ask
@@ -14,21 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal
 
 from .errors import DomainError
-from .graphs import Graph, VertexSet, bipartition, connectivity_profile, is_connected
+from .graphs import Graph, VertexSet, bipartition, is_connected
 from .matching import nice_check
-from .structure import barriers
-
-NiceMethod = Literal["definition", "barrier"]
 
 
 @dataclass(frozen=True)
 class NiceReport:
     nice: VertexSet
     upsilon: int
-    method: NiceMethod
 
 
 @dataclass(frozen=True)
@@ -54,33 +50,13 @@ def is_nice_vertex(g: Graph, u: int) -> bool:
     return nice_check(g, g.closed_neighborhood(u))
 
 
-def nice_vertices(g: Graph, method: NiceMethod = "definition") -> NiceReport:
-    """All nice vertices and their count.
-
-    definition: u is nice iff g minus N[u] has a perfect matching.
-    barrier: u is NOT nice iff some barrier isolates u (contains all of
-    N(u)); requires a 2-connected simple host, the setting in which the two
-    characterizations are equivalent.
-    """
+def nice_vertices(g: Graph) -> NiceReport:
+    """All nice vertices and their count: u is nice iff g minus N[u] has a
+    perfect matching."""
     if not g.is_cubic:
         raise DomainError("nice vertices are defined for cubic graphs")
-    if method == "definition":
-        nice = frozenset(u for u in range(g.n) if is_nice_vertex(g, u))
-    elif method == "barrier":
-        if not g.simple or not connectivity_profile(g).two_connected:
-            raise DomainError(
-                "the barrier characterization needs a 2-connected simple cubic host"
-            )
-        not_nice: set[int] = set()
-        for barrier in barriers(g, mode="all"):
-            s = barrier.vertices
-            for u in range(g.n):
-                if u not in s and g.neighbor_sets[u] <= s:
-                    not_nice.add(u)
-        nice = frozenset(range(g.n)) - not_nice
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return NiceReport(nice=nice, upsilon=len(nice), method=method)
+    nice = frozenset(u for u in range(g.n) if is_nice_vertex(g, u))
+    return NiceReport(nice=nice, upsilon=len(nice))
 
 
 def upsilon(g: Graph) -> int:

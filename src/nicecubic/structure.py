@@ -3,9 +3,10 @@ contractions.
 
 A barrier is a vertex set whose deletion leaves exactly as many odd
 components as the set has vertices. Tightness of a cut means every perfect
-matching crosses it exactly once; for bipartite hosts an independent
-polynomial criterion is computed alongside the enumeration answer and the
-two must agree.
+matching crosses it exactly once; it is decided by deletion-set matching
+queries, without enumerating perfect matchings. The second characterizations
+of these facts (perfect-matching enumeration, the bipartite split criterion,
+the balanced four-deletion brace test) live in the suites that check them.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
 
-from .errors import DomainError, InternalCheckError, NotTightCutError
+from .errors import DomainError, NotTightCutError
 from .graphs import (
-    Bipartition,
     EdgeCut,
     Graph,
     VertexSet,
     Contraction,
     all_cuts,
-    bipartition,
     connected_components,
     connectivity_profile,
     contract,
@@ -36,7 +35,6 @@ from .matching import (
     is_matching_covered,
     nice_check,
     pair_deletion_table,
-    perfect_matchings,
 )
 
 BarrierMode = Literal["all", "nontrivial", "minimal_nontrivial"]
@@ -53,18 +51,9 @@ class Barrier:
 
 
 @dataclass(frozen=True)
-class BipartiteSplit:
-    """Larger/smaller color-class intersections of an odd cut side."""
-
-    x_plus: VertexSet
-    x_minus: VertexSet
-
-
-@dataclass(frozen=True)
 class CutWitness:
     cut: EdgeCut
     tight: bool
-    bipartite_split: BipartiteSplit | None
 
 
 @dataclass(frozen=True)
@@ -175,37 +164,19 @@ def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
 def classify(g: Graph) -> Classification:
     """Matching covered / bicritical / brick / 2-extendable / brace flags.
 
-    The brace flag is computed two independent ways on bipartite hosts (the
-    four-vertex deletion characterization and the 2-extendability definition)
-    and the answers are required to agree.
+    One ``pair_deletion_table`` gives matching covered and bicritical; a
+    brace is a 2-extendable bipartite graph.
     """
     table = pair_deletion_table(g)
-    matching_covered = covers_every_edge(g, table)
-    bicritical = _is_bicritical(g, table)
     profile = connectivity_profile(g)
-    brick = bicritical and profile.three_connected
+    bicritical = _is_bicritical(g, table)
     two_extendable = _is_two_extendable(g, table)
-    parts = profile.bipartition
-    brace = two_extendable and parts is not None
-    if (
-        parts is not None
-        and profile.connected
-        and g.n >= 6
-        and len(parts.a) == len(parts.b) >= 2
-        and table is not None
-    ):
-        by_deletion = brace_by_four_deletion(g, parts)
-        if by_deletion != brace:
-            raise InternalCheckError(
-                "brace characterizations disagree: "
-                f"four-deletion={by_deletion}, two-extendable={brace}"
-            )
     return Classification(
-        matching_covered=matching_covered,
+        matching_covered=covers_every_edge(g, table),
         bicritical=bicritical,
-        brick=brick,
+        brick=bicritical and profile.three_connected,
         two_extendable=two_extendable,
-        brace=brace,
+        brace=two_extendable and profile.bipartition is not None,
     )
 
 
@@ -227,58 +198,24 @@ def _is_two_extendable(g: Graph, table: PairDeletionTable | None) -> bool:
     return True
 
 
-def brace_by_four_deletion(g: Graph, parts: Bipartition) -> bool:
-    """True iff deleting any two vertices from each color class leaves a
-    perfectly matchable graph: the balanced four-deletion sweep."""
-    side_a, side_b = sorted(parts.a), sorted(parts.b)
-    return all(
-        nice_check(g, pair_a + pair_b)
-        for pair_a in combinations(side_a, 2)
-        for pair_b in combinations(side_b, 2)
-    )
-
-
 def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
-    """Tightness by perfect-matching enumeration.
+    """Tightness by deletion-set matching queries.
 
-    On bipartite hosts the polynomial criterion (odd side, plus-class one
-    larger, no edges from the minus class to the complement's minus class) is
-    evaluated independently; disagreement trips an internal error.
+    A perfect matching crosses a side an odd or even number of times as the
+    side is odd or even, so an even side is never tight. An odd side is
+    crossed three or more times by some perfect matching exactly when two
+    vertex-disjoint cut edges lie in one perfect matching, that is when
+    deleting their four ends leaves a perfectly matchable graph.
     """
     if not has_perfect_matching(g):
         raise DomainError("tightness is defined over hosts with perfect matchings")
-    cut_set = set(cut.edge_indices)
-    tight = all(
-        len(cut_set.intersection(m.edge_indices)) == 1 for m in perfect_matchings(g)
+    pair_ends = (
+        set(g.edges[e] + g.edges[f]) for e, f in combinations(cut.edge_indices, 2)
     )
-    split = None
-    parts = bipartition(g)
-    if parts is not None:
-        side = cut.side
-        inside_a = side & parts.a
-        inside_b = side & parts.b
-        if len(side) % 2 == 1:
-            x_plus, x_minus = (
-                (inside_a, inside_b)
-                if len(inside_a) > len(inside_b)
-                else (inside_b, inside_a)
-            )
-            split = BipartiteSplit(x_plus=x_plus, x_minus=x_minus)
-            complement = frozenset(range(g.n)) - side
-            co_a, co_b = complement & parts.a, complement & parts.b
-            co_minus = co_a if len(co_a) < len(co_b) else co_b
-            criterion = len(x_plus) == len(x_minus) + 1 and not any(
-                (u in x_minus and v in co_minus) or (v in x_minus and u in co_minus)
-                for u, v in g.edges
-            )
-        else:
-            criterion = False
-        if criterion != tight:
-            raise InternalCheckError(
-                f"bipartite tightness criterion ({criterion}) disagrees with "
-                f"enumeration ({tight}) for side {sorted(cut.side)}"
-            )
-    return CutWitness(cut=cut, tight=tight, bipartite_split=split)
+    tight = len(cut.side) % 2 == 1 and not any(
+        len(ends) == 4 and nice_check(g, ends) for ends in pair_ends
+    )
+    return CutWitness(cut=cut, tight=tight)
 
 
 def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:

@@ -5,6 +5,11 @@ not satisfy the claim's hypothesis, otherwise a list of violation details
 (empty when the claim holds there). Every suite is deterministic; reports are
 byte-stable given fixed flags, and per-graph checks are independent so they
 can run across processes.
+
+The library computes each fact one way. The second characterizations that
+the claims compare it against (perfect-matching enumeration and the
+bipartite split criterion for tightness, the four-deletion brace test, the
+barrier route of niceness) live here, next to the suite that checks them.
 """
 
 from __future__ import annotations
@@ -15,24 +20,30 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .errors import InternalCheckError, UnknownSuiteError
+from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
 from .enumeration import CorpusEntry, corpus_up_to
 from .families import recognize_family, verify_membership
+from .graph6 import parse_graph6
 from .graphs import (
+    Bipartition,
+    EdgeCut,
     Graph,
+    VertexSet,
     all_cuts,
     bipartition,
     connected_components,
     connectivity_profile,
     contract,
     edge_cut,
+    enumerate_cuts,
     induced_subgraph,
     patched_side,
     two_cut_orientations,
 )
 from .isomorphism import is_isomorphic
 from .matching import (
+    Matching,
     count_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
@@ -41,6 +52,7 @@ from .matching import (
     tutte_condition_holds,
 )
 from .nice import (
+    all_pairs_nice,
     find_nice_pair_set,
     is_nice_pair,
     is_nice_vertex,
@@ -50,7 +62,6 @@ from .nice import (
 )
 from .structure import (
     barriers,
-    brace_by_four_deletion,
     classify,
     exhaustive_barrier_sets,
     is_barrier,
@@ -123,13 +134,76 @@ def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
     )
 
 
+# --- second characterizations, checked against the library's one path -----
+
+
+def tight_by_enumeration(cut: EdgeCut, pms: list[Matching]) -> bool:
+    """The definition: every perfect matching of the host crosses the cut
+    exactly once."""
+    cut_set = set(cut.edge_indices)
+    return all(len(cut_set.intersection(m.edge_indices)) == 1 for m in pms)
+
+
+def bipartite_split(side: VertexSet, parts: Bipartition) -> tuple[VertexSet, VertexSet]:
+    """(X+, X-): the larger and the smaller color-class intersection of an
+    odd cut side."""
+    inside_a, inside_b = side & parts.a, side & parts.b
+    if len(inside_a) > len(inside_b):
+        return inside_a, inside_b
+    return inside_b, inside_a
+
+
+def tight_by_bipartite_split(g: Graph, side: VertexSet, parts: Bipartition) -> bool:
+    """The bipartite split criterion: the side is odd, |X+| = |X-| + 1, and
+    no edge joins X- to the smaller color class of the complement."""
+    if len(side) % 2 == 0:
+        return False
+    x_plus, x_minus = bipartite_split(side, parts)
+    complement = frozenset(range(g.n)) - side
+    co_a, co_b = complement & parts.a, complement & parts.b
+    co_minus = co_a if len(co_a) < len(co_b) else co_b
+    return len(x_plus) == len(x_minus) + 1 and not any(
+        (u in x_minus and v in co_minus) or (v in x_minus and u in co_minus)
+        for u, v in g.edges
+    )
+
+
+def brace_by_four_deletion(g: Graph, parts: Bipartition) -> bool:
+    """True iff deleting any two vertices from each color class leaves a
+    perfectly matchable graph: the balanced four-deletion sweep."""
+    side_a, side_b = sorted(parts.a), sorted(parts.b)
+    return all(
+        nice_check(g, pair_a + pair_b)
+        for pair_a in combinations(side_a, 2)
+        for pair_b in combinations(side_b, 2)
+    )
+
+
+def nice_by_barriers(g: Graph) -> VertexSet:
+    """The barrier characterization: u is not nice iff some barrier contains
+    all of N(u) but not u. Equivalent to the definition on 2-connected simple
+    cubic hosts, and refused elsewhere."""
+    if not (g.is_cubic and g.simple and connectivity_profile(g).two_connected):
+        raise DomainError(
+            "the barrier characterization needs a 2-connected simple cubic host"
+        )
+    not_nice: set[int] = set()
+    for barrier in barriers(g, mode="all"):
+        s = barrier.vertices
+        for u in range(g.n):
+            if u not in s and g.neighbor_sets[u] <= s:
+                not_nice.add(u)
+    return frozenset(range(g.n)) - not_nice
+
+
 # --- checkers ---------------------------------------------------------------
 
 
 def _check_matching_covered_2_connected(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and connectivity_profile(g).connected):
+    profile = connectivity_profile(g)
+    if not (g.is_cubic and profile.connected):
         return None
-    two = connectivity_profile(g).two_connected
+    two = profile.two_connected
     covered = is_matching_covered(g)
     if two != covered:
         return [f"2-connected={two} but matching covered={covered}"]
@@ -201,8 +275,7 @@ def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
     problems = []
     for cut in all_cuts(g):
         side = cut.side
-        cut_set = set(cut.edge_indices)
-        tight = all(len(cut_set.intersection(m.edge_indices)) == 1 for m in pms)
+        tight = tight_by_enumeration(cut, pms)
         if tight and len(cut.edge_indices) != 3:
             problems.append(
                 f"tight cut at side {sorted(side)} has {len(cut.edge_indices)} edges"
@@ -215,8 +288,6 @@ def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
 def _check_nontrivial_3_cut_matching(g: Graph) -> list[str] | None:
     if not connectivity_profile(g).three_connected:
         return None
-    from .graphs import enumerate_cuts
-
     problems = []
     for cut in enumerate_cuts(g, 3, nontrivial_only=True):
         ends = [v for i in cut.edge_indices for v in g.edges[i]]
@@ -226,13 +297,22 @@ def _check_nontrivial_3_cut_matching(g: Graph) -> list[str] | None:
 
 
 def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
-    if g.n < 2 or bipartition(g) is None or not is_matching_covered(g):
+    parts = bipartition(g)
+    if g.n < 2 or parts is None or not is_matching_covered(g):
         return None
+    pms = perfect_matchings(g)
     problems = []
     for cut in all_cuts(g):
-        witness = is_tight_cut(g, cut)
-        if witness.tight and witness.bipartite_split is not None:
-            plus, minus = witness.bipartite_split.x_plus, witness.bipartite_split.x_minus
+        enumerated = tight_by_enumeration(cut, pms)
+        criterion = tight_by_bipartite_split(g, cut.side, parts)
+        fast = is_tight_cut(g, cut).tight
+        if not enumerated == criterion == fast:
+            problems.append(
+                f"side {sorted(cut.side)}: enumeration={enumerated}, "
+                f"split criterion={criterion}, is_tight_cut={fast}"
+            )
+        if enumerated and len(cut.side) % 2 == 1:
+            plus, minus = bipartite_split(cut.side, parts)
             if len(plus) != len(minus) + 1:
                 problems.append(f"tight cut side {sorted(cut.side)} has bad split sizes")
     return problems
@@ -257,8 +337,9 @@ def _check_brace_four_deletion(g: Graph) -> list[str] | None:
     if len(parts.a) != len(parts.b) or not has_perfect_matching(g):
         return None
     deletion_ok = brace_by_four_deletion(g, parts)
-    if deletion_ok != classify(g).brace:
-        return [f"four-deletion test={deletion_ok} but brace={classify(g).brace}"]
+    brace = classify(g).brace
+    if deletion_ok != brace:
+        return [f"four-deletion test={deletion_ok} but brace={brace}"]
     return []
 
 
@@ -386,8 +467,8 @@ def _check_two_cut_nice_transfer(g: Graph) -> list[str] | None:
 def _check_barrier_criterion_equivalence(g: Graph) -> list[str] | None:
     if not (g.is_cubic and g.simple and connectivity_profile(g).two_connected):
         return None
-    by_definition = nice_vertices(g, method="definition").nice
-    by_barrier = nice_vertices(g, method="barrier").nice
+    by_definition = nice_vertices(g).nice
+    by_barrier = nice_by_barriers(g)
     if by_definition != by_barrier:
         return [
             f"definition says {sorted(by_definition)}, barriers say {sorted(by_barrier)}"
@@ -460,8 +541,6 @@ def _check_brace_all_pairs_nice(g: Graph) -> list[str] | None:
         return None
     if not connectivity_profile(g).connected:
         return None
-    from .nice import all_pairs_nice
-
     every = all_pairs_nice(g)
     brace = classify(g).brace
     if every != brace:
@@ -719,14 +798,12 @@ def list_suites() -> list[Suite]:
 
 def _run_entry(args: tuple[str, str]) -> tuple[str, list[str] | None]:
     suite_name, graph6_line = args
-    from .graph6 import parse_graph6
-
     checker = SUITES[suite_name].checker
     g = parse_graph6(graph6_line)
     try:
         return graph6_line, checker(g)
     except InternalCheckError as exc:
-        # a library cross-check disagreed on this graph: a violation, not an abort
+        # a recognizer's witness did not rebuild this graph: a violation, not an abort
         return graph6_line, [str(exc)]
 
 

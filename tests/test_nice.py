@@ -12,6 +12,7 @@ from nicecubic.nice import (
     nice_pair_sets_bounded,
     nice_vertices,
 )
+from nicecubic.suites import nice_by_barriers
 
 
 def test_upsilon_catalog_values():
@@ -36,7 +37,7 @@ def test_nice_vertices_rejects_non_cubic():
 
 def test_barrier_method_agrees_on_catalog():
     for g in (k4(), k33(), k33_triangle(), triangular_prism()):
-        assert nice_vertices(g, "barrier").nice == nice_vertices(g).nice
+        assert nice_by_barriers(g) == nice_vertices(g).nice
 
 
 def _bridged_cubic():
@@ -50,7 +51,7 @@ def test_barrier_method_requires_two_connected():
     bridged = _bridged_cubic()
     assert bridged.is_cubic
     with pytest.raises(DomainError):
-        nice_vertices(bridged, "barrier")
+        nice_by_barriers(bridged)
 
 
 def test_nice_pair_matrix_k33_full():

@@ -8,13 +8,20 @@ from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
 from nicecubic.graphs import (
     Graph,
+    all_cuts,
+    bipartition,
     connected_components,
     connectivity_profile,
     edge_cut,
     induced_subgraph,
 )
 from nicecubic.isomorphism import is_isomorphic
-from nicecubic.matching import is_matching_covered, pair_deletion_table, perfect_matchings
+from nicecubic.matching import (
+    has_perfect_matching,
+    is_matching_covered,
+    pair_deletion_table,
+    perfect_matchings,
+)
 from nicecubic.structure import (
     barriers,
     classify,
@@ -24,7 +31,12 @@ from nicecubic.structure import (
     odd_component_count,
     tight_cut_contractions,
 )
-from nicecubic.suites import is_minimal_nontrivial_barrier
+from nicecubic.suites import (
+    bipartite_split,
+    is_minimal_nontrivial_barrier,
+    tight_by_bipartite_split,
+    tight_by_enumeration,
+)
 
 from .strategies import multigraphs
 from .test_nice import _bridged_cubic
@@ -121,11 +133,46 @@ def test_k33_triangle_cut_is_tight_with_contractions():
 
 def test_bipartite_split_populated():
     g = k33()
-    witness = is_tight_cut(g, edge_cut(g, {0}))
-    assert witness.tight
-    assert witness.bipartite_split is not None
-    assert len(witness.bipartite_split.x_plus) == 1
-    assert len(witness.bipartite_split.x_minus) == 0
+    cut = edge_cut(g, {0})
+    assert is_tight_cut(g, cut).tight
+    x_plus, x_minus = bipartite_split(cut.side, bipartition(g))
+    assert x_plus == frozenset({0})
+    assert x_minus == frozenset()
+    assert tight_by_bipartite_split(g, cut.side, bipartition(g))
+
+
+def test_tightness_agrees_with_enumeration_on_corpus(corpus10):
+    tight_count = 0
+    for entry in corpus10:
+        g = entry.graph
+        pms = perfect_matchings(g)
+        if not pms:
+            continue
+        for cut in all_cuts(g):
+            tight = is_tight_cut(g, cut).tight
+            assert tight == tight_by_enumeration(cut, pms), (entry.graph6, cut.side)
+            tight_count += tight
+    assert tight_count
+
+
+@st.composite
+def perfectly_matchable_multigraphs(draw, min_n=2, max_n=8):
+    """A random multigraph on an even number of vertices laid over a random
+    perfect matching: parallel edges and disconnected hosts included."""
+    n = draw(st.sampled_from(range(min_n, max_n + 1, 2)))
+    order = draw(st.permutations(range(n)))
+    edges = [tuple(order[i : i + 2]) for i in range(0, n, 2)]
+    edges += draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2 * n))
+    return Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perfectly_matchable_multigraphs())
+def test_tightness_agrees_with_enumeration_on_multigraphs(g):
+    assert has_perfect_matching(g)
+    pms = perfect_matchings(g)
+    for cut in all_cuts(g):
+        assert is_tight_cut(g, cut).tight == tight_by_enumeration(cut, pms), cut.side
 
 
 def test_nontrivial_tight_cuts_bricks_and_braces_are_free():
@@ -193,13 +240,9 @@ def matching_covered_multigraphs(draw, max_n=10):
     """The edges of a random multigraph that lie in some perfect matching,
     restricted to the component of vertex 0: a matching covered graph
     (dropping edges in no perfect matching keeps every perfect matching)."""
-    n = draw(st.sampled_from(range(4, max_n + 1, 2)))
-    order = draw(st.permutations(range(n)))
-    edges = [tuple(order[i : i + 2]) for i in range(0, n, 2)]
-    edges += draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2 * n))
-    g = Graph(n, edges)
+    g = draw(perfectly_matchable_multigraphs(min_n=4, max_n=max_n))
     allowed = {i for m in perfect_matchings(g) for i in m.edge_indices}
-    g = Graph(n, [g.edges[i] for i in sorted(allowed)])
+    g = Graph(g.n, [g.edges[i] for i in sorted(allowed)])
     return induced_subgraph(g, connected_components(g)[0]).graph
 
 

@@ -42,6 +42,24 @@ def test_all_suites_pass_at_12(name, corpus12):
     assert report.passed, report.violations
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["nice-count-bounds", "nice-pair-rectangle", "brace-four-deletion", "tight-free-brick-brace"],
+)
+def test_family_suites_pass_on_zoo(name, family_zoo):
+    # family members reach n = 22, beyond the corpus: the nice-count and
+    # nice-pair characterizations of the families are checked here
+    entries = [
+        CorpusEntry(graph, write_graph6(graph), "constructed")
+        for _, _, graph in family_zoo
+        if graph.is_cubic
+    ]
+    assert len(entries) == 39 and max(e.graph.n for e in entries) == 22
+    report = verify_suite(name, max_n=22, entries=entries)
+    assert report.graphs_checked
+    assert report.passed, report.violations
+
+
 def test_two_cut_nice_transfer_colors_cut_ends_in_side_labels():
     # both graphs have bipartite 2-cut sides; the cut ends must be colored
     # in the side's own labels, not by their host ids
