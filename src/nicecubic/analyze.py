@@ -27,7 +27,7 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
     lacks (a perfect matching, cubicity, bipartiteness) mark themselves not
     applicable instead of failing. So does the barrier section of a host
     that is not matching covered and has more than 20 vertices, where the
-    exhaustive barrier sweep is capped."""
+    barrier sweep is capped."""
     profile = connectivity_profile(g)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -66,7 +66,7 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
     }
 
     try:
-        items = barriers(g, mode="all")
+        items = barriers(g)
     except DomainError:
         pass  # no perfect matching, or over the sweep's cap
     else:

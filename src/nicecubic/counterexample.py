@@ -31,7 +31,8 @@ class CounterexampleHit:
 
 
 def constructed_candidates(max_n: int) -> list[Graph]:
-    """A slate of splice-family members to search beyond the corpus."""
+    """A slate of splice-family members to search beyond the corpus, each
+    once: different attachments can build the same graph."""
     out = []
     nn = k33_triangle_non_nice()
     hosts = [write_graph6(k33()), write_graph6(h44())]
@@ -51,18 +52,17 @@ def constructed_candidates(max_n: int) -> list[Graph]:
                     )
                 )
             )
-    return [g for g in out if g.n <= max_n + 10]
+    return [g for g in dict.fromkeys(out) if g.n <= max_n + 10]
 
 
 def search_barrier_counterexample(
     max_n: int,
     include_constructed: bool = False,
-    use_cache: bool = True,
     cache_dir=None,
 ) -> list[CounterexampleHit]:
     """Graphs carrying a minimum-size nontrivial barrier with a non-nice
     vertex, each hit re-verified by the definitional niceness check."""
-    graphs = [e.graph for e in corpus_up_to(max_n, use_cache=use_cache, cache_dir=cache_dir)]
+    graphs = [e.graph for e in corpus_up_to(max_n, cache_dir=cache_dir)]
     if include_constructed:
         graphs.extend(constructed_candidates(max_n))
     hits = []
@@ -72,7 +72,7 @@ def search_barrier_counterexample(
             continue
         if classify(g).bicritical:
             continue
-        nontrivial = barriers(g, mode="nontrivial")
+        nontrivial = [b for b in barriers(g) if b.nontrivial]
         if not nontrivial:
             continue
         minimum = min(len(b.vertices) for b in nontrivial)

@@ -158,7 +158,6 @@ def _cache_file(cache_dir: Path, n: int, connected_only: bool) -> Path:
 def enumerate_cubic(
     n: int,
     connected_only: bool = True,
-    use_cache: bool = True,
     cache_dir: Path | str | None = None,
 ) -> list[CorpusEntry]:
     """All cubic simple graphs on n vertices up to isomorphism.
@@ -171,7 +170,7 @@ def enumerate_cubic(
     if n < 4:
         return []
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    if use_cache and directory is not None:
+    if directory is not None:
         path = _cache_file(directory, n, connected_only)
         if path.is_file():
             try:
@@ -187,7 +186,7 @@ def enumerate_cubic(
     classes = _connected_cubic_classes(n)
     if not connected_only:
         by_order = {
-            size: [e.graph for e in enumerate_cubic(size, True, use_cache, cache_dir)]
+            size: [e.graph for e in enumerate_cubic(size, True, cache_dir)]
             for size in range(4, n - 3, 2)
         }
         classes = classes + _disconnected_cubic_classes(n, by_order)
@@ -198,7 +197,7 @@ def enumerate_cubic(
         ),
         key=lambda e: e.graph6,
     )
-    if use_cache and directory is not None:
+    if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
         path = _cache_file(directory, n, connected_only)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
@@ -211,11 +210,10 @@ def enumerate_cubic(
 def corpus_up_to(
     max_n: int,
     connected_only: bool = True,
-    use_cache: bool = True,
     cache_dir: Path | str | None = None,
 ) -> list[CorpusEntry]:
     """Corpus for every even order from 4 through max_n, concatenated."""
     out: list[CorpusEntry] = []
     for n in range(4, max_n + 1, 2):
-        out.extend(enumerate_cubic(n, connected_only, use_cache, cache_dir))
+        out.extend(enumerate_cubic(n, connected_only, cache_dir))
     return out

@@ -560,9 +560,9 @@ def _is_valid_splice_host(h: Graph) -> bool:
 def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
     # the host is simple, cubic and 3-connected, so matching covered and every
     # barrier is independent; minimal size-3 barriers come in sorted order
-    for barrier in barriers(g, mode="minimal_nontrivial"):
+    for barrier in barriers(g):
         s = barrier.vertices
-        if len(s) != 3:
+        if not barrier.minimal_nontrivial or len(s) != 3:
             continue
         comps = connected_components(g, s)
         if len(comps) != 3:

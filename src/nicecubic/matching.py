@@ -11,10 +11,10 @@ There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
 ``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
 once per vertex to read, from one perfect matching, which vertex pairs
 leave a perfectly matchable graph when deleted. Matching covered and
-bicritical are read off that table; in a matching covered graph, u with the
-vertices v outside row u form one maximal barrier (Kotzig; Lovász &
-Plummer, *Matching Theory*, §5.2), which is how ``structure.barriers``
-finds them.
+bicritical are read off that table, and so are the blocked pairs u, v (v
+outside row u) among which ``structure.barriers`` looks for barriers; in a
+matching covered graph, u with the vertices blocked with it form one
+maximal barrier (Kotzig; Lovász & Plummer, *Matching Theory*, §5.2).
 """
 
 from __future__ import annotations
@@ -201,37 +201,29 @@ def tutte_condition_holds(g: Graph) -> bool:
     return True
 
 
-def perfect_matchings(g: Graph, limit: int | None = None) -> list[Matching]:
+def perfect_matchings(g: Graph) -> list[Matching]:
     """All perfect matchings, ordered by branching on the lowest uncovered
-    vertex and lowest edge index. ``limit`` caps the output."""
+    vertex and lowest edge index."""
     if g.n % 2:
         return []
-    if g.n == 0:
-        return [Matching(())]
     out: list[Matching] = []
     covered = [False] * g.n
     chosen: list[int] = []
 
-    def recurse() -> bool:
-        if limit is not None and len(out) >= limit:
-            return True
+    def recurse() -> None:
         v = next((x for x in range(g.n) if not covered[x]), None)
         if v is None:
             out.append(Matching(tuple(chosen)))
-            return limit is not None and len(out) >= limit
+            return
         covered[v] = True
         for i, u in g.incidence[v]:
             if not covered[u]:
                 covered[u] = True
                 chosen.append(i)
-                stop = recurse()
+                recurse()
                 chosen.pop()
                 covered[u] = False
-                if stop:
-                    covered[v] = False
-                    return True
         covered[v] = False
-        return False
 
     recurse()
     return out

@@ -2,18 +2,22 @@
 contractions.
 
 A barrier is a vertex set whose deletion leaves exactly as many odd
-components as the set has vertices. Tightness of a cut means every perfect
-matching crosses it exactly once; it is decided by deletion-set matching
-queries, without enumerating perfect matchings. The second characterizations
-of these facts (perfect-matching enumeration, the bipartite split criterion,
-the balanced four-deletion brace test) live in the suites that check them.
+components as the set has vertices. Any two of its vertices u, v are a
+blocked pair (G - u - v has no perfect matching), so barriers are found
+among the sets of pairwise blocked vertices read off one pair-deletion
+table. Tightness of a cut means every perfect matching crosses it exactly
+once; it is decided by deletion-set matching queries, without enumerating
+perfect matchings. The second characterizations of these facts (the sweep
+over every vertex set, perfect-matching enumeration, the bipartite split
+criterion, the balanced four-deletion brace test) live in the suites that
+check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal
+from typing import Iterable, Iterator
 
 from .errors import DomainError, NotTightCutError
 from .graphs import (
@@ -37,15 +41,12 @@ from .matching import (
     pair_deletion_table,
 )
 
-BarrierMode = Literal["all", "nontrivial", "minimal_nontrivial"]
-
 _SUBSET_ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
 class Barrier:
     vertices: VertexSet
-    odd_component_count: int
     nontrivial: bool
     minimal_nontrivial: bool
 
@@ -74,91 +75,66 @@ def is_barrier(g: Graph, s: Iterable[int]) -> bool:
     return odd_component_count(g, vs) == len(vs)
 
 
-def barriers(g: Graph, mode: BarrierMode = "all") -> list[Barrier]:
-    """Every nonempty vertex set S with o(G - S) = |S|, filtered by mode.
+def barriers(g: Graph) -> list[Barrier]:
+    """Every nonempty vertex set S with o(G - S) = |S|, sorted by size and
+    then by vertices.
 
     The empty set formally qualifies whenever G has a perfect matching but is
     excluded here; callers care about vertices that barriers isolate.
 
-    One ``pair_deletion_table`` decides the route. When the host is matching
-    covered its maximal barriers partition V (Kotzig), the class of u being
-    u plus every v with G - u - v not perfectly matchable, and every barrier
-    lies inside one class; so only the subsets of each class, of size at most
-    n/2, are tested. That costs n blossom searches plus one component count
-    per subset: one per vertex on a brick, about 2^(n/2 + 1) on a bipartite
-    host. Otherwise every vertex set of size at most n/2 is tested, capped at
-    20 vertices. Either sweep lists every barrier, so a nontrivial barrier is
-    minimal iff no other listed nontrivial barrier is a proper subset of it.
+    Call u != v a blocked pair when G - u - v has no perfect matching, that
+    is when v is outside row u of the ``pair_deletion_table``. The members of
+    a barrier S are pairwise blocked: deleting S - {u, v} from G - u - v
+    leaves the |S| odd components of G - S, more than |S| - 2, so by Tutte's
+    theorem G - u - v has no perfect matching. So only the sets of pairwise
+    blocked vertices of size at most n/2 are tested. On a matching covered
+    host blocking is Kotzig's equivalence, whose classes are the maximal
+    barriers; there the sweep costs n blossom searches plus one component
+    count per subset of a class: one per vertex on a brick, about
+    2^(n/2 + 1) on a bipartite host. Hosts that are not matching covered are
+    capped at 20 vertices. The sweep lists every barrier, so a nontrivial
+    barrier is minimal iff no other listed nontrivial barrier is a proper
+    subset of it.
     """
     table = pair_deletion_table(g)
     if table is None:
         raise DomainError("barriers are defined for graphs with a perfect matching")
-    if mode not in ("all", "nontrivial", "minimal_nontrivial"):
-        raise ValueError(f"unknown barrier mode {mode!r}")
-    candidates = _barrier_sets(g, table)
-    nontrivial_sets = [vs for vs in candidates if len(vs) >= 2]
-    out = []
-    for vs in candidates:
-        nontrivial = len(vs) >= 2
-        if mode != "all" and not nontrivial:
-            continue
-        minimal = nontrivial and not any(sub < vs for sub in nontrivial_sets)
-        if mode == "minimal_nontrivial" and not minimal:
-            continue
-        out.append(
-            Barrier(
-                vertices=vs,
-                odd_component_count=len(vs),
-                nontrivial=nontrivial,
-                minimal_nontrivial=minimal,
-            )
-        )
-    out.sort(key=lambda b: (len(b.vertices), sorted(b.vertices)))
-    return out
-
-
-def _barrier_sets(g: Graph, table: PairDeletionTable) -> list[frozenset[int]]:
-    if covers_every_edge(g, table):
-        return [
-            frozenset(subset)
-            for cls in _maximal_barriers(table)
-            for size in range(1, min(len(cls), g.n // 2) + 1)
-            for subset in combinations(cls, size)
-            if is_barrier(g, subset)
-        ]
-    if g.n > _SUBSET_ENUMERATION_CAP:
+    if g.n > _SUBSET_ENUMERATION_CAP and not covers_every_edge(g, table):
         raise DomainError(
             f"barrier enumeration on a non matching covered host is capped "
             f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
         )
-    return exhaustive_barrier_sets(g)
-
-
-def _maximal_barriers(table: PairDeletionTable) -> list[tuple[int, ...]]:
-    """The classes {u} + (V - u - row u) of a matching covered graph's table,
-    each once, in order of their lowest vertex."""
-    n = len(table)
-    placed = [False] * n
-    classes = []
-    for u in range(n):
-        if placed[u]:
-            continue
-        cls = tuple(v for v in range(n) if v == u or v not in table[u])
-        for v in cls:
-            placed[v] = True
-        classes.append(cls)
-    return classes
-
-
-def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
-    """Every nonempty barrier, by sweeping all vertex sets of size at most
-    n/2 in size-then-lexicographic order. Exponential; small orders only."""
+    found = sorted(
+        (frozenset(s) for s in _pairwise_blocked_sets(table, g.n // 2) if is_barrier(g, s)),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    nontrivial_sets = [s for s in found if len(s) >= 2]
     return [
-        frozenset(subset)
-        for size in range(1, g.n // 2 + 1)
-        for subset in combinations(range(g.n), size)
-        if is_barrier(g, subset)
+        Barrier(
+            vertices=s,
+            nontrivial=len(s) >= 2,
+            minimal_nontrivial=len(s) >= 2 and not any(sub < s for sub in nontrivial_sets),
+        )
+        for s in found
     ]
+
+
+def _pairwise_blocked_sets(
+    table: PairDeletionTable, max_size: int
+) -> Iterator[tuple[int, ...]]:
+    """Every nonempty set of at most max_size pairwise blocked vertices, once,
+    as a tuple grown in increasing vertex order."""
+    n = len(table)
+    later_blocked = [frozenset(range(u + 1, n)) - table[u] for u in range(n)]
+
+    def grow(clique: tuple[int, ...], extensions: VertexSet) -> Iterator[tuple[int, ...]]:
+        yield clique
+        if len(clique) < max_size:
+            for v in extensions:
+                yield from grow(clique + (v,), extensions & later_blocked[v])
+
+    for u in range(n):
+        yield from grow((u,), later_blocked[u])
 
 
 def classify(g: Graph) -> Classification:

@@ -7,9 +7,10 @@ byte-stable given fixed flags, and per-graph checks are independent so they
 can run across processes.
 
 The library computes each fact one way. The second characterizations that
-the claims compare it against (perfect-matching enumeration and the
-bipartite split criterion for tightness, the four-deletion brace test, the
-barrier route of niceness) live here, next to the suite that checks them.
+the claims compare it against (the exhaustive barrier sweep over every
+vertex set, perfect-matching enumeration and the bipartite split criterion
+for tightness, the four-deletion brace test, the barrier route of niceness)
+live here, next to the suite that checks them.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .nice import (
 from .structure import (
     barriers,
     classify,
-    exhaustive_barrier_sets,
     is_barrier,
     is_tight_cut,
     nontrivial_tight_cuts,
@@ -122,6 +122,17 @@ class Suite:
 def _is_independent(g: Graph, vs) -> bool:
     vs = sorted(vs)
     return not any(g.multiplicity(a, b) for a, b in combinations(vs, 2))
+
+
+def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
+    """Every nonempty barrier, by sweeping all vertex sets of size at most
+    n/2 in size-then-lexicographic order. Exponential; small orders only."""
+    return [
+        frozenset(subset)
+        for size in range(1, g.n // 2 + 1)
+        for subset in combinations(range(g.n), size)
+        if is_barrier(g, subset)
+    ]
 
 
 def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
@@ -188,7 +199,7 @@ def nice_by_barriers(g: Graph) -> VertexSet:
             "the barrier characterization needs a 2-connected simple cubic host"
         )
     not_nice: set[int] = set()
-    for barrier in barriers(g, mode="all"):
+    for barrier in barriers(g):
         s = barrier.vertices
         for u in range(g.n):
             if u not in s and g.neighbor_sets[u] <= s:
@@ -256,7 +267,7 @@ def _check_barrier_properties(g: Graph) -> list[str] | None:
             problems.append(f"barrier {sorted(s)} leaves an even component")
         if not _is_independent(g, s):
             problems.append(f"barrier {sorted(s)} is not independent")
-    reported = barriers(g, mode="all")
+    reported = barriers(g)
     if {b.vertices for b in reported} != set(exhaustive):
         problems.append("pruned barrier enumeration disagrees with exhaustive sweep")
     for b in reported:
@@ -361,7 +372,7 @@ def _check_bipartite_nonbrace_contraction(g: Graph) -> list[str] | None:
 def _check_cubic_barrier_components(g: Graph) -> list[str] | None:
     if not (g.is_cubic and g.simple and connectivity_profile(g).three_connected):
         return None
-    nontrivial_barriers = [b for b in barriers(g, mode="nontrivial")]
+    nontrivial_barriers = [b for b in barriers(g) if b.nontrivial]
     if not nontrivial_barriers:
         return None
     problems = []
@@ -403,7 +414,7 @@ def _check_minimal_barrier_all_nice(g: Graph) -> list[str] | None:
         return None
     if classify(g).bicritical:
         return None
-    minimal = barriers(g, mode="minimal_nontrivial")
+    minimal = [b for b in barriers(g) if b.minimal_nontrivial]
     if not minimal:
         return ["non-bicritical 3-connected graph without a minimal nontrivial barrier"]
     for barrier in minimal:
@@ -811,7 +822,6 @@ def verify_suite(
     suite: str,
     max_n: int,
     jobs: int = 1,
-    use_cache: bool = True,
     cache_dir=None,
     entries: list[CorpusEntry] | None = None,
 ) -> VerificationReport:
@@ -826,7 +836,7 @@ def verify_suite(
         )
     start = time.perf_counter()
     if entries is None:
-        entries = corpus_up_to(max_n, connected_only=True, use_cache=use_cache, cache_dir=cache_dir)
+        entries = corpus_up_to(max_n, connected_only=True, cache_dir=cache_dir)
     work = [(suite, e.graph6) for e in entries]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

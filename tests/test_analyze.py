@@ -76,7 +76,7 @@ def test_render_text_mentions_key_facts():
 
 
 # Two blocks joined by a bridge: a perfect matching, but not matching
-# covered, and above the 20-vertex cap of the exhaustive barrier sweep.
+# covered, and above the 20-vertex cap of the barrier sweep on such hosts.
 BRIDGED_22 = "U?LR?MoqCA??????????B??g?B???W?J??EO?B?_"
 
 

@@ -17,10 +17,17 @@ def test_search_runs_and_hits_verify(cache_dir):
     for hit in hits:
         g = parse_graph6(hit.graph6)
         assert not any(is_nice_vertex(g, v) for v in hit.non_nice)
-        minimal = barriers(g, mode="minimal_nontrivial")
+        minimal = [b for b in barriers(g) if b.minimal_nontrivial]
         assert any(
             all(is_nice_vertex(g, v) for v in b.vertices) for b in minimal
         )
+
+
+def test_search_reports_each_hit_once(cache_dir):
+    # different attachments can build the same constructed candidate
+    hits = search_barrier_counterexample(10, include_constructed=True, cache_dir=cache_dir)
+    keys = [(hit.graph6, hit.barrier) for hit in hits]
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_k33_triangle_is_not_a_counterexample(cache_dir):

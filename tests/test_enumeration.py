@@ -17,8 +17,8 @@ def test_odd_order_rejected():
 
 
 def test_tiny_orders_empty():
-    assert enumerate_cubic(0, use_cache=False) == []
-    assert enumerate_cubic(2, use_cache=False) == []
+    assert enumerate_cubic(0) == []
+    assert enumerate_cubic(2) == []
 
 
 def test_n4_is_k4(cache_dir):

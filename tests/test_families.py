@@ -220,7 +220,9 @@ def test_g1_member_contracts_to_k33_triangle():
     # the guest block is the unique large bipartite component behind the
     # minimal nontrivial barrier; shrinking it recovers the core
     hits = 0
-    for barrier in barriers(member, mode="minimal_nontrivial"):
+    for barrier in barriers(member):
+        if not barrier.minimal_nontrivial:
+            continue
         for comp in connected_components(member, barrier.vertices):
             if len(comp) <= 1:
                 continue

@@ -118,10 +118,11 @@ def test_perfect_matchings_distinguish_parallel_edges():
     assert len(perfect_matchings(triple)) == 3
 
 
-def test_perfect_matchings_limit_and_order():
-    all_of_them = perfect_matchings(k33())
-    limited = perfect_matchings(k33(), limit=2)
-    assert limited == all_of_them[:2]
+def test_perfect_matchings_order():
+    # K3,3's edges (0,3) (0,4) (0,5) (1,3) ... (2,5) have indices 0..8; the
+    # matchings come out branching on the lowest vertex, then edge index
+    found = [m.edge_indices for m in perfect_matchings(k33())]
+    assert found == [(0, 4, 8), (0, 5, 7), (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6)]
 
 
 def test_empty_graph_has_the_empty_perfect_matching():

@@ -25,7 +25,6 @@ from nicecubic.matching import (
 from nicecubic.structure import (
     barriers,
     classify,
-    exhaustive_barrier_sets,
     is_tight_cut,
     nontrivial_tight_cuts,
     odd_component_count,
@@ -33,6 +32,7 @@ from nicecubic.structure import (
 )
 from nicecubic.suites import (
     bipartite_split,
+    exhaustive_barrier_sets,
     is_minimal_nontrivial_barrier,
     tight_by_bipartite_split,
     tight_by_enumeration,
@@ -56,18 +56,17 @@ def test_barriers_k4_only_singletons():
 
 
 def test_barriers_k33_color_classes():
-    nontrivial = barriers(k33(), mode="nontrivial")
+    nontrivial = [b for b in barriers(k33()) if b.nontrivial]
     assert [sorted(b.vertices) for b in nontrivial] == [[0, 1, 2], [3, 4, 5]]
     assert all(b.minimal_nontrivial for b in nontrivial)
 
 
 def test_barriers_k33_triangle_minimal():
-    minimal = barriers(k33_triangle(), mode="minimal_nontrivial")
+    minimal = [b for b in barriers(k33_triangle()) if b.minimal_nontrivial]
     assert [sorted(b.vertices) for b in minimal] == [[2, 3, 4]]
 
 
 def test_minimal_flags_match_subset_sweep_on_bridged_cubic():
-    # not matching covered, so barriers() takes the exhaustive branch
     g = _bridged_cubic()
     assert not is_matching_covered(g)
     items = barriers(g)
@@ -80,11 +79,6 @@ def test_barriers_require_perfect_matching():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(DomainError):
         barriers(c5)
-
-
-def test_barriers_mode_validation():
-    with pytest.raises(ValueError):
-        barriers(k4(), mode="bogus")
 
 
 def test_classify_k4_is_brick():
@@ -224,7 +218,7 @@ def test_nontrivial_tight_cuts_on_non_cubic_host():
 @given(multigraphs(max_n=8, max_edges=16))
 def test_bicritical_flag_matches_all_pairs_definition(g):
     def matchable(vertices):
-        return bool(perfect_matchings(induced_subgraph(g, vertices).graph, limit=1))
+        return bool(perfect_matchings(induced_subgraph(g, vertices).graph))
 
     everyone = set(range(g.n))
     bicritical = (
@@ -246,15 +240,32 @@ def matching_covered_multigraphs(draw, max_n=10):
     return induced_subgraph(g, connected_components(g)[0]).graph
 
 
-@settings(max_examples=150, deadline=None)
-@given(matching_covered_multigraphs())
-def test_barrier_partition_route_matches_exhaustive_sweep(g):
-    assume(not g.is_cubic)
-    assert is_matching_covered(g)
+def _assert_barriers_match_exhaustive_sweep(g):
     found = [b.vertices for b in barriers(g)]
     exhaustive = exhaustive_barrier_sets(g)
     assert sorted(found, key=lambda s: (len(s), sorted(s))) == found
     assert set(found) == set(exhaustive) and len(found) == len(exhaustive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        matching_covered_multigraphs(),
+        perfectly_matchable_multigraphs(max_n=12),
+    )
+)
+def test_barrier_partition_route_matches_exhaustive_sweep(g):
+    assume(not g.is_cubic)
+    _assert_barriers_match_exhaustive_sweep(g)
+
+
+def test_barriers_match_exhaustive_sweep_on_corpus_hosts_not_matching_covered(corpus12):
+    checked = 0
+    for entry in corpus12:
+        if not is_matching_covered(entry.graph):
+            _assert_barriers_match_exhaustive_sweep(entry.graph)
+            checked += 1
+    assert checked
 
 
 def test_maximal_barrier_classes_on_corpus(corpus12):
