@@ -210,18 +210,20 @@ def connectivity_profile(g: Graph) -> ConnectivityProfile:
     """Vertex-connectivity classes up to 3, cubic flag and bipartition.
 
     A graph is k-connected when it is connected, has more than k vertices and
-    no deletion of fewer than k vertices disconnects it; the profile sweeps
-    every single vertex and every vertex pair. On cubic graphs vertex and
-    edge connectivity agree (kappa = lambda), so there the flags are also
+    no deletion of fewer than k vertices disconnects it. One low-link DFS
+    finds the cut vertices (Hopcroft & Tarjan), so the graph is 2-connected
+    when it is connected, has n >= 3 and no cut vertex. A vertex pair {u, v}
+    disconnects a 2-connected graph exactly when u is a cut vertex of G - v,
+    so it is 3-connected when n >= 4 and no G - v has a cut vertex: one DFS
+    per vertex. Parallel edges change neither class. On cubic graphs vertex
+    and edge connectivity agree (kappa = lambda), so there the flags are also
     the 2- and 3-edge-connectivity classes.
     """
-    connected = is_connected(g)
-    two = connected and g.n >= 3 and all(
-        len(connected_components(g, (v,))) == 1 for v in range(g.n)
-    )
+    forest = _low_link(g)
+    connected = forest.components == 1
+    two = connected and g.n >= 3 and not forest.has_cut_vertex
     three = two and g.n >= 4 and all(
-        len(connected_components(g, pair)) == 1
-        for pair in combinations(range(g.n), 2)
+        not _low_link(g, removed=v).has_cut_vertex for v in range(g.n)
     )
     return ConnectivityProfile(
         connected=connected,
@@ -297,8 +299,12 @@ def edge_cut(g: Graph, side: Iterable[int]) -> EdgeCut:
 def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[EdgeCut]:
     """All edge cuts with exactly k edges, one representative per {X, X-bar}.
 
-    The representative side is the one containing vertex 0. Works by sweeping
-    k-subsets F of edges: a side with cut exactly F is a union of the t <= k+1
+    The representative side is the one containing vertex 0. Let F be a cut
+    and b = max F. Every edge of F crosses the side, so the ends of b lie in
+    different components of G - F, and b is a bridge of G - (F - b). So the
+    sweep runs over the (k-1)-subsets F' of edges, finds the bridges of
+    G - F' with one low-link DFS (Tarjan), and settles F' + b for each bridge
+    b > max F'. A side with cut exactly F is a union of the t <= k+1
     components of G - F across which every F edge runs, so each F is settled
     by trying the 2^(t-1) unions that contain vertex 0's component. Sorted by
     edge indices, then side.
@@ -307,28 +313,34 @@ def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[Edge
         raise DomainError("cut enumeration requires a connected graph")
     if k < 1:
         raise ValueError("cut size must be positive")
-    m = len(g.edges)
     found: list[EdgeCut] = []
-    for subset in combinations(range(m), k):
-        comp_id = _component_ids_without_edges(g, subset)
-        t = max(comp_id) + 1
-        if t < 2:
-            continue
-        links = [(comp_id[u], comp_id[v]) for u, v in (g.edges[i] for i in subset)]
-        if any(a == b for a, b in links):
-            continue
-        # bit c of `chosen` puts component c on vertex 0's side (component 0)
-        for chosen in range(1, 1 << t, 2):
-            if any((chosen >> a & 1) == (chosen >> b & 1) for a, b in links):
+    for rest in combinations(range(len(g.edges)), k - 1):
+        forest = _low_link(g, banned=rest)
+        floor = rest[-1] if rest else -1
+        for b, start, stop in forest.bridges:
+            if b <= floor:
                 continue
-            side = frozenset(v for v in range(g.n) if chosen >> comp_id[v] & 1)
-            cut = EdgeCut(
-                side=side,
-                edge_indices=subset,
-                nontrivial=len(side) >= 2 and g.n - len(side) >= 2,
-            )
-            if not nontrivial_only or cut.nontrivial:
-                found.append(cut)
+            subset = rest + (b,)
+            # G - F: b's child end and its DFS subtree become component t - 1
+            comp_id = list(forest.comp_id)
+            t = forest.components + 1
+            for v in forest.preorder[start:stop]:
+                comp_id[v] = t - 1
+            links = [(comp_id[u], comp_id[v]) for u, v in (g.edges[i] for i in subset)]
+            if any(a == c for a, c in links):
+                continue
+            # bit c of `chosen` puts component c on vertex 0's side (component 0)
+            for chosen in range(1, 1 << t, 2):
+                if any((chosen >> a & 1) == (chosen >> c & 1) for a, c in links):
+                    continue
+                side = frozenset(v for v in range(g.n) if chosen >> comp_id[v] & 1)
+                cut = EdgeCut(
+                    side=side,
+                    edge_indices=subset,
+                    nontrivial=len(side) >= 2 and g.n - len(side) >= 2,
+                )
+                if not nontrivial_only or cut.nontrivial:
+                    found.append(cut)
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
 
@@ -353,20 +365,75 @@ def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, i
             yield side, a, c, b, d
 
 
-def _component_ids_without_edges(g: Graph, banned: tuple[int, ...]) -> list[int]:
-    banned_set = set(banned)
+@dataclass(frozen=True)
+class _DfsForest:
+    """One low-link DFS over G minus some edges and at most one vertex.
+
+    ``comp_id`` numbers the components in order of their smallest vertex (-1
+    on the removed vertex). The DFS subtree of a vertex v is the slice
+    ``preorder[pre(v):stop]`` recorded when v is finished, so each bridge is
+    (edge index, start, stop): deleting it cuts that slice off.
+    """
+
+    comp_id: list[int]
+    components: int
+    preorder: list[int]
+    bridges: list[tuple[int, int, int]]
+    has_cut_vertex: bool
+
+
+def _low_link(g: Graph, banned: tuple[int, ...] = (), removed: int = -1) -> _DfsForest:
+    """Iterative low-link DFS of G - banned edges - removed vertex.
+
+    A tree edge pw (p the parent) is a bridge when low(w) > pre(p); a
+    non-root p is a cut vertex when some child has low(w) >= pre(p), and a
+    root when it has two or more children. The DFS skips only the tree
+    edge's own index back to the parent, so a parallel edge is a back edge
+    and never a bridge.
+    """
+    pre = [-1] * g.n
+    low = [0] * g.n
     comp_id = [-1] * g.n
-    next_id = 0
-    for start in range(g.n):
-        if comp_id[start] != -1:
+    preorder: list[int] = []
+    bridges: list[tuple[int, int, int]] = []
+    has_cut_vertex = False
+    components = 0
+    incidence = g.incidence
+    for root in range(g.n):
+        if pre[root] != -1 or root == removed:
             continue
-        comp_id[start] = next_id
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for i, y in g.incidence[x]:
-                if i not in banned_set and comp_id[y] == -1:
-                    comp_id[y] = next_id
-                    queue.append(y)
-        next_id += 1
-    return comp_id
+        pre[root] = low[root] = len(preorder)
+        preorder.append(root)
+        comp_id[root] = components
+        root_children = 0
+        stack = [(root, -1, iter(incidence[root]))]
+        while stack:
+            v, via, edges = stack[-1]
+            for i, w in edges:
+                if i == via or w == removed or i in banned:
+                    continue
+                if pre[w] == -1:
+                    pre[w] = low[w] = len(preorder)
+                    preorder.append(w)
+                    comp_id[w] = components
+                    stack.append((w, i, iter(incidence[w])))
+                    break
+                if pre[w] < low[v]:
+                    low[v] = pre[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p == root:
+                    root_children += 1
+                elif low[v] >= pre[p]:
+                    has_cut_vertex = True
+                if low[v] > pre[p]:
+                    bridges.append((via, pre[v], len(preorder)))
+        if root_children > 1:
+            has_cut_vertex = True
+        components += 1
+    return _DfsForest(comp_id, components, preorder, bridges, has_cut_vertex)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +119,22 @@ def test_search_counterexample_runs(capsys):
     assert main(["search-counterexample", "--max-n", "8"]) == 0
     out = capsys.readouterr().out
     assert "barrier" in out or "no minimum" in out
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # the reader's end is closed before any input arrives, so writing the
+    # report to stdout fails with EPIPE
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), NICECUBIC_CACHE_DIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nicecubic.cli", "analyze", "--json", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(b"QdIBOxC???_??A?C_Ao?A?BC?cO\n", timeout=120)
+    assert b"Traceback" not in err
+    assert err == b""
+    assert proc.returncode == 1

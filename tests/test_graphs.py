@@ -73,6 +73,32 @@ def test_cut_vertex_detected():
     assert p.connected and not p.two_connected
 
 
+def _classes(g):
+    p = connectivity_profile(g)
+    return p.connected, p.two_connected, p.three_connected
+
+
+def test_cut_vertex_at_the_dfs_root():
+    # vertex 0 is the only cut vertex, and the root of the search
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    path = Graph(3, [(0, 1), (0, 2)])
+    assert _classes(star) == (True, False, False)
+    assert _classes(path) == (True, False, False)
+
+
+def test_separating_pair_through_the_root():
+    # K2,3 with parts {0, 1} and {2, 3, 4}: {0, 1} is its only separating
+    # pair, so each of 0 and 1 is a cut vertex only as the root of G - other
+    g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assert _classes(g) == (True, True, False)
+
+
+def test_doubled_edge_keeps_k4_three_connected():
+    g = Graph(4, k4().edges + ((0, 1),))
+    assert not g.simple
+    assert _classes(g) == (True, True, True)
+
+
 def _networkx_classes(g):
     """(2-connected, 3-connected) from networkx's vertex connectivity, with
     the convention that a k-connected graph has more than k vertices."""
@@ -105,6 +131,13 @@ def test_vertex_and_edge_connectivity_agree_on_cubic(corpus10):
         assert nx.edge_connectivity(h) == nx.node_connectivity(h), entry.graph6
         p = connectivity_profile(entry.graph)
         assert (p.two_connected, p.three_connected) == _networkx_classes(entry.graph)
+
+
+def test_connectivity_profile_matches_networkx_on_corpus(corpus12):
+    for entry in corpus12:
+        p = connectivity_profile(entry.graph)
+        assert p.connected, entry.graph6
+        assert (p.two_connected, p.three_connected) == _networkx_classes(entry.graph), entry.graph6
 
 
 def test_induced_subgraph_triangle_from_k4():
@@ -211,16 +244,21 @@ def test_enumerate_cuts_finds_triangle_separation():
     assert [sorted(c.side) for c in cuts] == [[0, 1, 2, 3, 4]]
 
 
-def _cuts_by_brute_force(g, k, nontrivial_only):
-    found = []
-    for size in range(1, g.n):
-        for extra in combinations(range(1, g.n), size - 1):
-            cut = edge_cut(g, (0,) + extra)
-            if len(cut.edge_indices) != k:
-                continue
-            if nontrivial_only and not cut.nontrivial:
-                continue
-            found.append(cut)
+def _every_cut(g):
+    """The cut of every side containing vertex 0."""
+    return [
+        edge_cut(g, (0,) + extra)
+        for size in range(1, g.n)
+        for extra in combinations(range(1, g.n), size - 1)
+    ]
+
+
+def _cuts_by_brute_force(g, k, nontrivial_only, every=None):
+    found = [
+        cut
+        for cut in (_every_cut(g) if every is None else every)
+        if len(cut.edge_indices) == k and (cut.nontrivial or not nontrivial_only)
+    ]
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
 
@@ -230,11 +268,30 @@ def _cuts_by_brute_force(g, k, nontrivial_only):
 # sides that join two of the three components of G - F
 @example(Graph(3, [(0, 1), (1, 2)]), 2, False)
 @example(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, True)
+# a path: every edge is a bridge
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 1, False)
+# parallel edges are never bridges
+@example(Graph(2, [(0, 1)] * 3), 2, False)
+@example(Graph(2, [(0, 1)] * 3), 3, False)
+# two triangles joined by two edges: G - F' is disconnected before b goes
+@example(
+    Graph(6, [(0, 1), (0, 2), (1, 2), (0, 4), (2, 3), (3, 4), (3, 5), (4, 5)]), 3, False
+)
 def test_enumerate_cuts_matches_brute_force(g, k, nontrivial_only):
     # the full ordered lists: edge indices, side and nontrivial flag
     if not is_connected(g):
         return
     assert enumerate_cuts(g, k, nontrivial_only) == _cuts_by_brute_force(g, k, nontrivial_only)
+
+
+def test_enumerate_cuts_matches_brute_force_on_corpus(corpus12):
+    for entry in corpus12:
+        every = _every_cut(entry.graph)
+        for k in (1, 2, 3):
+            for nontrivial_only in (False, True):
+                assert enumerate_cuts(entry.graph, k, nontrivial_only) == _cuts_by_brute_force(
+                    entry.graph, k, nontrivial_only, every
+                ), (entry.graph6, k, nontrivial_only)
 
 
 @settings(max_examples=40)
