@@ -22,7 +22,7 @@ BARRIER_CAP = 20
 _ANALYSIS_SIZE_CAP = 24
 
 
-def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
+def analyze_graph(g: Graph) -> dict:
     """Full dossier for one graph. Sections that require structure the graph
     lacks (a perfect matching, cubicity, bipartiteness) mark themselves not
     applicable instead of failing. So does the barrier section of a host
@@ -73,14 +73,14 @@ def analyze_graph(g: Graph, barrier_cap: int = BARRIER_CAP) -> dict:
         report["barriers"] = {
             "applicable": True,
             "count": len(items),
-            "capped": len(items) > barrier_cap,
+            "capped": len(items) > BARRIER_CAP,
             "items": [
                 {
                     "vertices": sorted(b.vertices),
                     "nontrivial": b.nontrivial,
                     "minimal_nontrivial": b.minimal_nontrivial,
                 }
-                for b in items[:barrier_cap]
+                for b in items[:BARRIER_CAP]
             ],
         }
 

@@ -66,6 +66,9 @@ def _cmd_verify(args) -> int:
     if args.suite is None:
         print("error: --suite or --list required", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

@@ -6,8 +6,8 @@ lexicographically-smallest-extension constraint and cuts the duplication per
 isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets by
 a distance-profile invariant and settles ties with explicit isomorphism
 tests. Corpora are cached on disk as graph6 files keyed by (n, connected),
-written atomically; a cached connected corpus whose size is not the published
-count is regenerated.
+written atomically; a cached corpus whose size is not the published count is
+regenerated.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .isomorphism import canonical_graph, invariant_key, is_isomorphic
 
 CACHE_ENV = "NICECUBIC_CACHE_DIR"
 
-# Connected cubic graphs per order (OEIS A002851); a cached connected corpus
-# of a listed order with another count is truncated or stale and regenerated.
+# Cubic graphs per order, connected (OEIS A002851) and all (A005638); a cached
+# corpus of a listed order with another count is truncated or stale and
+# regenerated.
 CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301}
+ALL_COUNTS = {4: 1, 6: 2, 8: 6, 10: 21, 12: 94, 14: 540, 16: 4207, 18: 42110}
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def enumerate_cubic(
                 graphs = [parse_graph6(line) for line in path.read_text().splitlines() if line.strip()]
             except ValueError:
                 graphs = None  # corrupt cache, regenerate below
-            expected = CONNECTED_COUNTS.get(n) if connected_only else None
+            expected = (CONNECTED_COUNTS if connected_only else ALL_COUNTS).get(n)
             if graphs is not None and expected in (None, len(graphs)):
                 return [
                     CorpusEntry(g, write_graph6(g), "file")
@@ -207,13 +209,9 @@ def enumerate_cubic(
     return entries
 
 
-def corpus_up_to(
-    max_n: int,
-    connected_only: bool = True,
-    cache_dir: Path | str | None = None,
-) -> list[CorpusEntry]:
-    """Corpus for every even order from 4 through max_n, concatenated."""
+def corpus_up_to(max_n: int, cache_dir: Path | str | None = None) -> list[CorpusEntry]:
+    """Connected corpus for every even order from 4 through max_n, concatenated."""
     out: list[CorpusEntry] = []
     for n in range(4, max_n + 1, 2):
-        out.extend(enumerate_cubic(n, connected_only, cache_dir))
+        out.extend(enumerate_cubic(n, cache_dir=cache_dir))
     return out

@@ -34,9 +34,10 @@ class NotTightCutError(ValueError):
 class InternalCheckError(RuntimeError):
     """A family recognizer's witness does not rebuild its input.
 
-    Raised when a peeled decomposition, replayed through the constructors,
-    is not isomorphic to the graph it was peeled from. Indicates a bug in
-    this package, never a property of the input graph.
+    Raised by ``recognize_family`` when ``verify_membership``, replaying a
+    peeled decomposition through the constructors, does not rebuild the
+    graph it was peeled from. Indicates a bug in this package, never a
+    property of the input graph.
     """
 
 

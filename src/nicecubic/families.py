@@ -16,12 +16,13 @@ Families (tags match the CLI):
   edge. Exactly the cubic bipartite graphs whose nice-pair rectangles never
   exceed 3 by 3.
 
-Recognition is structural (2-cut/barrier peeling) and self-verifying: every
-returned witness is replayed through the constructors and checked isomorphic
-to the input; a replay that does not rebuild its input raises
-InternalCheckError. That the recognized families are exactly the graphs with
-the extremal nice-vertex counts and nice-pair bounds is checked by the
-``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
+Recognition is structural (2-cut/barrier peeling) and self-verifying: the
+recognizers only peel, and every returned witness is replayed once, by
+``verify_membership``, through the constructors and checked isomorphic to
+the input; ``recognize_family`` raises InternalCheckError when that replay
+does not rebuild its input. That the recognized families are exactly the
+graphs with the extremal nice-vertex counts and nice-pair bounds is checked
+by the ``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
 """
 
 from __future__ import annotations
@@ -46,7 +47,14 @@ from .graphs import (
 )
 from .isomorphism import is_isomorphic, is_isomorphism
 from .nice import is_nice_vertex
-from .splicing import chain_end_edges, edge_splice, linear_chain, splice, twotwo_edges
+from .splicing import (
+    SpliceResult,
+    chain_end_edges,
+    edge_splice,
+    linear_chain,
+    splice,
+    twotwo_edges,
+)
 from .structure import barriers
 
 
@@ -170,16 +178,20 @@ def build_f(spec: FamilyFSpec) -> Graph:
     return current
 
 
+def _splice_guest(core: Graph, attachment: int, spec: FamilyG1Spec) -> SpliceResult:
+    """Splice ``spec``'s host, validated, into core at the vertex attachment."""
+    host = _validated_host(spec.host_graph6, three_connected_required=True)
+    if not 0 <= spec.host_vertex < host.n:
+        raise InvalidFamilySpecError("host vertex out of range")
+    return splice(core, attachment, host, spec.host_vertex, spec.phi)
+
+
 def build_g1(spec: FamilyG1Spec) -> Graph:
-    core = k33_triangle()
     if spec.attachment not in k33_triangle_non_nice():
         raise InvalidFamilySpecError(
             "the attachment vertex must be one of the two non-nice vertices"
         )
-    host = _validated_host(spec.host_graph6, three_connected_required=True)
-    if not 0 <= spec.host_vertex < host.n:
-        raise InvalidFamilySpecError("host vertex out of range")
-    return splice(core, spec.attachment, host, spec.host_vertex, spec.phi).graph
+    return _splice_guest(k33_triangle(), spec.attachment, spec).graph
 
 
 def build_g2(spec: FamilyG2Spec) -> Graph:
@@ -189,14 +201,8 @@ def build_g2(spec: FamilyG2Spec) -> Graph:
         raise InvalidFamilySpecError(
             "the two attachments must be exactly the two non-nice vertices"
         )
-    core = k33_triangle()
-    host1 = _validated_host(first.host_graph6, three_connected_required=True)
-    res = splice(core, first.attachment, host1, first.host_vertex, first.phi)
-    second_attach = res.first_map[second.attachment]
-    host2 = _validated_host(second.host_graph6, three_connected_required=True)
-    if not 0 <= second.host_vertex < host2.n:
-        raise InvalidFamilySpecError("host vertex out of range")
-    return splice(res.graph, second_attach, host2, second.host_vertex, second.phi).graph
+    res = _splice_guest(k33_triangle(), first.attachment, first)
+    return _splice_guest(res.graph, res.first_map[second.attachment], second).graph
 
 
 def build_t(spec: FamilyTSpec) -> Graph:
@@ -250,13 +256,7 @@ def family_spec_to_dict(spec: FamilySpec) -> dict:
         return {
             "family": "F",
             "replacements": [
-                {
-                    "edge": list(rep.edge),
-                    "quads": rep.block.quads,
-                    "host": rep.block.host_graph6,
-                    "host_edge": list(rep.block.host_edge),
-                }
-                for rep in spec.replacements
+                {"edge": list(rep.edge), **_untagged(rep.block)} for rep in spec.replacements
             ],
         }
     if isinstance(spec, FamilyG1Spec):
@@ -270,10 +270,7 @@ def family_spec_to_dict(spec: FamilySpec) -> dict:
     if isinstance(spec, FamilyG2Spec):
         return {
             "family": "G2",
-            "splices": [
-                {k: v for k, v in family_spec_to_dict(part).items() if k != "family"}
-                for part in (spec.first, spec.second)
-            ],
+            "splices": [_untagged(spec.first), _untagged(spec.second)],
         }
     if isinstance(spec, FamilyTSpec):
         return {
@@ -290,13 +287,39 @@ def family_spec_to_dict(spec: FamilySpec) -> dict:
     raise InvalidFamilySpecError(f"unrecognized spec {spec!r}")
 
 
+def _untagged(spec: FamilySpec) -> dict:
+    """The dict form of a spec nested in another, without a family tag."""
+    return {k: v for k, v in family_spec_to_dict(spec).items() if k != "family"}
+
+
+def _host(value: Any) -> str:
+    if not isinstance(value, str):
+        raise InvalidFamilySpecError(f"host must be a graph6 string, not {value!r}")
+    return value
+
+
+def _vertices(value: Any) -> tuple[int, ...]:
+    ids = tuple(value)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids):
+        raise InvalidFamilySpecError(f"vertex ids must be integers, not {list(ids)!r}")
+    return ids
+
+
+def _hdiamond_from_dict(d: dict) -> HdiamondSpec:
+    return HdiamondSpec(
+        quads=int(d["quads"]),
+        host_graph6=_host(d["host"]),
+        host_edge=_vertices(d["host_edge"]),
+    )
+
+
 def _g1_from_dict(d: dict) -> FamilyG1Spec:
     phi = d.get("phi")
     return FamilyG1Spec(
         attachment=int(d["attachment"]),
-        host_graph6=d["host"],
+        host_graph6=_host(d["host"]),
         host_vertex=int(d["host_vertex"]),
-        phi=tuple(phi) if phi is not None else None,
+        phi=_vertices(phi) if phi is not None else None,
     )
 
 
@@ -304,22 +327,11 @@ def family_spec_from_dict(d: dict) -> FamilySpec:
     try:
         tag = d["family"]
         if tag == "Hdiamond":
-            return HdiamondSpec(
-                quads=int(d["quads"]),
-                host_graph6=d["host"],
-                host_edge=tuple(d["host_edge"]),
-            )
+            return _hdiamond_from_dict(d)
         if tag == "F":
             return FamilyFSpec(
                 replacements=tuple(
-                    Replacement(
-                        edge=tuple(rep["edge"]),
-                        block=HdiamondSpec(
-                            quads=int(rep["quads"]),
-                            host_graph6=rep["host"],
-                            host_edge=tuple(rep["host_edge"]),
-                        ),
-                    )
+                    Replacement(edge=_vertices(rep["edge"]), block=_hdiamond_from_dict(rep))
                     for rep in d["replacements"]
                 )
             )
@@ -333,8 +345,8 @@ def family_spec_from_dict(d: dict) -> FamilySpec:
                 steps=tuple(
                     TStep(
                         quads=int(step["quads"]),
-                        host_edge=tuple(step["host_edge"]),
-                        k33_edge=tuple(step.get("k33_edge", (0, 3))),
+                        host_edge=_vertices(step["host_edge"]),
+                        k33_edge=_vertices(step.get("k33_edge", (0, 3))),
                     )
                     for step in d["steps"]
                 )
@@ -353,9 +365,9 @@ class FamilyMembership:
     """Verdict plus a replayable decomposition witness.
 
     ``family`` is one of K4, prism, K33_triangle, F, G1, G2, T, Hdiamond,
-    none. ``index`` is the replacement count for F. The witness has been
-    replayed through the constructors and checked isomorphic to the input
-    before being returned.
+    none. ``index`` is the replacement count for F. ``recognize_family``
+    returns a witness only after ``verify_membership`` has replayed it
+    through the constructors and found it isomorphic to the input.
     """
 
     family: str
@@ -417,10 +429,7 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
         spec = HdiamondSpec(
             quads=quads, host_graph6=write_graph6(host), host_edge=(h1, h2)
         )
-        built, built_22 = build_hdiamond(spec)
-        if is_isomorphic(built, g) is None:
-            raise InternalCheckError("chain-block peel does not rebuild its input")
-        return {"spec": family_spec_to_dict(spec), "host": host, "host_edge": (h1, h2)}
+        return {"spec": family_spec_to_dict(spec), "host": host}
 
 
 def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int, Graph, tuple[int, int]]]:
@@ -460,11 +469,6 @@ def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
             return None
-        built_block, built_22 = build_hdiamond(
-            family_spec_from_dict(block_witness["spec"])
-        )
-        if not _splice_matches(residue, restored, built_block, built_22, current):
-            raise InternalCheckError("two-cut peel does not reassemble its input")
         steps.append(
             {
                 "residue_graph6": write_graph6(residue),
@@ -493,11 +497,6 @@ def _recognize_t(g: Graph) -> list[dict] | None:
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
             return None
-        built_block, built_22 = build_hdiamond(
-            family_spec_from_dict(block_witness["spec"])
-        )
-        if not _splice_matches(leaf, restored, built_block, built_22, current):
-            raise InternalCheckError("leaf peel does not reassemble its input")
         steps.append(
             {
                 "leaf_graph6": write_graph6(leaf),
@@ -509,42 +508,33 @@ def _recognize_t(g: Graph) -> list[dict] | None:
         current = block_witness["host"]
 
 
-def _try_g1_builds(g: Graph, host: Graph, host_vertex: int) -> FamilyG1Spec | None:
-    host_graph6 = write_graph6(host)
-    nbrs = sorted(host.neighbor_sets[host_vertex])
-    for attachment in k33_triangle_non_nice():
-        for phi in permutations(nbrs):
-            spec = FamilyG1Spec(
-                attachment=attachment,
-                host_graph6=host_graph6,
-                host_vertex=host_vertex,
-                phi=phi,
-            )
-            if is_isomorphic(build_g1(spec), g) is not None:
-                return spec
-    return None
-
-
-def _try_g2_builds(
-    g: Graph, host1: Graph, v1: int, host2: Graph, v2: int
-) -> FamilyG2Spec | None:
+def _first_splice_build(g: Graph, hosts: list[tuple[Graph, int]]) -> FamilySpec | None:
+    """The first candidate spec splicing one (G1) or two (G2) host vertices
+    into the non-nice vertices of the K3,3-with-triangle graph whose build is
+    isomorphic to g. Candidates run over the attachments (G1) or the host
+    order (G2), then over every phi in permutation order."""
     nn = k33_triangle_non_nice()
-    parts = [
-        (write_graph6(host1), v1, sorted(host1.neighbor_sets[v1])),
-        (write_graph6(host2), v2, sorted(host2.neighbor_sets[v2])),
-    ]
-    for order in ((0, 1), (1, 0)):
-        g6_a, va, nbrs_a = parts[order[0]]
-        g6_b, vb, nbrs_b = parts[order[1]]
-        for phi_a in permutations(nbrs_a):
-            for phi_b in permutations(nbrs_b):
-                spec = FamilyG2Spec(
-                    first=FamilyG1Spec(nn[0], g6_a, va, phi_a),
-                    second=FamilyG1Spec(nn[1], g6_b, vb, phi_b),
-                )
-                if is_isomorphic(build_g2(spec), g) is not None:
-                    return spec
-    return None
+    parts = [(write_graph6(h), v, sorted(h.neighbor_sets[v])) for h, v in hosts]
+    if len(parts) == 1:
+        g6, v, nbrs = parts[0]
+        candidates = (
+            FamilyG1Spec(attachment, g6, v, phi)
+            for attachment in nn
+            for phi in permutations(nbrs)
+        )
+    else:
+        candidates = (
+            FamilyG2Spec(
+                FamilyG1Spec(nn[0], g6_a, va, phi_a), FamilyG1Spec(nn[1], g6_b, vb, phi_b)
+            )
+            for (g6_a, va, nbrs_a), (g6_b, vb, nbrs_b) in (parts, parts[::-1])
+            for phi_a in permutations(nbrs_a)
+            for phi_b in permutations(nbrs_b)
+        )
+    return next(
+        (spec for spec in candidates if is_isomorphic(build_family(spec), g) is not None),
+        None,
+    )
 
 
 def _is_valid_splice_host(h: Graph) -> bool:
@@ -578,7 +568,7 @@ def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
                 host_con = contract(g, frozenset(range(g.n)) - guest)
                 if not _is_valid_splice_host(host_con.graph):
                     continue
-                spec = _try_g1_builds(g, host_con.graph, host_con.merged)
+                spec = _first_splice_build(g, [(host_con.graph, host_con.merged)])
                 if spec is not None:
                     return "G1", spec
         elif len(nontrivial) == 3:
@@ -602,8 +592,8 @@ def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
                     and _is_valid_splice_host(host2.graph)
                 ):
                     continue
-                spec = _try_g2_builds(
-                    g, host1.graph, host1.merged, host2.graph, host2.merged
+                spec = _first_splice_build(
+                    g, [(host1.graph, host1.merged), (host2.graph, host2.merged)]
                 )
                 if spec is not None:
                     return "G2", spec
@@ -618,16 +608,22 @@ def recognize_family(g: Graph) -> FamilyMembership:
     """
     if g.n == 0 or not is_connected(g):
         raise DomainError("family recognition expects a connected graph")
-    if not g.is_cubic:
+    if g.is_cubic:
+        membership = _recognize_cubic(g)
+    else:
         witness = _recognize_hdiamond(g) if g.simple else None
         if witness is None:
             raise DomainError(
                 "family recognition expects a cubic graph or a chain block"
             )
-        return FamilyMembership(
+        membership = FamilyMembership(
             family="Hdiamond", index=None, witness={"spec": witness["spec"]}
         )
-    return _recognize_cubic(g)
+    if membership.family != "none" and not verify_membership(g, membership):
+        raise InternalCheckError(
+            f"the {membership.family} witness does not rebuild its input"
+        )
+    return membership
 
 
 def _recognize_cubic(g: Graph) -> FamilyMembership:
@@ -665,7 +661,9 @@ def _recognize_cubic(g: Graph) -> FamilyMembership:
 
 
 def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
-    """Replay a recognition witness and check it reassembles g."""
+    """Replay a recognition witness and check it reassembles g: the one
+    check between a peel and a returned witness. A T step's rest must be its
+    block's host, and an F index counts the steps."""
     family = membership.family
     witness = membership.witness
     if family == "none":
@@ -674,12 +672,8 @@ def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
         base = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}[family]()
         mapping = {i: image for i, image in enumerate(witness["catalog_map"])}
         return is_isomorphism(base, g, mapping)
-    if family == "Hdiamond":
-        built, _ = build_hdiamond(family_spec_from_dict(witness["spec"]))
-        return is_isomorphic(built, g) is not None
-    if family in ("G1", "G2"):
-        built = build_family(family_spec_from_dict(witness["spec"]))
-        return is_isomorphic(built, g) is not None
+    if family in ("Hdiamond", "G1", "G2"):
+        return is_isomorphic(build_family(witness["spec"]), g) is not None
     if family == "F":
         current = g
         for step in witness["steps"]:
@@ -690,11 +684,16 @@ def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
             ):
                 return False
             current = residue
-        return is_isomorphic(current, k4()) is not None
+        return (
+            membership.index == len(witness["steps"])
+            and is_isomorphic(current, k4()) is not None
+        )
     if family == "T":
         current = g
         for step in witness["steps"]:
             leaf = parse_graph6(step["leaf_graph6"])
+            if step["rest_graph6"] != step["block"]["host"]:
+                return False
             if is_isomorphic(leaf, k33()) is None:
                 return False
             block, block_22 = build_hdiamond(family_spec_from_dict(step["block"]))

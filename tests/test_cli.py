@@ -115,6 +115,26 @@ def test_build_f_roundtrip(capsys, tmp_path):
     assert g.n == 10 and g.is_cubic
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("Hdiamond", {"quads": 1, "host": 5, "host_edge": [0, 3]}),
+        ("Hdiamond", {"quads": 1, "host": ["EFz_"], "host_edge": [0, 3]}),
+        ("G1", {"attachment": 1, "host": "EFz_", "host_vertex": 0, "phi": [1, 2, "x"]}),
+    ],
+)
+def test_build_malformed_spec_values_exit_2(family, params, capsys):
+    assert main(["build", "--family", family, "--params", json.dumps(params)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    assert main(["verify", "--suite", "nine-nice-pairs", "--max-n", "4", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_search_counterexample_runs(capsys):
     assert main(["search-counterexample", "--max-n", "8"]) == 0
     out = capsys.readouterr().out

@@ -110,6 +110,17 @@ def test_truncated_cache_regenerated(tmp_path, corpus10):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_truncated_all_graphs_cache_regenerated(tmp_path, cache_dir):
+    ids = [e.graph6 for e in enumerate_cubic(10, connected_only=False, cache_dir=cache_dir)]
+    assert len(ids) == 21  # OEIS A005638
+    path = tmp_path / "cubic-n10-all.g6"
+    path.write_text("".join(line + "\n" for line in ids[:3]))
+    entries = enumerate_cubic(10, connected_only=False, cache_dir=tmp_path)
+    assert [e.graph6 for e in entries] == ids
+    assert all(e.provenance == "enumerated" for e in entries)
+    assert path.read_text().splitlines() == ids
+
+
 def test_disconnected_enumeration(cache_dir):
     entries = enumerate_cubic(10, connected_only=False, cache_dir=cache_dir)
     connected = enumerate_cubic(10, cache_dir=cache_dir)

@@ -11,9 +11,11 @@ from nicecubic.catalog import (
     r8,
     triangular_prism,
 )
-from nicecubic.errors import DomainError, InvalidFamilySpecError
+from nicecubic import families
+from nicecubic.errors import DomainError, InternalCheckError, InvalidFamilySpecError
 from nicecubic.families import (
     FamilyFSpec,
+    FamilyMembership,
     FamilyG1Spec,
     FamilyG2Spec,
     FamilyTSpec,
@@ -22,6 +24,7 @@ from nicecubic.families import (
     TStep,
     build_family,
     build_g1,
+    build_g2,
     build_hdiamond,
     build_t,
     family_spec_from_dict,
@@ -236,3 +239,126 @@ def test_recognize_bridged_cubic_is_none():
     from .test_nice import _bridged_cubic
 
     assert recognize_family(_bridged_cubic()).family == "none"
+
+
+def test_g2_rejects_out_of_range_first_host_vertex():
+    nn = k33_triangle_non_nice()
+    with pytest.raises(InvalidFamilySpecError):
+        build_g2(FamilyG2Spec(FamilyG1Spec(nn[0], K33_G6, 6), FamilyG1Spec(nn[1], K33_G6, 0)))
+
+
+CATALOG_MEMBERS = (k4, triangular_prism, k33_triangle, k33)
+
+
+def test_recognize_family_replays_each_witness_once(family_zoo, monkeypatch):
+    calls = []
+
+    def counting(g, membership):
+        calls.append(membership.family)
+        return verify_membership(g, membership)
+
+    monkeypatch.setattr(families, "verify_membership", counting)
+    for graph in [graph for _, _, graph in family_zoo] + [make() for make in CATALOG_MEMBERS]:
+        calls.clear()
+        found = recognize_family(graph)
+        assert calls == [found.family]
+    from .test_nice import _bridged_cubic
+
+    for graph in (_bridged_cubic(), r8(), h44()):
+        calls.clear()
+        assert recognize_family(graph).family == "none"
+        assert calls == []
+
+
+def test_failed_replay_raises_internal_check_error(family_zoo, monkeypatch):
+    members = {"K4": k4(), "prism": triangular_prism(), "K33_triangle": k33_triangle()}
+    for expected_family, _, graph in family_zoo:
+        members.setdefault(expected_family, graph)
+    assert sorted(members) == sorted(
+        ["K4", "prism", "K33_triangle", "Hdiamond", "F", "G1", "G2", "T"]
+    )
+    monkeypatch.setattr(families, "verify_membership", lambda g, membership: False)
+    for name, graph in members.items():
+        with pytest.raises(InternalCheckError, match=name):
+            recognize_family(graph)
+
+
+def _member(family_zoo, family, predicate=lambda spec: True):
+    return next(g for fam, spec, g in family_zoo if fam == family and predicate(spec))
+
+
+def test_verify_membership_rejects_dropped_last_step(family_zoo):
+    for family, two_steps in (
+        ("F", lambda spec: len(spec.replacements) == 2),
+        ("T", lambda spec: len(spec.steps) == 2),
+    ):
+        graph = _member(family_zoo, family, two_steps)
+        found = recognize_family(graph)
+        steps = found.witness["steps"]
+        assert len(steps) == 2
+        index = None if found.index is None else found.index - 1
+        dropped = FamilyMembership(family, index, {"steps": steps[:-1]})
+        assert not verify_membership(graph, dropped)
+
+
+def test_verify_membership_rejects_f_index_off_by_one(family_zoo):
+    graph = _member(family_zoo, "F")
+    found = recognize_family(graph)
+    assert not verify_membership(
+        graph, FamilyMembership("F", found.index + 1, found.witness)
+    )
+
+
+def test_verify_membership_rejects_t_rest_that_is_not_the_block_host(family_zoo):
+    # replaying only the first step, then claiming K3,3 is what is left,
+    # passes every splice check; the rest must be the block's own host
+    graph = _member(family_zoo, "T", lambda spec: len(spec.steps) == 2)
+    found = recognize_family(graph)
+    first = dict(found.witness["steps"][0], rest_graph6=K33_G6)
+    assert not verify_membership(graph, FamilyMembership("T", None, {"steps": [first]}))
+
+
+def test_verify_membership_rejects_g1_with_another_host(family_zoo):
+    graph = _member(family_zoo, "G1", lambda spec: spec.host_graph6 == K33_G6)
+    found = recognize_family(graph)
+    spec = dict(found.witness["spec"], host=H44_G6, phi=None)
+    assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))
+
+
+def test_verify_membership_rejects_catalog_map_that_is_not_an_isomorphism():
+    base = k33_triangle()
+    found = recognize_family(base)
+    mapping = found.witness["catalog_map"]
+    edges = {frozenset(e) for e in base.edges}
+    for j in range(1, base.n):
+        swapped = list(mapping)
+        swapped[0], swapped[j] = swapped[j], swapped[0]
+        if {frozenset((swapped[u], swapped[v])) for u, v in base.edges} != edges:
+            break
+    else:
+        raise AssertionError("every transposition is an automorphism")
+    tampered = FamilyMembership("K33_triangle", None, {"catalog_map": swapped})
+    assert not verify_membership(base, tampered)
+
+
+def test_verify_membership_rejects_hdiamond_with_one_more_quad():
+    block, _ = build_hdiamond(_block(quads=2, host=H44_G6, edge=(0, 5)))
+    found = recognize_family(block)
+    spec = dict(found.witness["spec"], quads=found.witness["spec"]["quads"] + 1)
+    assert not verify_membership(block, FamilyMembership("Hdiamond", None, {"spec": spec}))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "Hdiamond", "quads": 1, "host": 5, "host_edge": [0, 3]},
+        {"family": "Hdiamond", "quads": 1, "host": [K33_G6], "host_edge": [0, 3]},
+        {"family": "Hdiamond", "quads": 1, "host": K33_G6, "host_edge": [0, "3"]},
+        {"family": "F", "replacements": [{"edge": [0, 1.5], "quads": 1, "host": K33_G6, "host_edge": [0, 3]}]},
+        {"family": "T", "steps": [{"quads": 1, "host_edge": [0, 3], "k33_edge": [True, 3]}]},
+        {"family": "G1", "attachment": 0, "host": K33_G6, "host_vertex": 0, "phi": [1, 2, "x"]},
+    ],
+)
+def test_spec_from_dict_rejects_non_string_host_and_non_integer_vertices(spec):
+    with pytest.raises(InvalidFamilySpecError):
+        family_spec_from_dict(spec)

@@ -86,6 +86,35 @@ def test_parallel_jobs_agree_with_serial(cache_dir):
     assert serial.violations == parallel.violations
 
 
+def test_pool_asks_for_at_most_one_worker_per_graph(monkeypatch, cache_dir):
+    from nicecubic import suites as suites_module
+
+    requested = []
+
+    class RecordingPool:
+        """Stand-in for the process pool: records its size, runs serially."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites_module, "ProcessPoolExecutor", RecordingPool)
+    report = verify_suite("nine-nice-pairs", max_n=6, jobs=64, cache_dir=cache_dir)
+    assert requested == [3]  # K4, K3,3 and the prism
+    assert report.passed
+    requested.clear()
+    verify_suite("nine-nice-pairs", max_n=4, jobs=64, cache_dir=cache_dir)
+    assert requested == []  # one graph: no pool
+
+
 def test_violations_carry_graph6_and_replay(monkeypatch, cache_dir):
     # No corpus graph can violate a theorem, so wire up a failing checker.
     from nicecubic import suites as suites_module
