@@ -20,7 +20,7 @@ from .families import FamilyG1Spec, FamilyG2Spec, build_g1, build_g2
 from .graph6 import write_graph6
 from .graphs import Graph, bipartition, connectivity_profile
 from .nice import is_nice_vertex
-from .structure import barriers, classify
+from .structure import barriers
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,6 @@ def search_barrier_counterexample(
     for g in graphs:
         profile = connectivity_profile(g)
         if not (profile.cubic and profile.three_connected) or bipartition(g) is not None:
-            continue
-        if classify(g).bicritical:
             continue
         nontrivial = [b for b in barriers(g) if b.nontrivial]
         if not nontrivial:

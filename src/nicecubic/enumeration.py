@@ -91,10 +91,7 @@ def _connected_cubic_classes(n: int) -> list[Graph]:
         bucket = buckets.setdefault(key, [])
         if all(is_isomorphic(g, seen) is None for seen in bucket):
             bucket.append(g)
-    out = []
-    for key in sorted(buckets):
-        out.extend(buckets[key])
-    return out
+    return [g for bucket in buckets.values() for g in bucket]
 
 
 def _disconnected_cubic_classes(n: int, connected_by_order: dict[int, list[Graph]]) -> list[Graph]:

@@ -32,7 +32,13 @@ from itertools import permutations
 from typing import Any
 
 from .catalog import k33, k33_triangle, k33_triangle_non_nice, k4, triangular_prism
-from .errors import DomainError, InternalCheckError, InvalidFamilySpecError
+from .errors import (
+    DomainError,
+    GraphParseError,
+    InternalCheckError,
+    InvalidFamilySpecError,
+    SpliceError,
+)
 from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     Graph,
@@ -298,16 +304,19 @@ def _host(value: Any) -> str:
     return value
 
 
+def _integer(value: Any, name: str = "vertex id") -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidFamilySpecError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _vertices(value: Any) -> tuple[int, ...]:
-    ids = tuple(value)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids):
-        raise InvalidFamilySpecError(f"vertex ids must be integers, not {list(ids)!r}")
-    return ids
+    return tuple(_integer(v) for v in value)
 
 
 def _hdiamond_from_dict(d: dict) -> HdiamondSpec:
     return HdiamondSpec(
-        quads=int(d["quads"]),
+        quads=_integer(d["quads"], "quads"),
         host_graph6=_host(d["host"]),
         host_edge=_vertices(d["host_edge"]),
     )
@@ -316,9 +325,9 @@ def _hdiamond_from_dict(d: dict) -> HdiamondSpec:
 def _g1_from_dict(d: dict) -> FamilyG1Spec:
     phi = d.get("phi")
     return FamilyG1Spec(
-        attachment=int(d["attachment"]),
+        attachment=_integer(d["attachment"], "attachment"),
         host_graph6=_host(d["host"]),
-        host_vertex=int(d["host_vertex"]),
+        host_vertex=_integer(d["host_vertex"], "host_vertex"),
         phi=_vertices(phi) if phi is not None else None,
     )
 
@@ -344,7 +353,7 @@ def family_spec_from_dict(d: dict) -> FamilySpec:
             return FamilyTSpec(
                 steps=tuple(
                     TStep(
-                        quads=int(step["quads"]),
+                        quads=_integer(step["quads"], "quads"),
                         host_edge=_vertices(step["host_edge"]),
                         k33_edge=_vertices(step.get("k33_edge", (0, 3))),
                     )
@@ -663,11 +672,17 @@ def _recognize_cubic(g: Graph) -> FamilyMembership:
 def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
     """Replay a recognition witness and check it reassembles g: the one
     check between a peel and a returned witness. A T step's rest must be its
-    block's host, and an F index counts the steps."""
+    block's host, and an F index counts the steps. A witness the constructors
+    or the graph6 parser reject does not replay."""
+    try:
+        return _replays(g, membership)
+    except (GraphParseError, InvalidFamilySpecError, SpliceError):
+        return False
+
+
+def _replays(g: Graph, membership: FamilyMembership) -> bool:
     family = membership.family
     witness = membership.witness
-    if family == "none":
-        return False
     if family in ("K4", "prism", "K33_triangle"):
         base = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}[family]()
         mapping = {i: image for i, image in enumerate(witness["catalog_map"])}

@@ -296,8 +296,9 @@ def edge_cut(g: Graph, side: Iterable[int]) -> EdgeCut:
     return EdgeCut(side=xs, edge_indices=indices, nontrivial=nontrivial)
 
 
-def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[EdgeCut]:
-    """All edge cuts with exactly k edges, one representative per {X, X-bar}.
+def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
+    """All nontrivial edge cuts with exactly k edges (each side has at least
+    two vertices), one representative per {X, X-bar}.
 
     The representative side is the one containing vertex 0. Let F be a cut
     and b = max F. Every edge of F crosses the side, so the ends of b lie in
@@ -334,13 +335,8 @@ def enumerate_cuts(g: Graph, k: int, nontrivial_only: bool = False) -> list[Edge
                 if any((chosen >> a & 1) == (chosen >> c & 1) for a, c in links):
                     continue
                 side = frozenset(v for v in range(g.n) if chosen >> comp_id[v] & 1)
-                cut = EdgeCut(
-                    side=side,
-                    edge_indices=subset,
-                    nontrivial=len(side) >= 2 and g.n - len(side) >= 2,
-                )
-                if not nontrivial_only or cut.nontrivial:
-                    found.append(cut)
+                if len(side) >= 2 and g.n - len(side) >= 2:
+                    found.append(EdgeCut(side=side, edge_indices=subset, nontrivial=True))
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
 
@@ -357,7 +353,7 @@ def all_cuts(g: Graph) -> Iterator[EdgeCut]:
 def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, int]]:
     """(side, a, c, b, d) for both sides of every nontrivial 2-cut, in cut
     order: the cut edges are ab and cd, with a and c inside the side."""
-    for cut in enumerate_cuts(g, 2, nontrivial_only=True):
+    for cut in enumerate_cuts(g, 2):
         (e1u, e1v), (e2u, e2v) = (g.edges[i] for i in cut.edge_indices)
         for side in (cut.side, frozenset(range(g.n)) - cut.side):
             a, b = (e1u, e1v) if e1u in side else (e1v, e1u)

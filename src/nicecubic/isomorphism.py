@@ -1,10 +1,10 @@
 """Isomorphism testing and canonical labeling for small (multi)graphs.
 
-Backtracking with degree/neighborhood color refinement; adjacency is matched
-with multiplicity, so parallel edges are respected. No canonical-form
-guarantee is needed for the decision procedure, which returns an explicit
-vertex bijection; a separate lexicographic-minimum canonical labeling is
-provided for stable corpus identifiers.
+Both rest on one equitable refinement, ``_refine`` (McKay 1981), which
+counts neighbours with multiplicity. ``is_isomorphic`` refines each graph
+once and backtracks within equal cells to an explicit bijection;
+``canonical_labeling`` refines at every node of an individualization search
+and keeps the least relabeled edge list, for stable corpus identifiers.
 """
 
 from __future__ import annotations
@@ -12,42 +12,52 @@ from __future__ import annotations
 from .graphs import Graph
 
 
-def refined_colors(g: Graph) -> tuple[int, ...]:
-    """Iterated neighborhood refinement with cross-graph comparable color ids.
+def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    """The coarsest equitable refinement of an ordered partition.
 
-    Color ids are assigned by sorting signatures at every round, so equal
-    structures in different graphs receive equal ids.
+    Splits the first cell whose vertices differ in their neighbour counts
+    (with multiplicity) into each cell, pieces in sorted count order, until
+    no cell splits. Every step reads only the structure and the given cell
+    order, so relabeling g relabels the cells and keeps their order.
     """
-    colors = _assign_ids(
-        [(g.degrees[v], tuple(sorted(g.adjacency[v].count(u) for u in g.neighbor_sets[v])))
-         for v in range(g.n)]
-    )
+    cells = list(cells)
+    cell_of = [0] * g.n
     while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adjacency[v])))
-            for v in range(g.n)
-        ]
-        new_colors = _assign_ids(signatures)
-        if len(set(new_colors)) == len(set(colors)):
-            return tuple(new_colors)
-        colors = new_colors
+        for idx, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = idx
+        for idx, cell in enumerate(cells):
+            if len(cell) <= 1:
+                continue
+            pieces: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                counts = [0] * len(cells)
+                for u in g.adjacency[v]:
+                    counts[cell_of[u]] += 1
+                pieces.setdefault(tuple(counts), []).append(v)
+            if len(pieces) > 1:
+                cells[idx:idx + 1] = [pieces[sig] for sig in sorted(pieces)]
+                break
+        else:
+            return cells
 
 
-def _assign_ids(signatures: list) -> list[int]:
-    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [order[sig] for sig in signatures]
+def refined_colors(g: Graph) -> tuple[int, ...]:
+    """Each vertex's cell index in the refinement of the unit partition;
+    equal structures in different graphs receive equal indices."""
+    cell_of = {v: i for i, cell in enumerate(_refine(g, [list(range(g.n))])) for v in cell}
+    return tuple(cell_of[v] for v in range(g.n))
 
 
 def invariant_key(g: Graph) -> tuple:
     """Cheap graph invariant used to bucket candidates before full testing.
 
-    Combines the refined color histogram with per-vertex distance profiles;
+    Combines the refined cell sizes with per-vertex distance profiles;
     refinement alone is blind on regular graphs.
     """
-    colors = refined_colors(g)
-    histogram = tuple(sorted((c, colors.count(c)) for c in set(colors)))
+    sizes = tuple(len(cell) for cell in _refine(g, [list(range(g.n))]))
     profiles = sorted(_distance_profile(g, v) for v in range(g.n))
-    return (g.n, len(g.edges), histogram, tuple(profiles))
+    return (g.n, len(g.edges), sizes, tuple(profiles))
 
 
 def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
@@ -168,37 +178,19 @@ def is_isomorphism(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """A permutation old->new minimizing the relabeled edge multiset.
 
-    Individualization-refinement search; a branch that only swaps twin
-    vertices is skipped, and otherwise the leaf count is on the order of the
-    automorphism group, fine at desk scale.
+    Individualization-refinement search: refine, then individualize each
+    vertex of the first non-singleton cell in turn, down to discrete
+    partitions whose cell order is a relabeling. The tree depends only on
+    the graph's structure, so isomorphic graphs reach the same set of
+    relabeled edge lists, and the least one is canonical. A branch that only
+    swaps twin vertices is skipped; otherwise the leaf count is on the order
+    of the automorphism group, fine at desk scale.
     """
     best: list | None = None
 
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        cells = [list(c) for c in cells]
-        changed = True
-        while changed:
-            changed = False
-            cell_sets = [set(c) for c in cells]
-            for idx, cell in enumerate(cells):
-                if len(cell) <= 1:
-                    continue
-                sigs = {}
-                for v in cell:
-                    sig = tuple(
-                        sum(1 for u in g.adjacency[v] if u in cs) for cs in cell_sets
-                    )
-                    sigs.setdefault(sig, []).append(v)
-                if len(sigs) > 1:
-                    pieces = [sigs[s] for s in sorted(sigs)]
-                    cells[idx:idx + 1] = pieces
-                    changed = True
-                    break
-        return cells
-
     def search(cells: list[list[int]]):
         nonlocal best
-        cells = refine(cells)
+        cells = _refine(g, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             perm = [0] * g.n

@@ -203,7 +203,7 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
     if g.n < 2 or not is_matching_covered(g):
         raise DomainError("tight cuts are defined for matching covered hosts")
     if g.is_cubic:
-        candidates = enumerate_cuts(g, 3, nontrivial_only=True)
+        candidates = enumerate_cuts(g, 3)
     else:
         if g.n > _SUBSET_ENUMERATION_CAP:
             raise DomainError("general tight-cut sweep capped at desk scale")

@@ -300,7 +300,7 @@ def _check_nontrivial_3_cut_matching(g: Graph) -> list[str] | None:
     if not connectivity_profile(g).three_connected:
         return None
     problems = []
-    for cut in enumerate_cuts(g, 3, nontrivial_only=True):
+    for cut in enumerate_cuts(g, 3):
         ends = [v for i in cut.edge_indices for v in g.edges[i]]
         if len(set(ends)) != 6:
             problems.append(f"nontrivial 3-cut {cut.edge_indices} is not a matching")

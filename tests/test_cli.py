@@ -121,6 +121,9 @@ def test_build_f_roundtrip(capsys, tmp_path):
         ("Hdiamond", {"quads": 1, "host": 5, "host_edge": [0, 3]}),
         ("Hdiamond", {"quads": 1, "host": ["EFz_"], "host_edge": [0, 3]}),
         ("G1", {"attachment": 1, "host": "EFz_", "host_vertex": 0, "phi": [1, 2, "x"]}),
+        ("Hdiamond", {"quads": 2.9, "host": "EFz_", "host_edge": [0, 3]}),
+        ("G1", {"attachment": "1", "host": "EFz_", "host_vertex": 0}),
+        ("G1", {"attachment": 1, "host": "EFz_", "host_vertex": "0"}),
     ],
 )
 def test_build_malformed_spec_values_exit_2(family, params, capsys):

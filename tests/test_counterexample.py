@@ -38,3 +38,14 @@ def test_k33_triangle_is_not_a_counterexample(cache_dir):
 
     bad_id = write_graph6(canonical_graph(k33_triangle()))
     assert all(hit.graph6 != bad_id for hit in hits)
+
+
+def test_search_hits_are_pinned(cache_dir):
+    hits = search_barrier_counterexample(10, include_constructed=True, cache_dir=cache_dir)
+    assert [(hit.graph6, hit.barrier, hit.non_nice) for hit in hits] == [
+        ("KsOgw??OXBAK", (9, 10, 11), (9, 10, 11)),
+        ("OCSw?ABOpE????_@g?p?K", (8, 9, 10), (8, 9, 10)),
+        ("OCSw?ABOpE????_@g?p?K", (13, 14, 15), (13, 14, 15)),
+        ("QCSw?ABOpE????????{?EO@O_E?", (8, 9, 10), (8, 9, 10)),
+        ("QCSw????{BGSGo????C?BO?W_@_", (15, 16, 17), (15, 16, 17)),
+    ]

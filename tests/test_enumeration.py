@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nicecubic.catalog import h44, k4, k33, triangular_prism
@@ -9,6 +11,20 @@ from nicecubic.isomorphism import is_isomorphic
 
 # Connected cubic graph counts by order, from the published sequence.
 KNOWN_CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+
+# sha256 of each corpus file's content, one canonical graph6 id per line, by
+# (n, connected_only): the ids are replay handles, so they must not drift
+CORPUS_SHA256 = {
+    (4, True): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    (6, True): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
+    (8, True): "b8fc0a55ba7e3caf1078b0dfa2cb491988d24d974937035ceffce342b39996ee",
+    (10, True): "b42cba53a34d278006300a3ef51b489e513c7cbb86c65a873662f39fb469b999",
+    (12, True): "856b0d2729ee2fa33cf6296f0c8d96ba58dd6324a933db780bc76b9cbf260e08",
+    (4, False): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    (6, False): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
+    (8, False): "9e7953010de9b1a449aba161d2d3e202241433a75de44cbeec4f6a83d397a67f",
+    (10, False): "66199e97987ca16b257588e39bc670baef72e4b689e86ef6f7a86d0d30247618",
+}
 
 
 def test_odd_order_rejected():
@@ -42,6 +58,13 @@ def test_counts_match_published_sequence(corpus12):
     for entry in corpus12:
         by_order[entry.graph.n] = by_order.get(entry.graph.n, 0) + 1
     assert by_order == KNOWN_CONNECTED_COUNTS
+
+
+@pytest.mark.parametrize("n, connected_only", list(CORPUS_SHA256))
+def test_corpus_ids_are_pinned(corpus12, cache_dir, n, connected_only):
+    entries = enumerate_cubic(n, connected_only=connected_only, cache_dir=cache_dir)
+    text = "".join(e.graph6 + "\n" for e in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[n, connected_only]
 
 
 def test_corpus_is_duplicate_free(corpus10):

@@ -12,7 +12,12 @@ from nicecubic.catalog import (
     triangular_prism,
 )
 from nicecubic import families
-from nicecubic.errors import DomainError, InternalCheckError, InvalidFamilySpecError
+from nicecubic.errors import (
+    DomainError,
+    InternalCheckError,
+    InvalidFamilySpecError,
+    SpliceError,
+)
 from nicecubic.families import (
     FamilyFSpec,
     FamilyMembership,
@@ -209,7 +214,7 @@ def test_f1_member_has_a_2_cut():
     from nicecubic.graphs import enumerate_cuts
 
     member = build_family(FamilyFSpec(replacements=(Replacement((0, 1), _block()),)))
-    cuts = enumerate_cuts(member, 2, nontrivial_only=True)
+    cuts = enumerate_cuts(member, 2)
     assert cuts, "edge replacement must leave a 2-cut"
 
 
@@ -323,6 +328,37 @@ def test_verify_membership_rejects_g1_with_another_host(family_zoo):
     found = recognize_family(graph)
     spec = dict(found.witness["spec"], host=H44_G6, phi=None)
     assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))
+
+
+def _g1_witness_on_h44(family_zoo, **changes):
+    """The recognized G1 witness of K3,3 spliced in at vertex 0, with its host
+    swapped for H44 and phi kept: a spec the constructors reject."""
+    graph = _member(
+        family_zoo, "G1", lambda spec: spec.host_graph6 == K33_G6 and spec.host_vertex == 0
+    )
+    spec = dict(recognize_family(graph).witness["spec"], host=H44_G6, **changes)
+    return graph, spec
+
+
+@pytest.mark.parametrize(
+    "changes, error", [({}, SpliceError), ({"host_vertex": 99}, InvalidFamilySpecError)]
+)
+def test_verify_membership_says_no_to_a_witness_the_constructors_reject(
+    family_zoo, changes, error
+):
+    graph, spec = _g1_witness_on_h44(family_zoo, **changes)
+    with pytest.raises(error):
+        build_family(spec)
+    assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))
+
+
+def test_unbuildable_witness_raises_internal_check_error(family_zoo, monkeypatch):
+    graph, spec = _g1_witness_on_h44(family_zoo)
+    monkeypatch.setattr(
+        families, "_recognize_g1_g2", lambda g: ("G1", family_spec_from_dict(spec))
+    )
+    with pytest.raises(InternalCheckError, match="G1"):
+        recognize_family(graph)
 
 
 def test_verify_membership_rejects_catalog_map_that_is_not_an_isomorphism():

@@ -240,7 +240,7 @@ def test_enumerate_cuts_requires_connected():
 
 
 def test_enumerate_cuts_finds_triangle_separation():
-    cuts = enumerate_cuts(k33_triangle(), 3, nontrivial_only=True)
+    cuts = enumerate_cuts(k33_triangle(), 3)
     assert [sorted(c.side) for c in cuts] == [[0, 1, 2, 3, 4]]
 
 
@@ -253,45 +253,44 @@ def _every_cut(g):
     ]
 
 
-def _cuts_by_brute_force(g, k, nontrivial_only, every=None):
+def _cuts_by_brute_force(g, k, every=None):
     found = [
         cut
         for cut in (_every_cut(g) if every is None else every)
-        if len(cut.edge_indices) == k and (cut.nontrivial or not nontrivial_only)
+        if len(cut.edge_indices) == k and cut.nontrivial
     ]
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
 
 
 @settings(max_examples=60, deadline=None)
-@given(multigraphs(min_n=2, max_n=7), st.integers(min_value=1, max_value=4), st.booleans())
+@given(multigraphs(min_n=2, max_n=7), st.integers(min_value=1, max_value=4))
 # sides that join two of the three components of G - F
-@example(Graph(3, [(0, 1), (1, 2)]), 2, False)
-@example(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2, True)
+@example(Graph(3, [(0, 1), (1, 2)]), 2)
+@example(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2)
 # a path: every edge is a bridge
-@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 1, False)
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 1)
 # parallel edges are never bridges
-@example(Graph(2, [(0, 1)] * 3), 2, False)
-@example(Graph(2, [(0, 1)] * 3), 3, False)
+@example(Graph(2, [(0, 1)] * 3), 2)
+@example(Graph(2, [(0, 1)] * 3), 3)
 # two triangles joined by two edges: G - F' is disconnected before b goes
 @example(
-    Graph(6, [(0, 1), (0, 2), (1, 2), (0, 4), (2, 3), (3, 4), (3, 5), (4, 5)]), 3, False
+    Graph(6, [(0, 1), (0, 2), (1, 2), (0, 4), (2, 3), (3, 4), (3, 5), (4, 5)]), 3
 )
-def test_enumerate_cuts_matches_brute_force(g, k, nontrivial_only):
+def test_enumerate_cuts_matches_brute_force(g, k):
     # the full ordered lists: edge indices, side and nontrivial flag
     if not is_connected(g):
         return
-    assert enumerate_cuts(g, k, nontrivial_only) == _cuts_by_brute_force(g, k, nontrivial_only)
+    assert enumerate_cuts(g, k) == _cuts_by_brute_force(g, k)
 
 
 def test_enumerate_cuts_matches_brute_force_on_corpus(corpus12):
     for entry in corpus12:
         every = _every_cut(entry.graph)
         for k in (1, 2, 3):
-            for nontrivial_only in (False, True):
-                assert enumerate_cuts(entry.graph, k, nontrivial_only) == _cuts_by_brute_force(
-                    entry.graph, k, nontrivial_only, every
-                ), (entry.graph6, k, nontrivial_only)
+            assert enumerate_cuts(entry.graph, k) == _cuts_by_brute_force(
+                entry.graph, k, every
+            ), (entry.graph6, k)
 
 
 @settings(max_examples=40)

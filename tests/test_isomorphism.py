@@ -1,3 +1,5 @@
+from collections import Counter
+
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from nicecubic.isomorphism import (
     invariant_key,
     is_isomorphic,
     is_isomorphism,
+    refined_colors,
 )
 
 from .strategies import multigraphs, simple_graphs
@@ -77,6 +80,24 @@ def test_invariant_key_is_relabeling_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert invariant_key(g) == invariant_key(_relabel(g, perm))
+
+
+@settings(max_examples=80)
+@given(multigraphs(max_n=7), st.randoms(use_true_random=False))
+def test_refined_colors_are_equitable_and_follow_relabeling(g, rnd):
+    colors = refined_colors(g)
+
+    def counts(v):
+        return Counter(colors[u] for u in g.adjacency[v])
+
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if colors[v] == colors[w]:
+                assert counts(v) == counts(w)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabeled = refined_colors(_relabel(g, perm))
+    assert all(relabeled[perm[v]] == colors[v] for v in range(g.n))
 
 
 def test_canonical_graph_is_isomorphic_to_input():

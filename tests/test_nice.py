@@ -107,7 +107,7 @@ def test_t_member_pairs_do_not_cross_2_cuts():
         for j, hit in enumerate(row)
         if hit
     ]
-    for cut in enumerate_cuts(t12, 2, nontrivial_only=True):
+    for cut in enumerate_cuts(t12, 2):
         for a, b in pairs:
             assert (a in cut.side) == (b in cut.side)
 
