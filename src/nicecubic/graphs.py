@@ -72,6 +72,15 @@ class Graph:
         return tuple(frozenset(a) for a in self.adjacency)
 
     @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbor set as an int bit mask (bit w for neighbor w)."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex list of (edge index, other endpoint), sorted by index."""
         inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
@@ -175,6 +184,36 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozense
                     queue.append(y)
         comps.append(frozenset(comp))
     return comps
+
+
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The int bit mask of a vertex set (bit v for vertex v)."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex set not contained in graph")
+        mask |= 1 << v
+    return mask
+
+
+def _odd_component_count(g: Graph, removed: int) -> int:
+    """Number of odd components of g minus the vertices of the mask
+    ``removed``, by a flood fill on int masks: ``rest`` holds the unvisited
+    vertices and ``todo`` the reached but unvisited ones of the current
+    component, so each vertex is visited once."""
+    neighbor_masks = g.neighbor_masks
+    rest = ((1 << g.n) - 1) & ~removed
+    odd = 0
+    while rest:
+        todo = rest & -rest
+        size = 0
+        while todo:
+            low = todo & -todo
+            rest ^= low
+            size += 1
+            todo = (todo | neighbor_masks[low.bit_length() - 1]) & rest
+        odd += size & 1
+    return odd
 
 
 def is_connected(g: Graph) -> bool:

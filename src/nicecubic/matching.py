@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, VertexSet, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, VertexSet, _odd_component_count, induced_subgraph, is_connected
 
 # Row u of a pair-deletion table: every v != u with g - u - v perfectly matchable.
 PairDeletionTable = tuple[VertexSet, ...]
@@ -186,17 +186,19 @@ def has_perfect_matching(g: Graph) -> bool:
 
 
 def tutte_condition_holds(g: Graph) -> bool:
-    """Exhaustive deletion-set test for perfect-matching existence.
+    """Exhaustive deletion-set test for perfect-matching existence: no
+    vertex set S leaves more than |S| odd components (Tutte 1947).
 
     Independent of the augmenting-path machinery; exponential, so only
-    suitable as a small-order oracle.
+    suitable as a small-order oracle. The sweep stops below |S| = n/2: every
+    odd component of G - S holds at least one of its n - |S| vertices, so
+    odd(G - S) <= n - |S| <= |S| once |S| >= n/2, and no such S can break
+    the condition.
     """
-    for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
-            odd = sum(
-                1 for comp in connected_components(g, subset) if len(comp) % 2
-            )
-            if odd > size:
+    bits = [1 << v for v in range(g.n)]
+    for size in range((g.n + 1) // 2):
+        for subset in combinations(bits, size):
+            if _odd_component_count(g, sum(subset)) > size:
                 return False
     return True
 

@@ -25,8 +25,9 @@ from .graphs import (
     Graph,
     VertexSet,
     Contraction,
+    _odd_component_count,
+    _vertex_mask,
     all_cuts,
-    connected_components,
     connectivity_profile,
     contract,
     enumerate_cuts,
@@ -67,10 +68,13 @@ class Classification:
 
 
 def odd_component_count(g: Graph, s: Iterable[int]) -> int:
-    return sum(1 for comp in connected_components(g, s) if len(comp) % 2)
+    """Number of odd components of G - S; raises ValueError when S is not a
+    set of vertices of g."""
+    return _odd_component_count(g, _vertex_mask(g, s))
 
 
 def is_barrier(g: Graph, s: Iterable[int]) -> bool:
+    """o(G - S) = |S|; raises ValueError when S is not a set of vertices of g."""
     vs = set(s)
     return odd_component_count(g, vs) == len(vs)
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Callable
+from operator import xor
+from typing import Callable, Iterator
 
 from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
@@ -28,10 +30,10 @@ from .families import recognize_family
 from .graph6 import parse_graph6
 from .graphs import (
     Bipartition,
-    EdgeCut,
     Graph,
     VertexSet,
-    all_cuts,
+    _odd_component_count,
+    _vertex_mask,
     bipartition,
     connected_components,
     connectivity_profile,
@@ -44,7 +46,6 @@ from .graphs import (
 )
 from .isomorphism import is_isomorphic
 from .matching import (
-    Matching,
     count_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
@@ -64,7 +65,6 @@ from .nice import (
 from .structure import (
     barriers,
     classify,
-    is_barrier,
     is_tight_cut,
     nontrivial_tight_cuts,
     tight_cut_contractions,
@@ -120,39 +120,58 @@ class Suite:
 
 
 def _is_independent(g: Graph, vs) -> bool:
-    vs = sorted(vs)
-    return not any(g.multiplicity(a, b) for a, b in combinations(vs, 2))
+    mask = _vertex_mask(g, vs)
+    return not any(g.neighbor_masks[v] & mask for v in vs)
 
 
 def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
     """Every nonempty barrier, by sweeping all vertex sets of size at most
     n/2 in size-then-lexicographic order. Exponential; small orders only."""
+    bits = [1 << v for v in range(g.n)]
     return [
-        frozenset(subset)
+        frozenset(bit.bit_length() - 1 for bit in subset)
         for size in range(1, g.n // 2 + 1)
-        for subset in combinations(range(g.n), size)
-        if is_barrier(g, subset)
+        for subset in combinations(bits, size)
+        if _odd_component_count(g, sum(subset)) == size
     ]
 
 
 def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
     """The definition: a barrier of two or more vertices no proper subset of
     which, of two or more vertices, is a barrier. Exponential in |vs|."""
-    return len(vs) >= 2 and not any(
-        is_barrier(g, sub)
-        for size in range(2, len(vs))
-        for sub in combinations(sorted(vs), size)
+    mask = _vertex_mask(g, vs)
+    bits = [1 << v for v in range(g.n) if mask >> v & 1]
+    return len(bits) >= 2 and not any(
+        _odd_component_count(g, sum(sub)) == size
+        for size in range(2, len(bits))
+        for sub in combinations(bits, size)
     )
 
 
 # --- second characterizations, checked against the library's one path -----
 
 
-def tight_by_enumeration(cut: EdgeCut, pms: list[Matching]) -> bool:
+def _perfect_matching_masks(g: Graph) -> list[int]:
+    """Every perfect matching as an edge mask (bit i for edge i)."""
+    return [sum(1 << i for i in m.edge_indices) for m in perfect_matchings(g)]
+
+
+def _cut_sides(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(side, cut) for every cut side containing vertex 0, in ``all_cuts``
+    order. The side is a tuple of its vertices in increasing order; the cut
+    is an edge mask, the XOR of the side's incident-edge masks, in which
+    every edge with both ends in the side cancels. Exponential."""
+    incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
+    for size in range(g.n - 1):
+        for extra in combinations(range(1, g.n), size):
+            yield (0,) + extra, reduce(xor, map(incident.__getitem__, extra), incident[0])
+
+
+def tight_by_enumeration(cut: int, pms: list[int]) -> bool:
     """The definition: every perfect matching of the host crosses the cut
-    exactly once."""
-    cut_set = set(cut.edge_indices)
-    return all(len(cut_set.intersection(m.edge_indices)) == 1 for m in pms)
+    exactly once. The cut and the matchings are edge masks (bit i for edge
+    i), so a matching crosses the cut popcount(cut & pm) times."""
+    return all((cut & pm).bit_count() == 1 for pm in pms)
 
 
 def bipartite_split(side: VertexSet, parts: Bipartition) -> tuple[VertexSet, VertexSet]:
@@ -282,17 +301,15 @@ def _check_barrier_properties(g: Graph) -> list[str] | None:
 def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
     if not (g.is_cubic and connectivity_profile(g).two_connected):
         return None
-    pms = perfect_matchings(g)
+    pms = _perfect_matching_masks(g)
     problems = []
-    for cut in all_cuts(g):
-        side = cut.side
+    for side, cut in _cut_sides(g):
         tight = tight_by_enumeration(cut, pms)
-        if tight and len(cut.edge_indices) != 3:
-            problems.append(
-                f"tight cut at side {sorted(side)} has {len(cut.edge_indices)} edges"
-            )
+        size = cut.bit_count()
+        if tight and size != 3:
+            problems.append(f"tight cut at side {list(side)} has {size} edges")
         if len(side) == 1 and not tight:
-            problems.append(f"trivial cut at {sorted(side)} is not tight")
+            problems.append(f"trivial cut at {list(side)} is not tight")
     return problems
 
 
@@ -311,21 +328,22 @@ def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
     parts = bipartition(g)
     if g.n < 2 or parts is None or not is_matching_covered(g):
         return None
-    pms = perfect_matchings(g)
+    pms = _perfect_matching_masks(g)
     problems = []
-    for cut in all_cuts(g):
+    for side, cut in _cut_sides(g):
+        side_set = frozenset(side)
         enumerated = tight_by_enumeration(cut, pms)
-        criterion = tight_by_bipartite_split(g, cut.side, parts)
-        fast = is_tight_cut(g, cut).tight
+        criterion = tight_by_bipartite_split(g, side_set, parts)
+        fast = is_tight_cut(g, edge_cut(g, side_set)).tight
         if not enumerated == criterion == fast:
             problems.append(
-                f"side {sorted(cut.side)}: enumeration={enumerated}, "
+                f"side {list(side)}: enumeration={enumerated}, "
                 f"split criterion={criterion}, is_tight_cut={fast}"
             )
-        if enumerated and len(cut.side) % 2 == 1:
-            plus, minus = bipartite_split(cut.side, parts)
+        if enumerated and len(side) % 2 == 1:
+            plus, minus = bipartite_split(side_set, parts)
             if len(plus) != len(minus) + 1:
-                problems.append(f"tight cut side {sorted(cut.side)} has bad split sizes")
+                problems.append(f"tight cut side {list(side)} has bad split sizes")
     return problems
 
 

@@ -9,7 +9,9 @@ from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError
 from nicecubic.graphs import (
     Graph,
+    _odd_component_count,
     bipartition,
+    connected_components,
     connectivity_profile,
     contract,
     edge_cut,
@@ -138,6 +140,17 @@ def test_connectivity_profile_matches_networkx_on_corpus(corpus12):
         p = connectivity_profile(entry.graph)
         assert p.connected, entry.graph6
         assert (p.two_connected, p.three_connected) == _networkx_classes(entry.graph), entry.graph6
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_mask_odd_component_count_agrees_with_bfs_components(g, data):
+    # the barrier sweeps of the library and of the suites share the mask
+    # count, so it is checked here against the BFS components
+    removed = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    mask = sum(1 << v for v in removed)
+    expected = sum(len(comp) % 2 for comp in connected_components(g, removed))
+    assert _odd_component_count(g, mask) == expected
 
 
 def test_induced_subgraph_triangle_from_k4():

@@ -3,10 +3,11 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicecubic.catalog import k4, k33, triangular_prism
 from nicecubic.errors import DomainError
-from nicecubic.graphs import Graph, is_connected
+from nicecubic.graphs import Graph, connected_components, is_connected
 from nicecubic.matching import (
     count_perfect_matchings,
     has_perfect_matching,
@@ -85,6 +86,21 @@ def test_maximum_matching_agrees_with_networkx(g):
 @given(simple_graphs(max_n=9))
 def test_existence_agrees_with_exhaustive_deletion_test(g):
     assert has_perfect_matching(g) == tutte_condition_holds(g)
+
+
+def _tutte_full_sweep(g):
+    return all(
+        sum(len(comp) % 2 for comp in connected_components(g, s)) <= size
+        for size in range(g.n + 1)
+        for s in combinations(range(g.n), size)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(), simple_graphs(min_n=1, max_n=9)))
+def test_tutte_half_sweep_agrees_with_the_full_sweep(g):
+    # the oracle skips |S| >= n/2, where odd(G - S) <= n - |S| <= |S|
+    assert tutte_condition_holds(g) == _tutte_full_sweep(g)
 
 
 def test_perfect_matching_counts_with_independent_oracle():

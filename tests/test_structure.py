@@ -25,6 +25,7 @@ from nicecubic.matching import (
 from nicecubic.structure import (
     barriers,
     classify,
+    is_barrier,
     is_tight_cut,
     nontrivial_tight_cuts,
     odd_component_count,
@@ -47,6 +48,17 @@ def test_odd_component_count_basics():
     assert odd_component_count(Graph(2, [(0, 1)]), {0}) == 1
     # deleting the independent barrier leaves the triangle plus two singletons
     assert odd_component_count(k33_triangle(), {2, 3, 4}) == 3
+
+
+@pytest.mark.parametrize(
+    "g, s", [(Graph(1), {5}), (Graph(3, [(0, 1), (1, 2)]), {-4}), (k4(), [0, 4])]
+)
+def test_vertex_sets_outside_the_graph_are_rejected(g, s):
+    # a phantom vertex counted in |S| but absent from G - S made these barriers
+    with pytest.raises(ValueError, match="vertex set not contained in graph"):
+        is_barrier(g, s)
+    with pytest.raises(ValueError, match="vertex set not contained in graph"):
+        odd_component_count(g, s)
 
 
 def test_barriers_k4_only_singletons():
@@ -135,16 +147,21 @@ def test_bipartite_split_populated():
     assert tight_by_bipartite_split(g, cut.side, bipartition(g))
 
 
+def _edge_mask(indices):
+    return sum(1 << i for i in indices)
+
+
 def test_tightness_agrees_with_enumeration_on_corpus(corpus10):
     tight_count = 0
     for entry in corpus10:
         g = entry.graph
-        pms = perfect_matchings(g)
+        pms = [_edge_mask(m.edge_indices) for m in perfect_matchings(g)]
         if not pms:
             continue
         for cut in all_cuts(g):
             tight = is_tight_cut(g, cut).tight
-            assert tight == tight_by_enumeration(cut, pms), (entry.graph6, cut.side)
+            enumerated = tight_by_enumeration(_edge_mask(cut.edge_indices), pms)
+            assert tight == enumerated, (entry.graph6, cut.side)
             tight_count += tight
     assert tight_count
 
@@ -164,9 +181,10 @@ def perfectly_matchable_multigraphs(draw, min_n=2, max_n=8):
 @given(perfectly_matchable_multigraphs())
 def test_tightness_agrees_with_enumeration_on_multigraphs(g):
     assert has_perfect_matching(g)
-    pms = perfect_matchings(g)
+    pms = [_edge_mask(m.edge_indices) for m in perfect_matchings(g)]
     for cut in all_cuts(g):
-        assert is_tight_cut(g, cut).tight == tight_by_enumeration(cut, pms), cut.side
+        enumerated = tight_by_enumeration(_edge_mask(cut.edge_indices), pms)
+        assert is_tight_cut(g, cut).tight == enumerated, cut.side
 
 
 def test_nontrivial_tight_cuts_bricks_and_braces_are_free():

@@ -34,12 +34,41 @@ def test_all_suites_pass_up_to_10(name, cache_dir):
     assert report.suite == name
 
 
+# graphs of order 12 that meet each suite's hypothesis, out of 85
+CHECKED_AT_12 = {
+    "barrier-criterion-equivalence": 81,
+    "barrier-properties": 81,
+    "bicritical-all-nice": 41,
+    "bipartite-nonbrace-contraction": 2,
+    "bipartite-tight-criterion": 5,
+    "brace-all-pairs-nice": 5,
+    "brace-four-deletion": 5,
+    "cubic-barrier-components": 16,
+    "edge-in-perfect-matching": 81,
+    "matching-covered-2-connected": 85,
+    "minimal-barrier-all-nice": 12,
+    "nice-count-bounds": 76,
+    "nice-lift-tight-cut": 81,
+    "nice-pair-rectangle": 5,
+    "nine-nice-pairs": 5,
+    "nontrivial-3-cut-matching": 57,
+    "pair-lift-tight-cut": 5,
+    "tight-cuts-are-3-cuts": 81,
+    "tight-free-brick-brace": 81,
+    "tutte-existence": 85,
+    "two-cut-nice-transfer": 81,
+    "two-cut-pair-transfer": 5,
+}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_all_suites_pass_at_12(name, corpus12):
-    # together with the n <= 10 gate above, every suite passes at n <= 12
+    # together with the n <= 10 gate above, every suite passes at n <= 12,
+    # each on as many graphs as its hypothesis admits
     entries = [e for e in corpus12 if e.graph.n == 12]
     report = verify_suite(name, max_n=12, entries=entries)
     assert report.passed, report.violations
+    assert report.graphs_checked == CHECKED_AT_12[name]
 
 
 @pytest.mark.parametrize(
