@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import xor
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -380,13 +381,29 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
     return found
 
 
-def all_cuts(g: Graph) -> Iterator[EdgeCut]:
-    """Every edge cut, one per {X, X-bar}: the sides containing vertex 0, by
-    size and then lexicographically. Exponential; small orders only."""
-    rest = range(1, g.n)
+def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(side, cut) for every cut side containing vertex 0, by size and then
+    lexicographically. The side is a tuple of its vertices in increasing
+    order; the cut is an edge mask (bit i for edge i), the XOR of the side's
+    incident-edge masks, in which every edge with both ends in the side
+    cancels. Exponential; small orders only."""
+    incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
     for size in range(g.n - 1):
-        for extra in combinations(rest, size):
-            yield edge_cut(g, (0,) + extra)
+        for extra in combinations(range(1, g.n), size):
+            yield (0,) + extra, reduce(xor, map(incident.__getitem__, extra), incident[0])
+
+
+def _mask_edge_cut(g: Graph, side: tuple[int, ...], cut: int) -> EdgeCut:
+    """The ``EdgeCut`` of a side and its edge mask from ``_cut_masks``."""
+    indices = tuple(i for i in range(len(g.edges)) if cut >> i & 1)
+    return EdgeCut(frozenset(side), indices, 1 < len(side) < g.n - 1)
+
+
+def all_cuts(g: Graph) -> Iterator[EdgeCut]:
+    """Every edge cut, one per {X, X-bar}, in ``_cut_masks`` order.
+    Exponential; small orders only."""
+    for side, cut in _cut_masks(g):
+        yield _mask_edge_cut(g, side, cut)
 
 
 def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, int]]:

@@ -18,10 +18,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import xor
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
@@ -32,6 +30,8 @@ from .graphs import (
     Bipartition,
     Graph,
     VertexSet,
+    _cut_masks,
+    _mask_edge_cut,
     _odd_component_count,
     _vertex_mask,
     bipartition,
@@ -154,17 +154,6 @@ def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
 def _perfect_matching_masks(g: Graph) -> list[int]:
     """Every perfect matching as an edge mask (bit i for edge i)."""
     return [sum(1 << i for i in m.edge_indices) for m in perfect_matchings(g)]
-
-
-def _cut_sides(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(side, cut) for every cut side containing vertex 0, in ``all_cuts``
-    order. The side is a tuple of its vertices in increasing order; the cut
-    is an edge mask, the XOR of the side's incident-edge masks, in which
-    every edge with both ends in the side cancels. Exponential."""
-    incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
-    for size in range(g.n - 1):
-        for extra in combinations(range(1, g.n), size):
-            yield (0,) + extra, reduce(xor, map(incident.__getitem__, extra), incident[0])
 
 
 def tight_by_enumeration(cut: int, pms: list[int]) -> bool:
@@ -303,7 +292,7 @@ def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
         return None
     pms = _perfect_matching_masks(g)
     problems = []
-    for side, cut in _cut_sides(g):
+    for side, cut in _cut_masks(g):
         tight = tight_by_enumeration(cut, pms)
         size = cut.bit_count()
         if tight and size != 3:
@@ -330,18 +319,18 @@ def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
         return None
     pms = _perfect_matching_masks(g)
     problems = []
-    for side, cut in _cut_sides(g):
-        side_set = frozenset(side)
-        enumerated = tight_by_enumeration(cut, pms)
-        criterion = tight_by_bipartite_split(g, side_set, parts)
-        fast = is_tight_cut(g, edge_cut(g, side_set)).tight
+    for side, mask in _cut_masks(g):
+        cut = _mask_edge_cut(g, side, mask)
+        enumerated = tight_by_enumeration(mask, pms)
+        criterion = tight_by_bipartite_split(g, cut.side, parts)
+        fast = is_tight_cut(g, cut).tight
         if not enumerated == criterion == fast:
             problems.append(
                 f"side {list(side)}: enumeration={enumerated}, "
                 f"split criterion={criterion}, is_tight_cut={fast}"
             )
         if enumerated and len(side) % 2 == 1:
-            plus, minus = bipartite_split(side_set, parts)
+            plus, minus = bipartite_split(cut.side, parts)
             if len(plus) != len(minus) + 1:
                 problems.append(f"tight cut side {list(side)} has bad split sizes")
     return problems

@@ -10,6 +10,7 @@ from nicecubic.errors import DomainError
 from nicecubic.graphs import (
     Graph,
     _odd_component_count,
+    all_cuts,
     bipartition,
     connected_components,
     connectivity_profile,
@@ -295,6 +296,14 @@ def test_enumerate_cuts_matches_brute_force(g, k):
     if not is_connected(g):
         return
     assert enumerate_cuts(g, k) == _cuts_by_brute_force(g, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs())
+def test_all_cuts_agree_with_edge_cut(g):
+    # the XOR of incident-edge masks against edge_cut's per-edge side test:
+    # same sides, same order, same edge indices and nontrivial flags
+    assert list(all_cuts(g)) == _every_cut(g)
 
 
 def test_enumerate_cuts_matches_brute_force_on_corpus(corpus12):

@@ -8,7 +8,8 @@ from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
 from nicecubic.graphs import (
     Graph,
-    all_cuts,
+    _cut_masks,
+    _mask_edge_cut,
     bipartition,
     connected_components,
     connectivity_profile,
@@ -32,6 +33,7 @@ from nicecubic.structure import (
     tight_cut_contractions,
 )
 from nicecubic.suites import (
+    _perfect_matching_masks,
     bipartite_split,
     exhaustive_barrier_sets,
     is_minimal_nontrivial_barrier,
@@ -147,21 +149,17 @@ def test_bipartite_split_populated():
     assert tight_by_bipartite_split(g, cut.side, bipartition(g))
 
 
-def _edge_mask(indices):
-    return sum(1 << i for i in indices)
-
-
 def test_tightness_agrees_with_enumeration_on_corpus(corpus10):
     tight_count = 0
     for entry in corpus10:
         g = entry.graph
-        pms = [_edge_mask(m.edge_indices) for m in perfect_matchings(g)]
+        pms = _perfect_matching_masks(g)
         if not pms:
             continue
-        for cut in all_cuts(g):
-            tight = is_tight_cut(g, cut).tight
-            enumerated = tight_by_enumeration(_edge_mask(cut.edge_indices), pms)
-            assert tight == enumerated, (entry.graph6, cut.side)
+        for side, mask in _cut_masks(g):
+            tight = is_tight_cut(g, _mask_edge_cut(g, side, mask)).tight
+            enumerated = tight_by_enumeration(mask, pms)
+            assert tight == enumerated, (entry.graph6, side)
             tight_count += tight
     assert tight_count
 
@@ -181,10 +179,10 @@ def perfectly_matchable_multigraphs(draw, min_n=2, max_n=8):
 @given(perfectly_matchable_multigraphs())
 def test_tightness_agrees_with_enumeration_on_multigraphs(g):
     assert has_perfect_matching(g)
-    pms = [_edge_mask(m.edge_indices) for m in perfect_matchings(g)]
-    for cut in all_cuts(g):
-        enumerated = tight_by_enumeration(_edge_mask(cut.edge_indices), pms)
-        assert is_tight_cut(g, cut).tight == enumerated, cut.side
+    pms = _perfect_matching_masks(g)
+    for side, mask in _cut_masks(g):
+        enumerated = tight_by_enumeration(mask, pms)
+        assert is_tight_cut(g, _mask_edge_cut(g, side, mask)).tight == enumerated, side
 
 
 def test_nontrivial_tight_cuts_bricks_and_braces_are_free():
