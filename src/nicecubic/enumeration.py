@@ -6,8 +6,9 @@ lexicographically-smallest-extension constraint and cuts the duplication per
 isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets by
 a distance-profile invariant and settles ties with explicit isomorphism
 tests. Corpora are cached on disk as graph6 files keyed by (n, connected),
-written atomically; a cached corpus whose size is not the published count is
-regenerated.
+written atomically; a cached corpus whose size is not the published count, or
+with an entry that repeats or is not a cubic graph of its order (connected,
+for a connected corpus), is regenerated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph
+from .graphs import Graph, is_connected
 from .isomorphism import canonical_graph, invariant_key, is_isomorphic
 
 CACHE_ENV = "NICECUBIC_CACHE_DIR"
@@ -154,6 +155,15 @@ def _cache_file(cache_dir: Path, n: int, connected_only: bool) -> Path:
     return cache_dir / f"cubic-n{n}-{flavor}.g6"
 
 
+def _is_sound_corpus(graphs: list[Graph], n: int, connected_only: bool) -> bool:
+    """No entry repeats, and each is a cubic graph on n vertices, connected
+    when the corpus is."""
+    return len(set(graphs)) == len(graphs) and all(
+        g.n == n and g.is_cubic and (is_connected(g) or not connected_only)
+        for g in graphs
+    )
+
+
 def enumerate_cubic(
     n: int,
     connected_only: bool = True,
@@ -177,7 +187,11 @@ def enumerate_cubic(
             except ValueError:
                 graphs = None  # corrupt cache, regenerate below
             expected = (CONNECTED_COUNTS if connected_only else ALL_COUNTS).get(n)
-            if graphs is not None and expected in (None, len(graphs)):
+            if (
+                graphs is not None
+                and expected in (None, len(graphs))
+                and _is_sound_corpus(graphs, n, connected_only)
+            ):
                 return [
                     CorpusEntry(g, write_graph6(g), "file")
                     for g in graphs

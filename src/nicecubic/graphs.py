@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from itertools import combinations
 from operator import xor
 from typing import Iterable, Iterator
@@ -107,6 +107,26 @@ class Graph:
 
     def closed_neighborhood(self, u: int) -> VertexSet:
         return self.neighbor_sets[u] | {u}
+
+    def __reduce__(self):
+        # Pickle the value alone; cached facts are rebuilt on demand.
+        return Graph, (self.n, self.edges)
+
+
+def _graph_fact(fn):
+    """Memoise ``fn(g)`` on the immutable graph g, as ``cached_property``
+    does: the value is stored in ``g.__dict__``, keyed by the function object
+    itself. Every caller then shares one value, so only facts whose values
+    are immutable qualify."""
+
+    @wraps(fn)
+    def fact(g):
+        memo = g.__dict__
+        if fn not in memo:
+            memo[fn] = fn(g)
+        return memo[fn]
+
+    return fact
 
 
 @dataclass(frozen=True)
@@ -221,6 +241,7 @@ def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(connected_components(g)) == 1
 
 
+@_graph_fact
 def bipartition(g: Graph) -> Bipartition | None:
     """Two-coloring of g, or None if an odd cycle exists.
 
@@ -246,6 +267,7 @@ def bipartition(g: Graph) -> Bipartition | None:
     )
 
 
+@_graph_fact
 def connectivity_profile(g: Graph) -> ConnectivityProfile:
     """Vertex-connectivity classes up to 3, cubic flag and bipartition.
 

@@ -10,10 +10,11 @@ are reproducible across runs.
 There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
 ``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
 once per vertex to read, from one perfect matching, which vertex pairs
-leave a perfectly matchable graph when deleted. Matching covered and
-bicritical are read off that table, and so are the blocked pairs u, v (v
-outside row u) among which ``structure.barriers`` looks for barriers; in a
-matching covered graph, u with the vertices blocked with it form one
+leave a perfectly matchable graph when deleted. The table is a fact of the
+graph, memoised on it, so every reader shares one computation. Matching
+covered and bicritical are read off it, and so are the blocked pairs u, v
+(v outside row u) among which ``structure.barriers`` looks for barriers; in
+a matching covered graph, u with the vertices blocked with it form one
 maximal barrier (Kotzig; Lovász & Plummer, *Matching Theory*, §5.2).
 """
 
@@ -25,7 +26,14 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, VertexSet, _odd_component_count, induced_subgraph, is_connected
+from .graphs import (
+    Graph,
+    VertexSet,
+    _graph_fact,
+    _odd_component_count,
+    induced_subgraph,
+    is_connected,
+)
 
 # Row u of a pair-deletion table: every v != u with g - u - v perfectly matchable.
 PairDeletionTable = tuple[VertexSet, ...]
@@ -178,11 +186,7 @@ def _find_augmenting(
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    if g.n % 2:
-        return False
-    if g.n == 0:
-        return True
-    return 2 * len(maximum_matching(g).edge_indices) == g.n
+    return g.n % 2 == 0 and -1 not in _maximum_mates(_adjacency(g))
 
 
 def tutte_condition_holds(g: Graph) -> bool:
@@ -235,6 +239,7 @@ def count_perfect_matchings(g: Graph) -> int:
     return len(perfect_matchings(g))
 
 
+@_graph_fact
 def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
     """Row u is ``frozenset({v != u : g - u - v has a perfect matching})``;
     None when g has no perfect matching.
@@ -266,24 +271,20 @@ def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
     return tuple(rows)
 
 
-def covers_every_edge(g: Graph, table: PairDeletionTable | None) -> bool:
-    """Matching covered, read off g's ``pair_deletion_table``: g is connected
-    with edges, has a perfect matching, and every edge uv has v in row u
-    (g - u - v is perfectly matchable, so uv lies in a perfect matching)."""
+def is_matching_covered(g: Graph) -> bool:
+    """True iff g is connected, has >= 2 vertices, and every edge lies in some
+    perfect matching: read off g's ``pair_deletion_table``, g has edges and a
+    perfect matching, and every edge uv has v in row u (g - u - v is
+    perfectly matchable, so uv lies in a perfect matching)."""
+    if g.n < 2:
+        raise DomainError("matching covered is defined for graphs on >= 2 vertices")
+    table = pair_deletion_table(g)
     return (
         table is not None
         and bool(g.edges)
         and is_connected(g)
         and all(v in table[u] for u, v in g.edges)
     )
-
-
-def is_matching_covered(g: Graph) -> bool:
-    """True iff g is connected, has >= 2 vertices, and every edge lies in some
-    perfect matching."""
-    if g.n < 2:
-        raise DomainError("matching covered is defined for graphs on >= 2 vertices")
-    return covers_every_edge(g, pair_deletion_table(g))
 
 
 def nice_check(g: Graph, w: Iterable[int]) -> bool:

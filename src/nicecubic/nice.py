@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graphs import Graph, VertexSet, bipartition, is_connected
+from .graphs import Graph, VertexSet, _graph_fact, bipartition, is_connected
 from .matching import nice_check
 
 
@@ -80,6 +80,7 @@ def _bipartite_sides(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(parts.a)), tuple(sorted(parts.b))
 
 
+@_graph_fact
 def nice_pair_matrix(g: Graph) -> NicePairMatrix:
     a_order, b_order = _bipartite_sides(g)
     matrix = tuple(

@@ -4,10 +4,12 @@ contractions.
 A barrier is a vertex set whose deletion leaves exactly as many odd
 components as the set has vertices. Any two of its vertices u, v are a
 blocked pair (G - u - v has no perfect matching), so barriers are found
-among the sets of pairwise blocked vertices read off one pair-deletion
-table. Tightness of a cut means every perfect matching crosses it exactly
-once; it is decided by deletion-set matching queries, without enumerating
-perfect matchings. The second characterizations of these facts (the sweep
+among the sets of pairwise blocked vertices read off the graph's
+pair-deletion table. The table is memoised on the graph, and the
+classification and the tight-cut domain check read the same one. Tightness
+of a cut means every perfect matching crosses it exactly once; it is
+decided by deletion-set matching queries, without enumerating perfect
+matchings. The second characterizations of these facts (the sweep
 over every vertex set, perfect-matching enumeration, the bipartite split
 criterion, the balanced four-deletion brace test) live in the suites that
 check them.
@@ -35,8 +37,6 @@ from .graphs import (
 )
 from .matching import (
     PairDeletionTable,
-    covers_every_edge,
-    has_perfect_matching,
     is_matching_covered,
     nice_check,
     pair_deletion_table,
@@ -103,7 +103,7 @@ def barriers(g: Graph) -> list[Barrier]:
     table = pair_deletion_table(g)
     if table is None:
         raise DomainError("barriers are defined for graphs with a perfect matching")
-    if g.n > _SUBSET_ENUMERATION_CAP and not covers_every_edge(g, table):
+    if g.n > _SUBSET_ENUMERATION_CAP and not is_matching_covered(g):
         raise DomainError(
             f"barrier enumeration on a non matching covered host is capped "
             f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
@@ -144,15 +144,14 @@ def _pairwise_blocked_sets(
 def classify(g: Graph) -> Classification:
     """Matching covered / bicritical / brick / 2-extendable / brace flags.
 
-    One ``pair_deletion_table`` gives matching covered and bicritical; a
-    brace is a 2-extendable bipartite graph.
+    Matching covered and bicritical are read off the graph's
+    ``pair_deletion_table``; a brace is a 2-extendable bipartite graph.
     """
-    table = pair_deletion_table(g)
     profile = connectivity_profile(g)
-    bicritical = _is_bicritical(g, table)
-    two_extendable = _is_two_extendable(g, table)
+    bicritical = _is_bicritical(g)
+    two_extendable = _is_two_extendable(g)
     return Classification(
-        matching_covered=covers_every_edge(g, table),
+        matching_covered=g.n >= 2 and is_matching_covered(g),
         bicritical=bicritical,
         brick=bicritical and profile.three_connected,
         two_extendable=two_extendable,
@@ -160,16 +159,17 @@ def classify(g: Graph) -> Classification:
     )
 
 
-def _is_bicritical(g: Graph, table: PairDeletionTable | None) -> bool:
+def _is_bicritical(g: Graph) -> bool:
     """Every pair deletion leaves a perfect matching (a table exists only for
     even order)."""
+    table = pair_deletion_table(g)
     return bool(g.edges) and table is not None and all(
         len(row) == g.n - 1 for row in table
     )
 
 
-def _is_two_extendable(g: Graph, table: PairDeletionTable | None) -> bool:
-    if g.n < 6 or table is None or not is_connected(g):
+def _is_two_extendable(g: Graph) -> bool:
+    if g.n < 6 or pair_deletion_table(g) is None or not is_connected(g):
         return False
     for e1, e2 in combinations(g.edges, 2):
         ends = set(e1 + e2)
@@ -187,7 +187,7 @@ def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
     vertex-disjoint cut edges lie in one perfect matching, that is when
     deleting their four ends leaves a perfectly matchable graph.
     """
-    if not has_perfect_matching(g):
+    if pair_deletion_table(g) is None:
         raise DomainError("tightness is defined over hosts with perfect matchings")
     pair_ends = (
         set(g.edges[e] + g.edges[f]) for e, f in combinations(cut.edge_indices, 2)

@@ -133,6 +133,20 @@ def test_truncated_cache_regenerated(tmp_path, corpus10):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_cache_with_bad_and_repeated_entries_regenerated(tmp_path, cache_dir):
+    ids = [e.graph6 for e in enumerate_cubic(8, cache_dir=cache_dir)]
+    path = tmp_path / "cubic-n8-connected.g6"
+    # the count still matches: one entry is the empty graph, one repeats
+    damaged = ["G?????", ids[1], ids[1]] + ids[3:]
+    assert len(damaged) == len(ids) == 5
+    path.write_text("".join(line + "\n" for line in damaged))
+    entries = enumerate_cubic(8, cache_dir=tmp_path)
+    assert [e.graph6 for e in entries] == ids
+    assert all(e.provenance == "enumerated" for e in entries)
+    text = path.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[8, True]
+
+
 def test_truncated_all_graphs_cache_regenerated(tmp_path, cache_dir):
     ids = [e.graph6 for e in enumerate_cubic(10, connected_only=False, cache_dir=cache_dir)]
     assert len(ids) == 21  # OEIS A005638

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import networkx as nx
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError
+from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import (
     Graph,
     _odd_component_count,
@@ -22,6 +24,8 @@ from nicecubic.graphs import (
     patched_side,
 )
 from nicecubic.isomorphism import is_isomorphic
+from nicecubic.matching import pair_deletion_table
+from nicecubic.nice import nice_pair_matrix
 
 from .strategies import multigraphs, simple_graphs
 
@@ -38,6 +42,38 @@ def test_graph_rejects_loops_and_range_violations():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+
+
+# The facts memoised on the graph they describe.
+GRAPH_FACTS = (pair_deletion_table, connectivity_profile, bipartition, nice_pair_matrix)
+
+
+def _fact_or_error(fact, g):
+    try:
+        return fact(g)
+    except DomainError as exc:
+        return type(exc)
+
+
+def test_graph_facts_are_memoised(corpus10):
+    for entry in corpus10:
+        g = parse_graph6(entry.graph6)
+        first = [_fact_or_error(fact, g) for fact in GRAPH_FACTS]
+        for fact, value in zip(GRAPH_FACTS, first):
+            again = _fact_or_error(fact, g)
+            assert again is value, (fact.__name__, entry.graph6)
+            # a fresh graph computes only this fact, so a key shared by two
+            # facts would hand back the other fact's value above
+            fresh = _fact_or_error(fact, parse_graph6(entry.graph6))
+            assert fresh == value, (fact.__name__, entry.graph6)
+
+
+def test_memoised_graph_pickles_as_its_value():
+    g = k33()
+    facts = [fact(g) for fact in GRAPH_FACTS]
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g
+    assert [fact(clone) for fact in GRAPH_FACTS] == facts
 
 
 def test_degrees_and_cubic_flag():

@@ -204,6 +204,16 @@ def test_trivial_cut_contraction_shapes():
     assert is_isomorphic(shrink_side.graph, k4()) is not None
 
 
+def test_is_tight_cut_rejects_host_without_perfect_matching():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    cut = edge_cut(star, {1})
+    with pytest.raises(DomainError):
+        is_tight_cut(star, cut)  # the first call builds the table
+    assert pair_deletion_table(star) is None
+    with pytest.raises(DomainError):
+        is_tight_cut(star, cut)  # later calls read it
+
+
 def test_untight_contraction_rejected():
     g = triangular_prism()
     witness = is_tight_cut(g, edge_cut(g, {0, 1, 2}))
