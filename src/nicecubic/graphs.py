@@ -362,36 +362,34 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
     """All nontrivial edge cuts with exactly k edges (each side has at least
     two vertices), one representative per {X, X-bar}.
 
-    The representative side is the one containing vertex 0. Let F be a cut
-    and b = max F. Every edge of F crosses the side, so the ends of b lie in
-    different components of G - F, and b is a bridge of G - (F - b). So the
-    sweep runs over the (k-1)-subsets F' of edges, finds the bridges of
-    G - F' with one low-link DFS (Tarjan), and settles F' + b for each bridge
-    b > max F'. A side with cut exactly F is a union of the t <= k+1
-    components of G - F across which every F edge runs, so each F is settled
-    by trying the 2^(t-1) unions that contain vertex 0's component. Sorted by
-    edge indices, then side.
+    The representative side is the one containing vertex 0. The cut test is
+    carried by the ``_cut_space_labels`` of the edges: an edge set F is the
+    cut of some side exactly when its labels XOR to 0. So the sweep runs over
+    the (k-1)-subsets F' of edges and looks up, in a table from label to
+    edges, every edge b > max F' whose label is the XOR of F'. For each such
+    F = F' + b, a side with cut exactly F is a union of the t <= k+1
+    components of G - F across which every F edge runs, so F is settled by
+    one component pass and the 2^(t-1) unions that contain vertex 0's
+    component. Sorted by edge indices, then side.
     """
     if not is_connected(g):
         raise DomainError("cut enumeration requires a connected graph")
     if k < 1:
         raise ValueError("cut size must be positive")
+    labels = _cut_space_labels(g)
+    edges_by_label: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        edges_by_label.setdefault(label, []).append(i)
     found: list[EdgeCut] = []
     for rest in combinations(range(len(g.edges)), k - 1):
-        forest = _low_link(g, banned=rest)
         floor = rest[-1] if rest else -1
-        for b, start, stop in forest.bridges:
+        closing = reduce(xor, map(labels.__getitem__, rest), 0)
+        for b in edges_by_label.get(closing, ()):
             if b <= floor:
                 continue
             subset = rest + (b,)
-            # G - F: b's child end and its DFS subtree become component t - 1
-            comp_id = list(forest.comp_id)
-            t = forest.components + 1
-            for v in forest.preorder[start:stop]:
-                comp_id[v] = t - 1
+            comp_id, t = _components_without_edges(g, subset)
             links = [(comp_id[u], comp_id[v]) for u, v in (g.edges[i] for i in subset)]
-            if any(a == c for a, c in links):
-                continue
             # bit c of `chosen` puts component c on vertex 0's side (component 0)
             for chosen in range(1, 1 << t, 2):
                 if any((chosen >> a & 1) == (chosen >> c & 1) for a, c in links):
@@ -401,6 +399,63 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
                     found.append(EdgeCut(side=side, edge_indices=subset, nontrivial=True))
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
     return found
+
+
+def _cut_space_labels(g: Graph) -> list[int]:
+    """Per-edge labels (Pritchard & Thurimella) whose XOR over an edge set F
+    is 0 exactly when F is the cut of some side; g must be connected.
+
+    Take a spanning tree, grown breadth first from vertex 0. The j-th
+    non-tree edge gets the label 1 << j, and the tree edge from p down to w
+    the XOR of the labels of the non-tree edges with exactly one end in w's
+    subtree, so bit j of a label marks the edges on the fundamental cycle of
+    the j-th non-tree edge. These cycles span the cycle space, and an edge
+    set is a cut exactly when it meets every cycle evenly. A subtree's XOR of
+    its vertices' incident non-tree labels cancels every non-tree edge with
+    both ends inside, so one bottom-up pass gives the tree labels.
+    """
+    parent_edge = {0: -1}
+    order = [0]
+    for v in order:
+        for i, w in g.incidence[v]:
+            if w not in parent_edge:
+                parent_edge[w] = i
+                order.append(w)
+    tree = set(parent_edge.values())
+    labels = [0] * len(g.edges)
+    below = [0] * g.n
+    bit = 1
+    for i, (u, v) in enumerate(g.edges):
+        if i not in tree:
+            labels[i] = bit
+            below[u] ^= bit
+            below[v] ^= bit
+            bit <<= 1
+    for w in reversed(order[1:]):
+        i = parent_edge[w]
+        labels[i] = below[w]
+        u, v = g.edges[i]
+        below[u + v - w] ^= below[w]
+    return labels
+
+
+def _components_without_edges(g: Graph, removed: tuple[int, ...]) -> tuple[list[int], int]:
+    """Component ids of g minus the edges with the given indices, numbered in
+    order of their smallest vertex, and the number of components."""
+    comp_id = [-1] * g.n
+    count = 0
+    for root in range(g.n):
+        if comp_id[root] != -1:
+            continue
+        comp_id[root] = count
+        todo = [root]
+        while todo:
+            for i, w in g.incidence[todo.pop()]:
+                if comp_id[w] == -1 and i not in removed:
+                    comp_id[w] = count
+                    todo.append(w)
+        count += 1
+    return comp_id, count
 
 
 def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -441,55 +496,41 @@ def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, i
 
 @dataclass(frozen=True)
 class _DfsForest:
-    """One low-link DFS over G minus some edges and at most one vertex.
+    """One low-link DFS over G minus at most one vertex: the number of
+    components and whether some vertex disconnects its component."""
 
-    ``comp_id`` numbers the components in order of their smallest vertex (-1
-    on the removed vertex). The DFS subtree of a vertex v is the slice
-    ``preorder[pre(v):stop]`` recorded when v is finished, so each bridge is
-    (edge index, start, stop): deleting it cuts that slice off.
-    """
-
-    comp_id: list[int]
     components: int
-    preorder: list[int]
-    bridges: list[tuple[int, int, int]]
     has_cut_vertex: bool
 
 
-def _low_link(g: Graph, banned: tuple[int, ...] = (), removed: int = -1) -> _DfsForest:
-    """Iterative low-link DFS of G - banned edges - removed vertex.
+def _low_link(g: Graph, removed: int = -1) -> _DfsForest:
+    """Iterative low-link DFS of G - removed vertex (Hopcroft & Tarjan).
 
-    A tree edge pw (p the parent) is a bridge when low(w) > pre(p); a
-    non-root p is a cut vertex when some child has low(w) >= pre(p), and a
-    root when it has two or more children. The DFS skips only the tree
-    edge's own index back to the parent, so a parallel edge is a back edge
-    and never a bridge.
+    A non-root p is a cut vertex when some child w has low(w) >= pre(p), and
+    a root when it has two or more children. The DFS skips only the tree
+    edge's own index back to the parent, so a parallel edge is a back edge.
     """
     pre = [-1] * g.n
     low = [0] * g.n
-    comp_id = [-1] * g.n
-    preorder: list[int] = []
-    bridges: list[tuple[int, int, int]] = []
+    visited = 0
     has_cut_vertex = False
     components = 0
     incidence = g.incidence
     for root in range(g.n):
         if pre[root] != -1 or root == removed:
             continue
-        pre[root] = low[root] = len(preorder)
-        preorder.append(root)
-        comp_id[root] = components
+        pre[root] = low[root] = visited
+        visited += 1
         root_children = 0
         stack = [(root, -1, iter(incidence[root]))]
         while stack:
             v, via, edges = stack[-1]
             for i, w in edges:
-                if i == via or w == removed or i in banned:
+                if i == via or w == removed:
                     continue
                 if pre[w] == -1:
-                    pre[w] = low[w] = len(preorder)
-                    preorder.append(w)
-                    comp_id[w] = components
+                    pre[w] = low[w] = visited
+                    visited += 1
                     stack.append((w, i, iter(incidence[w])))
                     break
                 if pre[w] < low[v]:
@@ -505,9 +546,7 @@ def _low_link(g: Graph, banned: tuple[int, ...] = (), removed: int = -1) -> _Dfs
                     root_children += 1
                 elif low[v] >= pre[p]:
                     has_cut_vertex = True
-                if low[v] > pre[p]:
-                    bridges.append((via, pre[v], len(preorder)))
         if root_children > 1:
             has_cut_vertex = True
         components += 1
-    return _DfsForest(comp_id, components, preorder, bridges, has_cut_vertex)
+    return _DfsForest(components, has_cut_vertex)

@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     VertexSet,
     Contraction,
+    _graph_fact,
     _odd_component_count,
     _vertex_mask,
     all_cuts,
@@ -98,8 +99,14 @@ def barriers(g: Graph) -> list[Barrier]:
     2^(n/2 + 1) on a bipartite host. Hosts that are not matching covered are
     capped at 20 vertices. The sweep lists every barrier, so a nontrivial
     barrier is minimal iff no other listed nontrivial barrier is a proper
-    subset of it.
+    subset of it. The sweep runs once per graph; every call returns a fresh
+    list of the shared result.
     """
+    return list(_barriers(g))
+
+
+@_graph_fact
+def _barriers(g: Graph) -> tuple[Barrier, ...]:
     table = pair_deletion_table(g)
     if table is None:
         raise DomainError("barriers are defined for graphs with a perfect matching")
@@ -113,14 +120,14 @@ def barriers(g: Graph) -> list[Barrier]:
         key=lambda s: (len(s), sorted(s)),
     )
     nontrivial_sets = [s for s in found if len(s) >= 2]
-    return [
+    return tuple(
         Barrier(
             vertices=s,
             nontrivial=len(s) >= 2,
             minimal_nontrivial=len(s) >= 2 and not any(sub < s for sub in nontrivial_sets),
         )
         for s in found
-    ]
+    )
 
 
 def _pairwise_blocked_sets(

@@ -28,5 +28,16 @@ def multigraphs(draw, min_n=1, max_n=7, max_edges=14):
 
 
 @st.composite
+def connected_multigraphs(draw, min_n=1, max_n=7, max_extra_edges=10):
+    """A random spanning tree (vertex v hangs from an earlier vertex) plus
+    extra edges, parallel ones included."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pool = list(combinations(range(n), 2))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=max_extra_edges)) if pool else []
+    return Graph(n, tree + extra)
+
+
+@st.composite
 def permutations_of(draw, n):
     return draw(st.permutations(list(range(n))))

@@ -1,4 +1,4 @@
-"""Golden dossiers: the analyze JSON of every corpus graph with n <= 10 and
+"""Golden dossiers: the analyze JSON of every corpus graph with n <= 12 and
 of every catalog graph, pinned to sha256 digests.
 
 A refactor of the structural layers must leave every dossier byte-identical.
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from nicecubic.analyze import analyze_graph, to_json
 from nicecubic.catalog import NAMED
-from nicecubic.enumeration import corpus_up_to
+from nicecubic.enumeration import corpus_up_to, enumerate_cubic
 from nicecubic.graph6 import write_graph6
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "analyze-digests.json"
@@ -34,6 +34,14 @@ def test_corpus_dossiers_match_golden_digests(corpus10):
     assert not differing, f"dossiers differ for {differing}"
 
 
+def test_order_12_dossiers_match_golden_digests(corpus12):
+    expected = json.loads(DIGESTS.read_text())["corpus12"]
+    order12 = [e for e in corpus12 if e.graph.n == 12]
+    assert sorted(expected) == sorted(e.graph6 for e in order12)
+    differing = [e.graph6 for e in order12 if _digest(e.graph) != expected[e.graph6]]
+    assert not differing, f"dossiers differ for {differing}"
+
+
 def test_catalog_dossiers_match_golden_digests():
     expected = json.loads(DIGESTS.read_text())["catalog"]
     actual = _catalog_digests()
@@ -49,6 +57,7 @@ def test_catalog_dossiers_match_golden_digests():
 if __name__ == "__main__":
     payload = {
         "corpus": {e.graph6: _digest(e.graph) for e in corpus_up_to(10)},
+        "corpus12": {e.graph6: _digest(e.graph) for e in enumerate_cubic(12)},
         "catalog": _catalog_digests(),
     }
     DIGESTS.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

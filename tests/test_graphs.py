@@ -1,5 +1,7 @@
 import pickle
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import networkx as nx
 import pytest
@@ -11,6 +13,8 @@ from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import (
     Graph,
+    _cut_masks,
+    _cut_space_labels,
     _odd_component_count,
     all_cuts,
     bipartition,
@@ -26,8 +30,9 @@ from nicecubic.graphs import (
 from nicecubic.isomorphism import is_isomorphic
 from nicecubic.matching import pair_deletion_table
 from nicecubic.nice import nice_pair_matrix
+from nicecubic.structure import _barriers
 
-from .strategies import multigraphs, simple_graphs
+from .strategies import connected_multigraphs, multigraphs, simple_graphs
 
 
 def test_graph_normalizes_and_sorts_edges():
@@ -45,7 +50,13 @@ def test_graph_rejects_loops_and_range_violations():
 
 
 # The facts memoised on the graph they describe.
-GRAPH_FACTS = (pair_deletion_table, connectivity_profile, bipartition, nice_pair_matrix)
+GRAPH_FACTS = (
+    pair_deletion_table,
+    connectivity_profile,
+    bipartition,
+    nice_pair_matrix,
+    _barriers,
+)
 
 
 def _fact_or_error(fact, g):
@@ -313,6 +324,11 @@ def _cuts_by_brute_force(g, k, every=None):
     return found
 
 
+_TIGHT_CUT_CONTRACTION = Graph(
+    6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (4, 5), (4, 5)]
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(multigraphs(min_n=2, max_n=7), st.integers(min_value=1, max_value=4))
 # sides that join two of the three components of G - F
@@ -327,6 +343,13 @@ def _cuts_by_brute_force(g, k, every=None):
 @example(
     Graph(6, [(0, 1), (0, 2), (1, 2), (0, 4), (2, 3), (3, 4), (3, 5), (4, 5)]), 3
 )
+# a 4-cycle with two doubled edges: one copy of each is a spanning-tree edge
+@example(Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)]), 2)
+@example(Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)]), 4)
+# the contraction of the tight cut of GB]DMG with side {0, 5, 7}: a cubic
+# multigraph with the doubled edge 45
+@example(_TIGHT_CUT_CONTRACTION, 3)
+@example(_TIGHT_CUT_CONTRACTION, 4)
 def test_enumerate_cuts_matches_brute_force(g, k):
     # the full ordered lists: edge indices, side and nontrivial flag
     if not is_connected(g):
@@ -340,6 +363,23 @@ def test_all_cuts_agree_with_edge_cut(g):
     # the XOR of incident-edge masks against edge_cut's per-edge side test:
     # same sides, same order, same edge indices and nontrivial flags
     assert list(all_cuts(g)) == _every_cut(g)
+
+
+def _label_xor(labels, edge_indices):
+    return reduce(xor, (labels[i] for i in edge_indices), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_multigraphs())
+def test_cut_space_labels_match_the_cut_oracle(g):
+    labels = _cut_space_labels(g)
+    cuts = {cut for _, cut in _cut_masks(g)}
+    for cut in cuts:
+        assert _label_xor(labels, [i for i in range(len(g.edges)) if cut >> i & 1]) == 0
+    for size in range(1, 5):
+        for subset in combinations(range(len(g.edges)), size):
+            if _label_xor(labels, subset) == 0:
+                assert sum(1 << i for i in subset) in cuts, subset
 
 
 def test_enumerate_cuts_matches_brute_force_on_corpus(corpus12):

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nicecubic import structure
+from nicecubic.analyze import analyze_graph
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
+from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import (
     Graph,
     _cut_masks,
@@ -93,6 +96,26 @@ def test_barriers_require_perfect_matching():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(DomainError):
         barriers(c5)
+
+
+def test_barrier_sweep_runs_once_per_graph(monkeypatch):
+    # analyze_graph reads the barriers of this 3-connected non-bipartite host
+    # itself and again through the G1/G2 recognizer
+    sweeps = []
+    sweep = structure._pairwise_blocked_sets
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(structure, "_pairwise_blocked_sets", counted)
+    g = parse_graph6("I?DjcQPw?")
+    analyze_graph(g)
+    assert len(sweeps) == 1
+    first, second = barriers(g), barriers(g)
+    assert first == second
+    assert first is not second
+    assert len(sweeps) == 1
 
 
 def test_classify_k4_is_brick():
