@@ -2,8 +2,9 @@
 
 Subcommands: analyze, enumerate, verify, build, search-counterexample.
 Everything is deterministic (no seeds anywhere); the exit code is nonzero
-exactly when a verification suite reports violations or input fails to
-parse. The corpus cache directory honors NICECUBIC_CACHE_DIR.
+exactly when a verification suite reports violations (1), or input fails to
+parse or a file cannot be read or written (2). The corpus cache directory
+honors NICECUBIC_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -182,6 +183,11 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's shutdown flush cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # an unreadable input or unwritable --out; caught after BrokenPipeError,
+        # which is an OSError too
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

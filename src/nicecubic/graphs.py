@@ -349,6 +349,8 @@ def contract(g: Graph, x: Iterable[int]) -> Contraction:
 def edge_cut(g: Graph, side: Iterable[int]) -> EdgeCut:
     """The cut determined by a side, with its edge indices."""
     xs = frozenset(side)
+    if not all(0 <= v < g.n for v in xs):
+        raise ValueError("vertex set not contained in graph")
     if not xs or len(xs) == g.n:
         raise ValueError("cut side must be a nonempty proper vertex subset")
     indices = tuple(

@@ -8,14 +8,18 @@ is crossed. Search order is deterministic (lowest index first) so outputs
 are reproducible across runs.
 
 There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
+It reads the host's ``g.adjacency`` and skips a mask of deleted vertices,
+so every question "is G - W perfectly matchable" (``has_perfect_matching``,
+``nice_check``) runs on the host itself and no subgraph is built.
 ``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
-once per vertex to read, from one perfect matching, which vertex pairs
-leave a perfectly matchable graph when deleted. The table is a fact of the
-graph, memoised on it, so every reader shares one computation. Matching
-covered and bicritical are read off it, and so are the blocked pairs u, v
-(v outside row u) among which ``structure.barriers`` looks for barriers; in
-a matching covered graph, u with the vertices blocked with it form one
-maximal barrier (Kotzig; Lovász & Plummer, *Matching Theory*, §5.2).
+once per vertex u, with u masked out, to read, from one perfect matching,
+which vertex pairs leave a perfectly matchable graph when deleted. The
+table is a fact of the graph, memoised on it, so every reader shares one
+computation. Matching covered and bicritical are read off it, and so are
+the blocked pairs u, v (v outside row u) among which ``structure.barriers``
+looks for barriers; in a matching covered graph, u with the vertices
+blocked with it form one maximal barrier (Kotzig; Lovász & Plummer,
+*Matching Theory*, §5.2).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .graphs import (
     VertexSet,
     _graph_fact,
     _odd_component_count,
-    induced_subgraph,
+    _vertex_mask,
     is_connected,
 )
 
@@ -65,6 +69,8 @@ def make_matching(g: Graph, edge_indices: Iterable[int]) -> Matching:
     indices = tuple(sorted(edge_indices))
     seen: set[int] = set()
     for i in indices:
+        if not 0 <= i < len(g.edges):
+            raise ValueError(f"edge index {i} out of range for {len(g.edges)} edges")
         u, v = g.edges[i]
         if u in seen or v in seen:
             raise ValueError(f"edges are not vertex-disjoint at index {i}")
@@ -76,7 +82,7 @@ def make_matching(g: Graph, edge_indices: Iterable[int]) -> Matching:
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching via augmenting search with blossom
     contraction (general graphs). Deterministic lowest-index tie-breaking."""
-    match = _maximum_mates(_adjacency(g))
+    match = _maximum_mates(g)
     lowest_index: dict[tuple[int, int], int] = {}
     for i, e in enumerate(g.edges):
         lowest_index.setdefault(e, i)
@@ -88,26 +94,23 @@ def maximum_matching(g: Graph) -> Matching:
     return make_matching(g, indices)
 
 
-def _adjacency(g: Graph) -> list[list[int]]:
-    return [sorted(g.neighbor_sets[v]) for v in range(g.n)]
-
-
-def _maximum_mates(adj: list[list[int]]) -> list[int]:
-    """Mate of each vertex in a maximum matching (-1 if exposed): a greedy
-    start, then one augmenting search from each exposed vertex."""
-    n = len(adj)
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
+def _maximum_mates(g: Graph, removed: int = 0) -> list[int]:
+    """Mate of each vertex in a maximum matching of g minus the vertices of
+    the mask ``removed`` (-1 if exposed or removed): a greedy start, then
+    one augmenting search from each exposed vertex."""
+    adj = g.adjacency
+    match = [-1] * g.n
+    for v in range(g.n):
+        if match[v] == -1 and not removed >> v & 1:
             for u in adj[v]:
-                if match[u] == -1:
+                if match[u] == -1 and not removed >> u & 1:
                     match[v] = u
                     match[u] = v
                     break
 
-    for v in range(n):
-        if match[v] == -1:
-            end, parent, _ = _find_augmenting(adj, match, v)
+    for v in range(g.n):
+        if match[v] == -1 and not removed >> v & 1:
+            end, parent, _ = _find_augmenting(g, removed, match, v)
             while end != -1:
                 prev = parent[end]
                 nxt = match[prev]
@@ -118,9 +121,12 @@ def _maximum_mates(adj: list[list[int]]) -> list[int]:
 
 
 def _find_augmenting(
-    adj: list[list[int]], match: list[int], root: int
+    g: Graph, removed: int, match: list[int], root: int
 ) -> tuple[int, list[int], list[bool]]:
-    """Edmonds' blossom search from the exposed vertex ``root``.
+    """Edmonds' blossom search in g minus the vertices of the mask
+    ``removed``, from the exposed vertex ``root``; no removed vertex is ever
+    reached. A neighbor repeated by a parallel edge comes right after its
+    first copy in ``g.adjacency``, and its second visit changes nothing.
 
     Returns the exposed end of an augmenting path (-1 if there is none), the
     tree's parent links that trace the path back, and the outer flags. When
@@ -128,7 +134,8 @@ def _find_augmenting(
     are exactly those some maximum matching leaves exposed (Gallai–Edmonds).
     ``match`` is read, never written.
     """
-    n = len(adj)
+    adj = g.adjacency
+    n = g.n
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -162,7 +169,7 @@ def _find_augmenting(
     while queue:
         v = queue.popleft()
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if base[v] == base[to] or match[v] == to or removed >> to & 1:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 # Odd cycle through the tree: contract the blossom.
@@ -186,7 +193,14 @@ def _find_augmenting(
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and -1 not in _maximum_mates(_adjacency(g))
+    return _matchable_without(g, 0)
+
+
+def _matchable_without(g: Graph, removed: int) -> bool:
+    """True iff g minus the vertices of the mask ``removed`` has a perfect
+    matching: every vertex left exposed by a maximum matching is removed."""
+    gone = removed.bit_count()
+    return (g.n - gone) % 2 == 0 and _maximum_mates(g, removed).count(-1) == gone
 
 
 def tutte_condition_holds(g: Graph) -> bool:
@@ -253,19 +267,14 @@ def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
     """
     if g.n % 2:
         return None
-    adj = _adjacency(g)
-    match = _maximum_mates(adj)
+    match = _maximum_mates(g)
     if -1 in match:
         return None
     rows = []
     for u in range(g.n):
         partner = match[u]
-        without_u = list(adj)
-        without_u[u] = []
-        for x in adj[u]:
-            without_u[x] = [y for y in adj[x] if y != u]
         match[u] = match[partner] = -1
-        _, _, outer = _find_augmenting(without_u, match, partner)
+        _, _, outer = _find_augmenting(g, 1 << u, match, partner)
         match[u], match[partner] = partner, u
         rows.append(frozenset(v for v in range(g.n) if outer[v]))
     return tuple(rows)
@@ -288,8 +297,7 @@ def is_matching_covered(g: Graph) -> bool:
 
 
 def nice_check(g: Graph, w: Iterable[int]) -> bool:
-    """True iff deleting the vertex set w leaves a perfectly matchable graph."""
-    ws = set(w)
-    if not all(0 <= v < g.n for v in ws):
-        raise ValueError("vertex set not contained in graph")
-    return has_perfect_matching(induced_subgraph(g, set(range(g.n)) - ws).graph)
+    """True iff deleting the vertex set w leaves a perfectly matchable graph:
+    the one blossom search runs on g with w masked out, so no subgraph is
+    built. Raises ValueError when w is not a set of vertices of g."""
+    return _matchable_without(g, _vertex_mask(g, w))

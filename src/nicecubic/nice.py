@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graphs import Graph, VertexSet, _graph_fact, bipartition, is_connected
-from .matching import nice_check
+from .graphs import Graph, VertexSet, _graph_fact, _vertex_mask, bipartition, is_connected
+from .matching import _matchable_without
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,13 @@ class NicePairSet:
     b_side: VertexSet
 
 
+def _closed_neighborhood_mask(g: Graph, u: int) -> int:
+    """N[u] as an int bit mask; raises ValueError when u is not a vertex of g."""
+    return _vertex_mask(g, (u,)) | g.neighbor_masks[u]
+
+
 def is_nice_vertex(g: Graph, u: int) -> bool:
-    return nice_check(g, g.closed_neighborhood(u))
+    return _matchable_without(g, _closed_neighborhood_mask(g, u))
 
 
 def nice_vertices(g: Graph) -> NiceReport:
@@ -66,7 +71,9 @@ def upsilon(g: Graph) -> int:
 def is_nice_pair(g: Graph, a: int, b: int) -> bool:
     """Nice-pair test; neighborhood overlap (adjacent a, b) needs no special
     casing, the deletion set is a plain union."""
-    return nice_check(g, g.closed_neighborhood(a) | g.closed_neighborhood(b))
+    return _matchable_without(
+        g, _closed_neighborhood_mask(g, a) | _closed_neighborhood_mask(g, b)
+    )
 
 
 def _bipartite_sides(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -38,8 +38,8 @@ from .graphs import (
 )
 from .matching import (
     PairDeletionTable,
+    _matchable_without,
     is_matching_covered,
-    nice_check,
     pair_deletion_table,
 )
 
@@ -116,7 +116,11 @@ def _barriers(g: Graph) -> tuple[Barrier, ...]:
             f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
         )
     found = sorted(
-        (frozenset(s) for s in _pairwise_blocked_sets(table, g.n // 2) if is_barrier(g, s)),
+        (
+            frozenset(v for v in range(g.n) if mask >> v & 1)
+            for mask in _pairwise_blocked_sets(table, g.n // 2)
+            if _odd_component_count(g, mask) == mask.bit_count()
+        ),
         key=lambda s: (len(s), sorted(s)),
     )
     nontrivial_sets = [s for s in found if len(s) >= 2]
@@ -130,22 +134,20 @@ def _barriers(g: Graph) -> tuple[Barrier, ...]:
     )
 
 
-def _pairwise_blocked_sets(
-    table: PairDeletionTable, max_size: int
-) -> Iterator[tuple[int, ...]]:
+def _pairwise_blocked_sets(table: PairDeletionTable, max_size: int) -> Iterator[int]:
     """Every nonempty set of at most max_size pairwise blocked vertices, once,
-    as a tuple grown in increasing vertex order."""
+    as an int bit mask grown in increasing vertex order."""
     n = len(table)
     later_blocked = [frozenset(range(u + 1, n)) - table[u] for u in range(n)]
 
-    def grow(clique: tuple[int, ...], extensions: VertexSet) -> Iterator[tuple[int, ...]]:
+    def grow(clique: int, size: int, extensions: VertexSet) -> Iterator[int]:
         yield clique
-        if len(clique) < max_size:
+        if size < max_size:
             for v in extensions:
-                yield from grow(clique + (v,), extensions & later_blocked[v])
+                yield from grow(clique | 1 << v, size + 1, extensions & later_blocked[v])
 
     for u in range(n):
-        yield from grow((u,), later_blocked[u])
+        yield from grow(1 << u, 1, later_blocked[u])
 
 
 def classify(g: Graph) -> Classification:
@@ -178,11 +180,8 @@ def _is_bicritical(g: Graph) -> bool:
 def _is_two_extendable(g: Graph) -> bool:
     if g.n < 6 or pair_deletion_table(g) is None or not is_connected(g):
         return False
-    for e1, e2 in combinations(g.edges, 2):
-        ends = set(e1 + e2)
-        if len(ends) == 4 and not nice_check(g, ends):
-            return False
-    return True
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    return all(x & y or _matchable_without(g, x | y) for x, y in combinations(ends, 2))
 
 
 def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
@@ -196,11 +195,9 @@ def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
     """
     if pair_deletion_table(g) is None:
         raise DomainError("tightness is defined over hosts with perfect matchings")
-    pair_ends = (
-        set(g.edges[e] + g.edges[f]) for e, f in combinations(cut.edge_indices, 2)
-    )
+    ends = [1 << u | 1 << v for u, v in (g.edges[i] for i in cut.edge_indices)]
     tight = len(cut.side) % 2 == 1 and not any(
-        len(ends) == 4 and nice_check(g, ends) for ends in pair_ends
+        not x & y and _matchable_without(g, x | y) for x, y in combinations(ends, 2)
     )
     return CutWitness(cut=cut, tight=tight)
 

@@ -133,6 +133,21 @@ def test_build_malformed_spec_values_exit_2(family, params, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{tmp}/missing.g6"],
+        ["enumerate", "--n", "4", "--out", "{tmp}/no-such-dir/n4.g6"],
+    ],
+)
+def test_unreadable_input_and_unwritable_out_exit_2(argv, tmp_path, capsys):
+    # exit 1 is reserved for suite violations; a file error is a usage error
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "No such file or directory" in err
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     assert main(["verify", "--suite", "nine-nice-pairs", "--max-n", "4", "--jobs", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")

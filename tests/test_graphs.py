@@ -291,6 +291,13 @@ def test_edge_cut_basics():
     assert cut.nontrivial
 
 
+@pytest.mark.parametrize("side", [{0, 9}, {-1, 0}])
+def test_edge_cut_rejects_vertices_outside_the_graph(side):
+    # a phantom vertex made {0, 9} a "nontrivial" cut of K4
+    with pytest.raises(ValueError, match="vertex set not contained in graph"):
+        edge_cut(k4(), side)
+
+
 def test_enumerate_cuts_k4_has_no_2_cuts():
     assert enumerate_cuts(k4(), 2) == []
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicecubic.catalog import k4, k33, triangular_prism
+from nicecubic.catalog import h44, k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError
-from nicecubic.graphs import Graph, connected_components, is_connected
+from nicecubic.graphs import Graph, connected_components, induced_subgraph, is_connected
 from nicecubic.matching import (
     count_perfect_matchings,
     has_perfect_matching,
@@ -19,6 +19,8 @@ from nicecubic.matching import (
     perfect_matchings,
     tutte_condition_holds,
 )
+from nicecubic.nice import nice_pair_matrix, nice_vertices
+from nicecubic.structure import classify, nontrivial_tight_cuts
 
 from .strategies import multigraphs, simple_graphs
 
@@ -167,9 +169,57 @@ def test_nice_check_trivial_sets():
     assert nice_check(k4(), k4().closed_neighborhood(0))
 
 
+def _matchable_after_deleting(g, w):
+    # oracle: enumerate the perfect matchings of the induced subgraph, which
+    # shares no code with the blossom search
+    rest = induced_subgraph(g, set(range(g.n)) - set(w)).graph
+    return bool(perfect_matchings(rest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=8, max_edges=16), st.data())
+def test_nice_check_agrees_with_subgraph_enumeration(g, data):
+    w = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    assert nice_check(g, w) == _matchable_after_deleting(g, w)
+
+
+def test_nice_check_rejects_vertices_outside_the_graph():
+    for w in ({4}, {-1}, {0, 7}):
+        with pytest.raises(ValueError, match="vertex set not contained in graph"):
+            nice_check(k4(), w)
+
+
+def test_matching_queries_build_no_graph(monkeypatch):
+    # every deletion-set query runs on the host with the deleted vertices
+    # masked out; the hosts are built before counting starts
+    prism, triangle, brace = triangular_prism(), k33_triangle(), h44()
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    nice_vertices(prism)
+    nice_vertices(triangle)
+    nice_pair_matrix(brace)
+    for g in (prism, triangle, brace):
+        classify(g)
+        nontrivial_tight_cuts(g)
+    assert built == []
+
+
 def test_make_matching_rejects_shared_vertices():
     with pytest.raises(ValueError):
         make_matching(k4(), (0, 1))  # edges (0,1) and (0,2) share vertex 0
+
+
+@pytest.mark.parametrize("index", [-1, 6])
+def test_make_matching_rejects_edge_indices_out_of_range(index):
+    # k4 has edges 0..5; a negative index would wrap to the last edge
+    with pytest.raises(ValueError, match="out of range"):
+        make_matching(k4(), [index])
 
 
 def test_maximum_matching_exhaustive_up_to_5_vertices():
@@ -218,5 +268,6 @@ def test_pair_deletion_table_agrees_with_nice_check(g):
     assert all(u not in table[u] for u in range(g.n))
     for u, v in combinations(range(g.n), 2):
         expected = nice_check(g, (u, v))
+        assert expected == _matchable_after_deleting(g, (u, v))
         assert (v in table[u]) == expected
         assert (u in table[v]) == expected

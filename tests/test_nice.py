@@ -8,6 +8,7 @@ from nicecubic.nice import (
     all_pairs_nice,
     find_nice_pair_set,
     is_nice_pair,
+    is_nice_vertex,
     nice_pair_matrix,
     nice_pair_sets_bounded,
     nice_vertices,
@@ -72,6 +73,15 @@ def test_nice_pair_matrix_rejects_non_bipartite():
 
 def test_adjacent_pairs_need_no_special_casing():
     assert is_nice_pair(k33(), 0, 3)
+
+
+@pytest.mark.parametrize("u", [-1, 4])
+def test_vertices_outside_the_graph_are_rejected(u):
+    # a negative id would wrap to the last vertex
+    with pytest.raises(ValueError, match="vertex set not contained in graph"):
+        is_nice_vertex(k4(), u)
+    with pytest.raises(ValueError, match="vertex set not contained in graph"):
+        is_nice_pair(k4(), 0, u)
 
 
 def test_find_nice_pair_set_k33_full_sides():
