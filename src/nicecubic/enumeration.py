@@ -4,11 +4,14 @@ Generation is labeled backtracking in discovery order: vertex labels are
 assigned the moment a vertex is first attached, which is the
 lexicographically-smallest-extension constraint and cuts the duplication per
 isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets by
-a distance-profile invariant and settles ties with explicit isomorphism
-tests. Corpora are cached on disk as graph6 files keyed by (n, connected),
-written atomically; a cached corpus whose size is not the published count, or
-with an entry that repeats or is not a cubic graph of its order (connected,
-for a connected corpus), is regenerated.
+a distance-profile invariant and settles ties with explicit isomorphism tests
+against the bucket's representatives. A representative goes first in each
+test, so its refinement and search order, memoised on it, serve every later
+candidate, and each candidate is refined once. Corpora are cached on disk as
+graph6 files keyed by (n, connected), written atomically; a cached corpus
+whose size is not the published count, or with an entry that repeats or is
+not a cubic graph of its order (connected, for a connected corpus), is
+regenerated.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _connected_cubic_classes(n: int) -> list[Graph]:
             continue
         key = invariant_key(g)
         bucket = buckets.setdefault(key, [])
-        if all(is_isomorphic(g, seen) is None for seen in bucket):
+        if all(is_isomorphic(seen, g) is None for seen in bucket):
             bucket.append(g)
     return [g for bucket in buckets.values() for g in bucket]
 

@@ -2,51 +2,114 @@
 
 Both rest on one equitable refinement, ``_refine`` (McKay 1981), which
 counts neighbours with multiplicity. ``is_isomorphic`` refines each graph
-once and backtracks within equal cells to an explicit bijection;
-``canonical_labeling`` refines at every node of an individualization search
-and keeps the least relabeled edge list, for stable corpus identifiers.
+once (the refinement and the search order are facts memoised on the graph)
+and backtracks within equal cells to an explicit bijection, trying as first
+image only vertices whose distance profile matches. ``canonical_labeling``
+refines at every node of an individualization search, prunes the subtrees
+that automorphisms found at earlier leaves map onto explored ones (McKay &
+Piperno, "Practical graph isomorphism, II", 2014), and keeps the first least
+relabeled edge list, for stable corpus identifiers. Neither pruning changes
+what the plain search returns.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from typing import Iterable
+
+from .graphs import Graph, _graph_fact
 
 
-def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
-    """The coarsest equitable refinement of an ordered partition.
+def _refine(
+    g: Graph, lab: list[int], cell_at: list[int], size: list[int], stale: Iterable[int]
+) -> None:
+    """Refine an ordered partition, in place, to its coarsest equitable
+    refinement.
+
+    ``lab`` lists the vertices cell by cell; the cell starting at position s
+    is ``lab[s:s + size[s]]``, and ``cell_at[v]`` is the start of v's cell.
+    Only the cells starting in ``stale`` may be inequitable.
 
     Splits the first cell whose vertices differ in their neighbour counts
     (with multiplicity) into each cell, pieces in sorted count order, until
-    no cell splits. Every step reads only the structure and the given cell
-    order, so relabeling g relabels the cells and keeps their order.
+    no cell splits. A split can make inequitable only the cells next to its
+    pieces other than the largest, so only those are checked again. Every
+    step reads only the structure and the given cell order, so relabeling g
+    relabels the cells and keeps their order.
     """
-    cells = list(cells)
-    cell_of = [0] * g.n
-    while True:
-        for idx, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = idx
-        for idx, cell in enumerate(cells):
-            if len(cell) <= 1:
+    n = len(lab)
+    adj = g.adjacency
+    # a vertex's neighbour counts into the cells are the digits of the sum of
+    # its neighbours' weights, first cell most significant, so the sums sort
+    # as the count vectors do (a count never exceeds the largest degree)
+    bits = max(g.degrees, default=0).bit_length()
+    weight = [1 << bits * (n - 1 - c) for c in cell_at]
+    dirty = [False] * n
+    for s in stale:
+        dirty[s] = True
+    s = 0
+    while s < n:
+        end = s + size[s]
+        if not dirty[s]:
+            s = end
+            continue
+        dirty[s] = False
+        if end - s == 1:
+            s = end
+            continue
+        pieces: dict[int, list[int]] = {}
+        for v in lab[s:end]:
+            counts = 0
+            for u in adj[v]:
+                counts += weight[u]
+            piece = pieces.get(counts)
+            if piece is None:
+                pieces[counts] = [v]
+            else:
+                piece.append(v)
+        if len(pieces) == 1:
+            s = end
+            continue
+        ordered = [pieces[counts] for counts in sorted(pieces)]
+        largest = max(ordered, key=len)
+        pos = s
+        for piece in ordered:
+            size[pos] = len(piece)
+            lab[pos:pos + len(piece)] = piece
+            if pos != s:
+                w = 1 << bits * (n - 1 - pos)
+                for v in piece:
+                    cell_at[v] = pos
+                    weight[v] = w
+            pos += len(piece)
+        resume = end
+        for piece in ordered:
+            if piece is largest:
                 continue
-            pieces: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                counts = [0] * len(cells)
-                for u in g.adjacency[v]:
-                    counts[cell_of[u]] += 1
-                pieces.setdefault(tuple(counts), []).append(v)
-            if len(pieces) > 1:
-                cells[idx:idx + 1] = [pieces[sig] for sig in sorted(pieces)]
-                break
-        else:
-            return cells
+            for v in piece:
+                for u in adj[v]:
+                    c = cell_at[u]
+                    dirty[c] = True
+                    if c < resume:
+                        resume = c
+        s = resume
 
 
+def _unit_partition(n: int) -> tuple[list[int], list[int], list[int]]:
+    """One cell holding every vertex (n > 0), as ``_refine`` reads a
+    partition."""
+    return list(range(n)), [0] * n, [n] + [0] * (n - 1)
+
+
+@_graph_fact
 def refined_colors(g: Graph) -> tuple[int, ...]:
     """Each vertex's cell index in the refinement of the unit partition;
     equal structures in different graphs receive equal indices."""
-    cell_of = {v: i for i, cell in enumerate(_refine(g, [list(range(g.n))])) for v in cell}
-    return tuple(cell_of[v] for v in range(g.n))
+    if g.n == 0:
+        return ()
+    lab, cell_at, size = _unit_partition(g.n)
+    _refine(g, lab, cell_at, size, [0])
+    index = {start: i for i, start in enumerate(sorted(set(cell_at)))}
+    return tuple(index[cell_at[v]] for v in range(g.n))
 
 
 def invariant_key(g: Graph) -> tuple:
@@ -55,32 +118,39 @@ def invariant_key(g: Graph) -> tuple:
     Combines the refined cell sizes with per-vertex distance profiles;
     refinement alone is blind on regular graphs.
     """
-    sizes = tuple(len(cell) for cell in _refine(g, [list(range(g.n))]))
+    colors = refined_colors(g)
+    sizes = tuple(colors.count(c) for c in range(len(set(colors))))
     profiles = sorted(_distance_profile(g, v) for v in range(g.n))
     return (g.n, len(g.edges), sizes, tuple(profiles))
 
 
 def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
-    dist = [-1] * g.n
-    dist[start] = 0
-    frontier = [start]
+    """How many vertices lie at each distance from start (ignoring
+    multiplicity), then how many it cannot reach; breadth-first on masks."""
+    masks = g.neighbor_masks
+    seen = frontier = 1 << start
     counts = [1]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in g.neighbor_sets[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        if nxt:
-            counts.append(len(nxt))
-        frontier = nxt
-    counts.append(g.n - sum(counts))  # vertices in other components
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        counts.append(frontier.bit_count())
+    counts.append(g.n - seen.bit_count())  # vertices in other components
     return tuple(counts)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
-    """An adjacency- and multiplicity-preserving bijection, or None."""
+    """An adjacency- and multiplicity-preserving bijection, or None.
+
+    g1's refinement and search order are memoised on it, so a graph compared
+    with many others should come first.
+    """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return None
     if sorted(g1.degrees) != sorted(g2.degrees):
@@ -90,6 +160,8 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
         return None
 
     n = g1.n
+    if n == 0:
+        return {}
     candidates_by_color: dict[int, list[int]] = {}
     for v in range(n):
         candidates_by_color.setdefault(c2[v], []).append(v)
@@ -100,9 +172,12 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
     image = [-1] * n  # g1 vertex -> g2 vertex
     inverse = [-1] * n
 
-    # Static target order: most-constrained color classes first, then connect
-    # outward so partial assignments prune early.
-    order = _search_order(g1, c1)
+    order = _search_order(g1)
+    # an isomorphism keeps distance profiles, so a first image with another
+    # profile roots a subtree without one; profiles are computed only when
+    # there is a choice of first image, and only for the images tried
+    root_choices = len(candidates_by_color[c1[order[0]]])
+    root_profile = _distance_profile(g1, order[0]) if root_choices > 1 else None
 
     def consistent(v: int, w: int) -> bool:
         mapped_nbrs = 0
@@ -132,6 +207,8 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
         for w in pool:
             if inverse[w] != -1 or c2[w] != c1[v]:
                 continue
+            if pos == 0 and root_profile is not None and _distance_profile(g2, w) != root_profile:
+                continue
             if consistent(v, w):
                 image[v] = w
                 inverse[w] = v
@@ -146,7 +223,11 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
     return None
 
 
-def _search_order(g: Graph, colors: tuple[int, ...]) -> list[int]:
+@_graph_fact
+def _search_order(g: Graph) -> tuple[int, ...]:
+    """Static target order: most-constrained color classes first, then
+    connect outward so partial assignments prune early."""
+    colors = refined_colors(g)
     class_size = {c: colors.count(c) for c in set(colors)}
     remaining = set(range(g.n))
     order: list[int] = []
@@ -159,14 +240,19 @@ def _search_order(g: Graph, colors: tuple[int, ...]) -> list[int]:
         order.append(v)
         placed.add(v)
         remaining.remove(v)
-    return order
+    return tuple(order)
 
 
 def is_isomorphism(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
-    """Validate that mapping is a multiplicity-preserving bijection g1 -> g2."""
-    if g1.n != g2.n or len(mapping) != g1.n:
+    """Validate that mapping is a multiplicity-preserving bijection g1 -> g2.
+    A mapping whose keys are not exactly g1's vertices, or whose values are
+    not exactly g2's, is not one."""
+    if g1.n != g2.n or set(mapping) != set(range(g1.n)):
         return False
-    if sorted(mapping.values()) != list(range(g2.n)):
+    try:
+        if set(mapping.values()) != set(range(g2.n)):
+            return False
+    except TypeError:  # an unhashable value is no vertex
         return False
     for u in range(g1.n):
         for v in range(u + 1, g1.n):
@@ -182,56 +268,118 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     vertex of the first non-singleton cell in turn, down to discrete
     partitions whose cell order is a relabeling. The tree depends only on
     the graph's structure, so isomorphic graphs reach the same set of
-    relabeled edge lists, and the least one is canonical. A branch that only
-    swaps twin vertices is skipped; otherwise the leaf count is on the order
-    of the automorphism group, fine at desk scale.
+    relabeled edge lists, and the first least one is canonical.
+
+    Two leaves with equal relabeled edge lists give an automorphism, which
+    maps the later leaf's path onto the earlier one's; so the search returns
+    to the node where the two paths part, and at every node it skips a
+    vertex in the orbit of an already tried one under the automorphisms
+    found so far that fix the node's path, together with the swaps of twin
+    vertices. Each skipped subtree only repeats leaves already seen, so the
+    first least leaf, and the returned permutation, are those of the full
+    tree. The full tree has a leaf for every automorphism; the pruned one
+    need not.
     """
-    best: list | None = None
-
-    def search(cells: list[list[int]]):
-        nonlocal best
-        cells = _refine(g, cells)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            perm = [0] * g.n
-            for new, cell in enumerate(cells):
-                perm[cell[0]] = new
-            key = sorted(
-                (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
-            )
-            if best is None or key < best[0]:
-                best = [key, tuple(perm)]
-            return
-        cell = cells[target]
-        tried: set[int] = set()
-        for v in sorted(cell):
-            # swapping twins is an automorphism fixing the partition, so its
-            # subtree repeats an earlier one's leaves; the first minimum stays
-            if twin_class[v] in tried:
-                continue
-            tried.add(twin_class[v])
-            rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
-
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return ()
-    twin_class = _twin_classes(g)
-    search([list(range(g.n))])
+    adj = g.adjacency
+    twin = _twin_classes(g)
+    automorphisms: list[list[int]] = []
+    first_leaf: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+    best: tuple[tuple, tuple[int, ...]] | None = None
+
+    def search(lab: list[int], cell_at: list[int], size: list[int], path: tuple[int, ...]) -> int:
+        """Explore the node reached by individualizing path; return the
+        depth of the node whose remaining children the search should try
+        next."""
+        nonlocal best
+        depth = len(path)
+        target = 0
+        while target < n and size[target] == 1:
+            target += 1
+        if target == n:
+            perm = [0] * n
+            for new, v in enumerate(lab):
+                perm[v] = new
+            key = tuple(sorted(
+                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+                for u, v in g.edges
+            ))
+            if best is None or key < best[0]:
+                best = (key, tuple(perm))
+            earlier_path, earlier_lab = first_leaf.setdefault(key, (path, lab))
+            if earlier_lab is lab:
+                return depth
+            automorphisms.append([earlier_lab[perm[v]] for v in range(n)])
+            parting = 0
+            while path[parting] == earlier_path[parting]:
+                parting += 1
+            return parting
+        cell = sorted(lab[target:target + size[target]])
+        # orbits on the cell, as a union-find forest; an automorphism that
+        # fixes the path pointwise maps the node, and so the cell, to itself
+        root = list(range(n))
+        first_twin: dict[int, int] = {}
+        for v in cell:
+            _union(root, v, first_twin.setdefault(twin[v], v))
+        used = 0
+        tried: list[int] = []
+        for v in cell:
+            for gamma in automorphisms[used:]:
+                if all(gamma[x] == x for x in path):
+                    for x in cell:
+                        _union(root, x, gamma[x])
+            used = len(automorphisms)
+            if any(_find(root, v) == _find(root, w) for w in tried):
+                continue
+            tried.append(v)
+            child_lab, child_cell_at, child_size = lab[:], cell_at[:], size[:]
+            end = target + size[target]
+            child_lab[target:end] = [v] + [u for u in lab[target:end] if u != v]
+            child_size[target], child_size[target + 1] = 1, size[target] - 1
+            for u in child_lab[target + 1:end]:
+                child_cell_at[u] = target + 1
+            _refine(g, child_lab, child_cell_at, child_size, {child_cell_at[u] for u in adj[v]})
+            resume = search(child_lab, child_cell_at, child_size, path + (v,))
+            if resume < depth:
+                return resume
+        return depth
+
+    lab, cell_at, size = _unit_partition(n)
+    _refine(g, lab, cell_at, size, [0])
+    search(lab, cell_at, size, ())
     assert best is not None
     return best[1]
 
 
 def _twin_classes(g: Graph) -> list[int]:
-    """Each vertex's least twin: v and w are twins iff they meet every other
-    vertex with equal multiplicity (an equivalence relation)."""
-    def twins(v: int, w: int) -> bool:
-        return all(
-            g.multiplicity(v, x) == g.multiplicity(w, x)
-            for x in g.neighbor_sets[v] | g.neighbor_sets[w]
-            if x != v and x != w
-        )
+    """Each vertex's twin class, named by one of its members: v and w are
+    twins iff they meet every other vertex with equal multiplicity (an
+    equivalence relation). Twins that are not adjacent have equal neighbour
+    multisets, so they meet in a hash table; adjacent ones are compared
+    along their edges."""
+    adj = g.adjacency
+    root = list(range(g.n))
+    first: dict[tuple[int, ...], int] = {}
+    for v, nbrs in enumerate(adj):
+        _union(root, v, first.setdefault(nbrs, v))
+    for u, v in set(g.edges):
+        if [x for x in adj[u] if x != v] == [x for x in adj[v] if x != u]:
+            _union(root, u, v)
+    return [_find(root, v) for v in range(g.n)]
 
-    return [next(w for w in range(v + 1) if w == v or twins(v, w)) for v in range(g.n)]
+
+def _find(root: list[int], x: int) -> int:
+    """x's root in a union-find forest, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
+def _union(root: list[int], x: int, y: int) -> None:
+    root[_find(root, x)] = _find(root, y)
 
 
 def canonical_graph(g: Graph) -> Graph:

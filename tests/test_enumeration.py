@@ -1,9 +1,12 @@
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 
+from nicecubic import isomorphism
 from nicecubic.catalog import h44, k4, k33, triangular_prism
-from nicecubic.enumeration import enumerate_cubic
+from nicecubic.enumeration import _connected_cubic_classes, enumerate_cubic
 from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import bipartition, connectivity_profile, is_connected
@@ -167,3 +170,25 @@ def test_disconnected_enumeration(cache_dir):
     assert len(disconnected) == 2
     for entry in disconnected:
         assert entry.graph.is_cubic
+
+
+def test_dedup_builds_each_search_order_once():
+    # the dedup compares each candidate with its bucket's representatives, so
+    # a representative's search order must be built once, not per comparison
+    order = isomorphism._search_order
+    code = getattr(order, "__wrapped__", order).__code__
+    builds = Counter()
+    graphs = []  # keeps every counted graph alive, so no id is reused
+
+    def count_builds(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            graphs.append(frame.f_locals["g"])
+            builds[id(graphs[-1])] += 1
+
+    sys.setprofile(count_builds)
+    try:
+        classes = _connected_cubic_classes(10)
+    finally:
+        sys.setprofile(None)
+    assert len(classes) == 19
+    assert builds and max(builds.values()) == 1

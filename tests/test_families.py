@@ -377,6 +377,12 @@ def test_verify_membership_rejects_catalog_map_that_is_not_an_isomorphism():
     assert not verify_membership(base, tampered)
 
 
+@pytest.mark.parametrize("catalog_map", [[0, 1, 2, "x"], [0, 1, 2, None], [0, 1, 2, 7]])
+def test_verify_membership_says_no_to_a_malformed_catalog_map(catalog_map):
+    membership = FamilyMembership("K4", None, {"catalog_map": catalog_map})
+    assert not verify_membership(k4(), membership)
+
+
 def test_verify_membership_rejects_hdiamond_with_one_more_quad():
     block, _ = build_hdiamond(_block(quads=2, host=H44_G6, edge=(0, 5)))
     found = recognize_family(block)

@@ -1,13 +1,18 @@
+import hashlib
+import random
 from collections import Counter
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecubic.catalog import h44, k4, k33, k33_triangle, r8, triangular_prism
+from nicecubic.enumeration import _labeled_connected_cubic
 from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     canonical_graph,
+    canonical_labeling,
     invariant_key,
     is_isomorphic,
     is_isomorphism,
@@ -25,6 +30,21 @@ def test_identity_witness():
     mapping = is_isomorphic(k4(), k4())
     assert mapping is not None
     assert is_isomorphism(k4(), k4(), mapping)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {0: 0, 1: 1, 2: 2, 7: 3},
+        {0: 0, 1: 1, 2: 2, 3: "x"},
+        {0: 0, 1: 1, 2: 2, 3: None},
+        {0: 0, 1: 1, 2: 2, 3: [3]},
+        {0: 0, 1: 1, 2: 2, 3: 2},
+        {0: 0, 1: 1, 2: 2},
+    ],
+)
+def test_malformed_mapping_is_no_isomorphism(mapping):
+    assert not is_isomorphism(k4(), k4(), mapping)
 
 
 def test_bipartite_vs_nonbipartite_rejected():
@@ -104,3 +124,58 @@ def test_canonical_graph_is_isomorphic_to_input():
     for g in (k4(), k33(), k33_triangle(), r8(), h44()):
         canon = canonical_graph(g)
         assert is_isomorphic(canon, g) is not None
+
+
+# Identity pins. The labeller's permutations are the corpus ids and
+# is_isomorphic's mappings are the catalog_map witnesses, so a faster search
+# must return exactly what the plain search returned: these sha256s were
+# computed before either search was pruned.
+LABELING_SHA256 = "1f950fcd9d62dcda76edb0695214742c7bb2ef96b8fdd826e726a22c068b2804"
+MAPPING_SHA256 = "2181085745dad47d45965d68343a450a0bd0f7d30e325e80b7e827ea67f933bb"
+
+
+def _labeled_candidates():
+    return [
+        Graph(n, edges) for n in (4, 6, 8, 10) for edges in _labeled_connected_cubic(n)
+    ]
+
+
+def _random_multigraph(rnd, max_n=10):
+    n = rnd.randrange(1, max_n + 1)
+    if n < 2:
+        return Graph(n, [])
+    edges = []
+    for _ in range(rnd.randrange(2 * n + 1)):
+        u = rnd.randrange(n)
+        v = rnd.randrange(n - 1)
+        edges.append((u, v + (v >= u)))
+    return Graph(n, edges)
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def test_canonical_labelings_are_pinned():
+    rnd = random.Random(20261018)
+    graphs = _labeled_candidates() + [_random_multigraph(rnd) for _ in range(2000)]
+    assert _digest(" ".join(map(str, canonical_labeling(g))) for g in graphs) == LABELING_SHA256
+
+
+def test_isomorphism_mappings_are_pinned():
+    rnd = random.Random(20261019)
+    pairs = []
+    candidates = _labeled_candidates()
+    for a, b in zip(candidates, candidates[1:]):
+        pairs += [(a, b), (b, a)]
+    for g in candidates + [_random_multigraph(rnd) for _ in range(2000)]:
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        pairs.append((g, _relabel(g, perm)))
+    for _ in range(1000):
+        pairs.append((_random_multigraph(rnd, 6), _random_multigraph(rnd, 6)))
+
+    def line(mapping):
+        return "None" if mapping is None else " ".join(str(mapping[v]) for v in sorted(mapping))
+
+    assert _digest(line(is_isomorphic(a, b)) for a, b in pairs) == MAPPING_SHA256
