@@ -5,11 +5,10 @@ counts neighbours with multiplicity. ``is_isomorphic`` refines each graph
 once (the refinement and the search order are facts memoised on the graph)
 and backtracks within equal cells to an explicit bijection, trying as first
 image only vertices whose distance profile matches. ``canonical_labeling``
-refines at every node of an individualization search, prunes the subtrees
-that automorphisms found at earlier leaves map onto explored ones (McKay &
-Piperno, "Practical graph isomorphism, II", 2014), and keeps the first least
-relabeled edge list, for stable corpus identifiers. Neither pruning changes
-what the plain search returns.
+refines at every node of an individualization search, skips branches that
+only swap twin vertices, and keeps the least relabeled edge list, for stable
+corpus identifiers. The root pruning does not change the mapping that the
+plain search returns.
 """
 
 from __future__ import annotations
@@ -268,33 +267,19 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     vertex of the first non-singleton cell in turn, down to discrete
     partitions whose cell order is a relabeling. The tree depends only on
     the graph's structure, so isomorphic graphs reach the same set of
-    relabeled edge lists, and the first least one is canonical.
-
-    Two leaves with equal relabeled edge lists give an automorphism, which
-    maps the later leaf's path onto the earlier one's; so the search returns
-    to the node where the two paths part, and at every node it skips a
-    vertex in the orbit of an already tried one under the automorphisms
-    found so far that fix the node's path, together with the swaps of twin
-    vertices. Each skipped subtree only repeats leaves already seen, so the
-    first least leaf, and the returned permutation, are those of the full
-    tree. The full tree has a leaf for every automorphism; the pruned one
-    need not.
+    relabeled edge lists, and the least one is canonical. A branch that only
+    swaps twin vertices is skipped; otherwise the leaf count is on the order
+    of the automorphism group, fine at desk scale.
     """
     n = g.n
     if n == 0:
         return ()
     adj = g.adjacency
-    twin = _twin_classes(g)
-    automorphisms: list[list[int]] = []
-    first_leaf: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
-    best: tuple[tuple, tuple[int, ...]] | None = None
+    twin_class = _twin_classes(g)
+    best: list | None = None
 
-    def search(lab: list[int], cell_at: list[int], size: list[int], path: tuple[int, ...]) -> int:
-        """Explore the node reached by individualizing path; return the
-        depth of the node whose remaining children the search should try
-        next."""
+    def search(lab: list[int], cell_at: list[int], size: list[int]) -> None:
         nonlocal best
-        depth = len(path)
         target = 0
         while target < n and size[target] == 1:
             target += 1
@@ -302,84 +287,46 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
             perm = [0] * n
             for new, v in enumerate(lab):
                 perm[v] = new
-            key = tuple(sorted(
-                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                for u, v in g.edges
-            ))
+            key = sorted(
+                (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
+            )
             if best is None or key < best[0]:
-                best = (key, tuple(perm))
-            earlier_path, earlier_lab = first_leaf.setdefault(key, (path, lab))
-            if earlier_lab is lab:
-                return depth
-            automorphisms.append([earlier_lab[perm[v]] for v in range(n)])
-            parting = 0
-            while path[parting] == earlier_path[parting]:
-                parting += 1
-            return parting
-        cell = sorted(lab[target:target + size[target]])
-        # orbits on the cell, as a union-find forest; an automorphism that
-        # fixes the path pointwise maps the node, and so the cell, to itself
-        root = list(range(n))
-        first_twin: dict[int, int] = {}
-        for v in cell:
-            _union(root, v, first_twin.setdefault(twin[v], v))
-        used = 0
-        tried: list[int] = []
-        for v in cell:
-            for gamma in automorphisms[used:]:
-                if all(gamma[x] == x for x in path):
-                    for x in cell:
-                        _union(root, x, gamma[x])
-            used = len(automorphisms)
-            if any(_find(root, v) == _find(root, w) for w in tried):
+                best = [key, tuple(perm)]
+            return
+        end = target + size[target]
+        tried: set[int] = set()
+        for v in sorted(lab[target:end]):
+            # swapping twins is an automorphism fixing the partition, so its
+            # subtree repeats an earlier one's leaves; the first minimum stays
+            if twin_class[v] in tried:
                 continue
-            tried.append(v)
+            tried.add(twin_class[v])
             child_lab, child_cell_at, child_size = lab[:], cell_at[:], size[:]
-            end = target + size[target]
             child_lab[target:end] = [v] + [u for u in lab[target:end] if u != v]
             child_size[target], child_size[target + 1] = 1, size[target] - 1
             for u in child_lab[target + 1:end]:
                 child_cell_at[u] = target + 1
             _refine(g, child_lab, child_cell_at, child_size, {child_cell_at[u] for u in adj[v]})
-            resume = search(child_lab, child_cell_at, child_size, path + (v,))
-            if resume < depth:
-                return resume
-        return depth
+            search(child_lab, child_cell_at, child_size)
 
     lab, cell_at, size = _unit_partition(n)
     _refine(g, lab, cell_at, size, [0])
-    search(lab, cell_at, size, ())
+    search(lab, cell_at, size)
     assert best is not None
     return best[1]
 
 
 def _twin_classes(g: Graph) -> list[int]:
-    """Each vertex's twin class, named by one of its members: v and w are
-    twins iff they meet every other vertex with equal multiplicity (an
-    equivalence relation). Twins that are not adjacent have equal neighbour
-    multisets, so they meet in a hash table; adjacent ones are compared
-    along their edges."""
-    adj = g.adjacency
-    root = list(range(g.n))
-    first: dict[tuple[int, ...], int] = {}
-    for v, nbrs in enumerate(adj):
-        _union(root, v, first.setdefault(nbrs, v))
-    for u, v in set(g.edges):
-        if [x for x in adj[u] if x != v] == [x for x in adj[v] if x != u]:
-            _union(root, u, v)
-    return [_find(root, v) for v in range(g.n)]
+    """Each vertex's least twin: v and w are twins iff they meet every other
+    vertex with equal multiplicity (an equivalence relation)."""
+    def twins(v: int, w: int) -> bool:
+        return all(
+            g.multiplicity(v, x) == g.multiplicity(w, x)
+            for x in g.neighbor_sets[v] | g.neighbor_sets[w]
+            if x != v and x != w
+        )
 
-
-def _find(root: list[int], x: int) -> int:
-    """x's root in a union-find forest, halving the path on the way."""
-    while root[x] != x:
-        root[x] = root[root[x]]
-        x = root[x]
-    return x
-
-
-def _union(root: list[int], x: int, y: int) -> None:
-    root[_find(root, x)] = _find(root, y)
+    return [next(w for w in range(v + 1) if w == v or twins(v, w)) for v in range(g.n)]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -173,8 +173,9 @@ def test_disconnected_enumeration(cache_dir):
 
 
 def test_dedup_builds_each_search_order_once():
-    # the dedup compares each candidate with its bucket's representatives, so
-    # a representative's search order must be built once, not per comparison
+    # the dedup compares each candidate with its bucket's representatives,
+    # representative first, so only representatives' search orders are built,
+    # each once, not one per comparison or per candidate
     order = isomorphism._search_order
     code = getattr(order, "__wrapped__", order).__code__
     builds = Counter()
@@ -192,3 +193,4 @@ def test_dedup_builds_each_search_order_once():
         sys.setprofile(None)
     assert len(classes) == 19
     assert builds and max(builds.values()) == 1
+    assert set(builds) <= {id(g) for g in classes}
