@@ -314,11 +314,18 @@ def _vertices(value: Any) -> tuple[int, ...]:
     return tuple(_integer(v) for v in value)
 
 
+def _edge(value: Any) -> tuple[int, int]:
+    edge = _vertices(value)
+    if len(edge) != 2:
+        raise InvalidFamilySpecError(f"an edge needs two vertex ids, not {value!r}")
+    return edge
+
+
 def _hdiamond_from_dict(d: dict) -> HdiamondSpec:
     return HdiamondSpec(
         quads=_integer(d["quads"], "quads"),
         host_graph6=_host(d["host"]),
-        host_edge=_vertices(d["host_edge"]),
+        host_edge=_edge(d["host_edge"]),
     )
 
 
@@ -340,7 +347,7 @@ def family_spec_from_dict(d: dict) -> FamilySpec:
         if tag == "F":
             return FamilyFSpec(
                 replacements=tuple(
-                    Replacement(edge=_vertices(rep["edge"]), block=_hdiamond_from_dict(rep))
+                    Replacement(edge=_edge(rep["edge"]), block=_hdiamond_from_dict(rep))
                     for rep in d["replacements"]
                 )
             )
@@ -354,8 +361,8 @@ def family_spec_from_dict(d: dict) -> FamilySpec:
                 steps=tuple(
                     TStep(
                         quads=_integer(step["quads"], "quads"),
-                        host_edge=_vertices(step["host_edge"]),
-                        k33_edge=_vertices(step.get("k33_edge", (0, 3))),
+                        host_edge=_edge(step["host_edge"]),
+                        k33_edge=_edge(step.get("k33_edge", (0, 3))),
                     )
                     for step in d["steps"]
                 )
@@ -680,11 +687,66 @@ def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
         return False
 
 
+_CATALOG = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}
+
+
+def _is_graph6(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_edge(value: Any) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    )
+
+
+def _is_block(value: Any) -> bool:
+    return isinstance(value, dict) and value.get("family") == "Hdiamond"
+
+
+# what the replay reads from each F or T step, and the shape it expects
+_STEP_FIELDS = {
+    "F": {"residue_graph6": _is_graph6, "attach_edge": _is_edge, "block": _is_block},
+    "T": {
+        "leaf_graph6": _is_graph6,
+        "leaf_edge": _is_edge,
+        "block": _is_block,
+        "rest_graph6": _is_graph6,
+    },
+}
+
+
+def _well_shaped(family: str, witness: Any) -> bool:
+    """Does the witness hold what its family's replay reads, with the types
+    it reads? What those values say (graph6 text, vertex ids, spec fields)
+    is left to the parser and the constructors, which reject it."""
+    if not isinstance(witness, dict):
+        return False
+    if family in _CATALOG:
+        return isinstance(witness.get("catalog_map"), (list, tuple))
+    if family in ("Hdiamond", "G1", "G2"):
+        return isinstance(witness.get("spec"), dict)
+    fields = _STEP_FIELDS.get(family)
+    steps = witness.get("steps")
+    return (
+        fields is not None
+        and isinstance(steps, (list, tuple))
+        and all(
+            isinstance(step, dict) and all(ok(step.get(key)) for key, ok in fields.items())
+            for step in steps
+        )
+    )
+
+
 def _replays(g: Graph, membership: FamilyMembership) -> bool:
     family = membership.family
     witness = membership.witness
-    if family in ("K4", "prism", "K33_triangle"):
-        base = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}[family]()
+    if not _well_shaped(family, witness):
+        return False
+    if family in _CATALOG:
+        base = _CATALOG[family]()
         mapping = {i: image for i, image in enumerate(witness["catalog_map"])}
         return is_isomorphism(base, g, mapping)
     if family in ("Hdiamond", "G1", "G2"):
@@ -707,11 +769,12 @@ def _replays(g: Graph, membership: FamilyMembership) -> bool:
         current = g
         for step in witness["steps"]:
             leaf = parse_graph6(step["leaf_graph6"])
-            if step["rest_graph6"] != step["block"]["host"]:
+            spec = family_spec_from_dict(step["block"])
+            if step["rest_graph6"] != spec.host_graph6:
                 return False
             if is_isomorphic(leaf, k33()) is None:
                 return False
-            block, block_22 = build_hdiamond(family_spec_from_dict(step["block"]))
+            block, block_22 = build_hdiamond(spec)
             if not _splice_matches(
                 leaf, tuple(step["leaf_edge"]), block, block_22, current
             ):

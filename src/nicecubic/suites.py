@@ -4,7 +4,9 @@ A suite's checker takes one corpus graph and returns None when the graph does
 not satisfy the claim's hypothesis, otherwise a list of violation details
 (empty when the claim holds there). Every suite is deterministic; reports are
 byte-stable given fixed flags, and per-graph checks are independent so they
-can run across processes.
+can run across processes. With ``jobs > 1`` they run on one worker pool per
+process, started at first use and reused by every suite; the interpreter
+joins its workers at exit.
 
 The library computes each fact one way. The second characterizations that
 the claims compare it against (the exhaustive barrier sweep over every
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -819,6 +822,42 @@ def _run_entry(args: tuple[str, str]) -> tuple[str, list[str] | None]:
         return graph6_line, [str(exc)]
 
 
+# the process's worker pool and its size, kept across verify_suite calls
+_pool_state: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's worker pool with this many workers: started at first
+    use and reused while the size holds."""
+    global _pool_state
+    if _pool_state is not None and _pool_state[0] != workers:
+        _close_pool()
+    if _pool_state is None:
+        _pool_state = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool_state[1]
+
+
+def _close_pool() -> None:
+    # join the old pool's threads and workers first: forking a new pool
+    # from a threaded process risks a deadlock (and warns on 3.12+)
+    global _pool_state
+    if _pool_state is not None:
+        _pool_state[1].shutdown(wait=True)
+        _pool_state = None
+
+
+def _run_in_pool(work: list[tuple[str, str]], workers: int) -> list:
+    for attempt in range(2):
+        try:
+            return list(_pool(workers).map(_run_entry, work, chunksize=4))
+        except BrokenProcessPool:
+            # a worker died, maybe while the pool sat idle: never hand this
+            # pool out again; the checkers are pure, so one rerun is safe
+            _close_pool()
+            if attempt:
+                raise
+
+
 def verify_suite(
     suite: str,
     max_n: int,
@@ -830,6 +869,13 @@ def verify_suite(
 
     ``entries`` overrides the corpus (used to point suites at constructed
     graphs). Violations carry the offending graph6 and a replay command.
+
+    With ``jobs > 1`` the graphs go to the process's one worker pool of
+    ``min(jobs, graphs)`` workers. It is started at first use, reused by
+    every later call that asks for the same size, replaced when the size
+    changes or a worker dies, and joined when the interpreter exits. Its
+    workers start with the pool and keep the module state of that moment:
+    a ``SUITES`` entry patched in later does not reach them.
     """
     if suite not in SUITES:
         raise UnknownSuiteError(
@@ -842,8 +888,7 @@ def verify_suite(
     # the pool forks every worker up front, so never ask for more than graphs
     workers = min(jobs, len(work))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_entry, work, chunksize=4))
+        results = _run_in_pool(work, workers)
     else:
         results = [_run_entry(item) for item in work]
     checked = 0

@@ -383,6 +383,46 @@ def test_verify_membership_says_no_to_a_malformed_catalog_map(catalog_map):
     assert not verify_membership(k4(), membership)
 
 
+@pytest.mark.parametrize("family", ["K4", "prism", "K33_triangle", "Hdiamond", "G1", "G2", "F", "T"])
+@pytest.mark.parametrize(
+    "witness",
+    [
+        None,
+        [],
+        {},
+        {"catalog_map": None},
+        {"catalog_map": 5},
+        {"spec": None},
+        {"spec": 5},
+        {"steps": None},
+        {"steps": 5},
+        {"steps": [None]},
+        {"steps": [{}]},
+    ],
+)
+def test_verify_membership_says_no_to_a_malformed_witness_shape(family, witness):
+    assert not verify_membership(k4(), FamilyMembership(family, 1, witness))
+
+
+@pytest.mark.parametrize("family", ["F", "T"])
+def test_verify_membership_says_no_to_a_malformed_step(family_zoo, family):
+    graph = _member(family_zoo, family)
+    found = recognize_family(graph)
+    first, *rest = found.witness["steps"]
+    block = first["block"]
+    broken = [{k: v for k, v in first.items() if k != key} for key in first]
+    broken += [dict(first, **{key: None}) for key in first]
+    broken += [dict(first, **{key: [0, 1, 2]}) for key in first if key.endswith("_edge")]
+    broken += [
+        dict(first, block=dict(block, family="G1")),
+        dict(first, block={k: v for k, v in block.items() if k != "host"}),
+        dict(first, block=dict(block, host_edge=[0, 3, 4])),
+    ]
+    for step in broken:
+        membership = FamilyMembership(family, found.index, {"steps": [step, *rest]})
+        assert not verify_membership(graph, membership)
+
+
 def test_verify_membership_rejects_hdiamond_with_one_more_quad():
     block, _ = build_hdiamond(_block(quads=2, host=H44_G6, edge=(0, 5)))
     found = recognize_family(block)
@@ -396,6 +436,7 @@ def test_verify_membership_rejects_hdiamond_with_one_more_quad():
         {"family": "Hdiamond", "quads": 1, "host": 5, "host_edge": [0, 3]},
         {"family": "Hdiamond", "quads": 1, "host": [K33_G6], "host_edge": [0, 3]},
         {"family": "Hdiamond", "quads": 1, "host": K33_G6, "host_edge": [0, "3"]},
+        {"family": "Hdiamond", "quads": 1, "host": K33_G6, "host_edge": [0, 3, 4]},
         {"family": "F", "replacements": [{"edge": [0, 1.5], "quads": 1, "host": K33_G6, "host_edge": [0, 3]}]},
         {"family": "T", "steps": [{"quads": 1, "host_edge": [0, 3], "k33_edge": [True, 3]}]},
         {"family": "G1", "attachment": 0, "host": K33_G6, "host_vertex": 0, "phi": [1, 2, "x"]},

@@ -1,5 +1,15 @@
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+from nicecubic import suites as suites_module
 from nicecubic.enumeration import CorpusEntry
 from nicecubic.errors import InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
@@ -107,41 +117,106 @@ def test_reports_are_stable_across_runs(cache_dir):
 
 
 def test_parallel_jobs_agree_with_serial(cache_dir):
-    serial = verify_suite("matching-covered-2-connected", max_n=8, cache_dir=cache_dir)
-    parallel = verify_suite(
-        "matching-covered-2-connected", max_n=8, jobs=2, cache_dir=cache_dir
-    )
-    assert serial.graphs_checked == parallel.graphs_checked
-    assert serial.violations == parallel.violations
+    # every suite in one process, so every call after the first reuses the pool
+    for name in sorted(SUITES):
+        serial = verify_suite(name, max_n=8, cache_dir=cache_dir)
+        parallel = verify_suite(name, max_n=8, jobs=2, cache_dir=cache_dir)
+        assert parallel.to_dict() == serial.to_dict()
 
 
 def test_pool_asks_for_at_most_one_worker_per_graph(monkeypatch, cache_dir):
-    from nicecubic import suites as suites_module
-
-    requested = []
+    pools = []
 
     class RecordingPool:
         """Stand-in for the process pool: records its size, runs serially."""
 
         def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.max_workers = max_workers
+            self.shut_down = False
+            pools.append(self)
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+        def shutdown(self, wait=True):
+            assert wait
+            self.shut_down = True
+
     monkeypatch.setattr(suites_module, "ProcessPoolExecutor", RecordingPool)
+    # start from no pool, and put the process's own pool back afterwards:
+    # a stand-in must never stay cached past this test
+    monkeypatch.setattr(suites_module, "_pool_state", None)
     report = verify_suite("nine-nice-pairs", max_n=6, jobs=64, cache_dir=cache_dir)
-    assert requested == [3]  # K4, K3,3 and the prism
+    assert [p.max_workers for p in pools] == [3]  # K4, K3,3 and the prism
     assert report.passed
-    requested.clear()
+    verify_suite("tutte-existence", max_n=6, jobs=3, cache_dir=cache_dir)
+    assert len(pools) == 1  # the same size: the same pool
     verify_suite("nine-nice-pairs", max_n=4, jobs=64, cache_dir=cache_dir)
-    assert requested == []  # one graph: no pool
+    assert len(pools) == 1  # one graph: no pool
+    verify_suite("nine-nice-pairs", max_n=8, jobs=64, cache_dir=cache_dir)
+    assert [p.max_workers for p in pools] == [3, 8]  # 1 + 2 + 5 graphs
+    assert pools[0].shut_down and not pools[1].shut_down
+
+
+def _exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_until_gone(pid, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while _exists(pid):
+        assert time.monotonic() < deadline, f"process {pid} is still there"
+        time.sleep(0.01)
+
+
+def test_a_worker_killed_while_idle_does_not_break_the_next_call(cache_dir):
+    serial = verify_suite("nine-nice-pairs", max_n=8, cache_dir=cache_dir)
+    verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
+    broken = suites_module._pool_state[1]
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    _wait_until_gone(workers[0].pid)  # reaped: the pool has seen it die
+    parallel = verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
+    assert parallel.to_dict() == serial.to_dict()
+    assert suites_module._pool_state[1] is not broken
+
+
+def test_no_worker_outlives_the_interpreter(cache_dir, tmp_path):
+    # concurrent.futures joins a live pool's workers at exit, with no hook of
+    # ours. The child also replaces its pool by one of another size, which
+    # must not fork while the old pool's threads run: 3.12+ warns then (a
+    # warning CPython drops under -W error, so the child records warnings)
+    script = tmp_path / "child.py"
+    script.write_text(
+        "import json, multiprocessing, sys, warnings\n"
+        "from nicecubic.suites import verify_suite\n"
+        "pids = set()\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    for jobs in (2, 2, 3):\n"
+        "        verify_suite('nine-nice-pairs', max_n=6, jobs=jobs, cache_dir=sys.argv[1])\n"
+        "        pids |= {p.pid for p in multiprocessing.active_children()}\n"
+        "print(json.dumps([sorted(pids), [str(w.message) for w in caught]]))\n"
+    )
+    src = str(Path(suites_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(script), str(cache_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    pids, warned = json.loads(done.stdout)
+    assert warned == []
+    assert len(pids) == 5  # two workers, then three in the replacement pool
+    assert [pid for pid in pids if _exists(pid)] == []
 
 
 def test_violations_carry_graph6_and_replay(monkeypatch, cache_dir):
