@@ -3,14 +3,17 @@
 Generation is labeled backtracking in discovery order: vertex labels are
 assigned the moment a vertex is first attached, which is the
 lexicographically-smallest-extension constraint and cuts the duplication per
-isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets by
-a distance-profile invariant and settles ties with explicit isomorphism tests
-against the bucket's representatives. A representative goes first in each
-test, so its refinement and search order, memoised on it, serve every later
-candidate, and each candidate is refined once. Corpora are cached on disk as
-graph6 files keyed by (n, connected), written atomically; a cached corpus
-whose size is not the published count, or with an entry that repeats or is
-not a cubic graph of its order (connected, for a connected corpus), is
+isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets
+candidates by their sorted distance profiles (refinement is blind on regular
+graphs) and settles ties with explicit isomorphism tests against the
+bucket's representatives. A representative goes first in each test, so its
+refinement, search order and profiles, memoised on it, serve every later
+candidate, and each candidate's profiles are walked once. The corpus of all
+cubic graphs of order n is the connected corpus of order n plus the disjoint
+unions of connected corpus graphs of smaller orders. Corpora are cached on
+disk as graph6 files keyed by (n, connected), written atomically; a cached
+corpus whose size is not the published count, or with an entry that repeats
+or is not a cubic graph of its order (connected, for a connected corpus), is
 regenerated.
 """
 
@@ -18,15 +21,15 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 from .errors import DomainError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, is_connected
-from .isomorphism import canonical_graph, invariant_key, is_isomorphic
+from .isomorphism import _distance_profiles, canonical_graph, is_isomorphic
 
 CACHE_ENV = "NICECUBIC_CACHE_DIR"
 
@@ -86,58 +89,33 @@ def _labeled_connected_cubic(n: int):
 
 
 def _connected_cubic_classes(n: int) -> list[Graph]:
+    # n, the edge count and the refined cells (one: the unit partition of a
+    # regular graph is equitable) are the same for every candidate, so the
+    # profiles alone bucket them
     buckets: dict[tuple, list[Graph]] = {}
     for edge_tuple in _labeled_connected_cubic(n):
         g = Graph(n, edge_tuple)
-        if not g.simple:
-            continue
-        key = invariant_key(g)
-        bucket = buckets.setdefault(key, [])
+        bucket = buckets.setdefault(tuple(sorted(_distance_profiles(g))), [])
         if all(is_isomorphic(seen, g) is None for seen in bucket):
             bucket.append(g)
     return [g for bucket in buckets.values() for g in bucket]
 
 
-def _disconnected_cubic_classes(n: int, connected_by_order: dict[int, list[Graph]]) -> list[Graph]:
-    """Disjoint unions over partitions of n into parts >= 4; distinct
-    component multisets give non-isomorphic unions."""
-    out: list[Graph] = []
-
-    def partitions(total: int, smallest: int):
-        if total == 0:
-            yield []
-            return
-        for part in range(smallest, total + 1, 2):
-            if total - part in (0,) or total - part >= part:
-                for rest in partitions(total - part, part):
-                    yield [part] + rest
-
-    for parts in partitions(n, 4):
-        if len(parts) < 2:
-            continue
-        per_size = {size: connected_by_order[size] for size in set(parts)}
-        counts = Counter(parts)
-        choices_per_size = [
-            list(combinations_with_replacement(range(len(per_size[size])), mult))
-            for size, mult in sorted(counts.items())
-        ]
-        sizes = [size for size, _ in sorted(counts.items())]
-
-        def assemble(idx: int, chosen: list[Graph]):
-            if idx == len(sizes):
-                out.append(_disjoint_union(chosen))
-                return
-            for combo in choices_per_size[idx]:
-                assemble(
-                    idx + 1,
-                    chosen + [per_size[sizes[idx]][i] for i in combo],
-                )
-
-        assemble(0, [])
-    return out
+def _disjoint_unions(
+    parts: list[Graph], n: int, chosen: tuple[Graph, ...] = ()
+) -> Iterator[Graph]:
+    """The disjoint unions of order n over nondecreasing multisets of
+    ``parts`` (connected classes, sorted by order); distinct multisets give
+    non-isomorphic unions."""
+    if n == 0:
+        yield _disjoint_union(chosen)
+    for i, g in enumerate(parts):
+        if g.n > n:
+            break
+        yield from _disjoint_unions(parts[i:], n - g.n, chosen + (g,))
 
 
-def _disjoint_union(graphs: list[Graph]) -> Graph:
+def _disjoint_union(graphs: tuple[Graph, ...]) -> Graph:
     edges = []
     offset = 0
     for g in graphs:
@@ -199,18 +177,17 @@ def enumerate_cubic(
                     CorpusEntry(g, write_graph6(g), "file")
                     for g in graphs
                 ]
-    classes = _connected_cubic_classes(n)
-    if not connected_only:
-        by_order = {
-            size: [e.graph for e in enumerate_cubic(size, True, cache_dir)]
-            for size in range(4, n - 3, 2)
-        }
-        classes = classes + _disconnected_cubic_classes(n, by_order)
+    if connected_only:
+        canonical = [canonical_graph(g) for g in _connected_cubic_classes(n)]
+    else:
+        # the connected corpora are canonical already: only unions are labeled
+        canonical = [e.graph for e in enumerate_cubic(n, True, cache_dir)]
+        parts = [
+            e.graph for size in range(4, n - 3, 2) for e in enumerate_cubic(size, True, cache_dir)
+        ]
+        canonical += [canonical_graph(g) for g in _disjoint_unions(parts, n)]
     entries = sorted(
-        (
-            CorpusEntry(canon, write_graph6(canon), "enumerated")
-            for canon in (canonical_graph(g) for g in classes)
-        ),
+        (CorpusEntry(g, write_graph6(g), "enumerated") for g in canonical),
         key=lambda e: e.graph6,
     )
     if directory is not None:

@@ -2,13 +2,13 @@
 
 Both rest on one equitable refinement, ``_refine`` (McKay 1981), which
 counts neighbours with multiplicity. ``is_isomorphic`` refines each graph
-once (the refinement and the search order are facts memoised on the graph)
-and backtracks within equal cells to an explicit bijection, trying as first
-image only vertices whose distance profile matches. ``canonical_labeling``
-refines at every node of an individualization search, skips branches that
-only swap twin vertices, and keeps the least relabeled edge list, for stable
-corpus identifiers. The root pruning does not change the mapping that the
-plain search returns.
+once (the refinement, the search order and the distance profiles are facts
+memoised on the graph) and backtracks within equal cells to an explicit
+bijection, trying as first image only vertices whose distance profile
+matches. ``canonical_labeling`` refines at every node of an
+individualization search, skips branches that only swap twin vertices, and
+keeps the least relabeled edge list, for stable corpus identifiers. The root
+pruning does not change the mapping that the plain search returns.
 """
 
 from __future__ import annotations
@@ -111,18 +111,6 @@ def refined_colors(g: Graph) -> tuple[int, ...]:
     return tuple(index[cell_at[v]] for v in range(g.n))
 
 
-def invariant_key(g: Graph) -> tuple:
-    """Cheap graph invariant used to bucket candidates before full testing.
-
-    Combines the refined cell sizes with per-vertex distance profiles;
-    refinement alone is blind on regular graphs.
-    """
-    colors = refined_colors(g)
-    sizes = tuple(colors.count(c) for c in range(len(set(colors))))
-    profiles = sorted(_distance_profile(g, v) for v in range(g.n))
-    return (g.n, len(g.edges), sizes, tuple(profiles))
-
-
 def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
     """How many vertices lie at each distance from start (ignoring
     multiplicity), then how many it cannot reach; breadth-first on masks."""
@@ -142,6 +130,14 @@ def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
         counts.append(frontier.bit_count())
     counts.append(g.n - seen.bit_count())  # vertices in other components
     return tuple(counts)
+
+
+@_graph_fact
+def _distance_profiles(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every vertex's distance profile, by vertex; relabeling g permutes
+    them, so their sorted tuple is an invariant that refinement, blind on
+    regular graphs, is not."""
+    return tuple(_distance_profile(g, v) for v in range(g.n))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
@@ -173,10 +169,10 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
 
     order = _search_order(g1)
     # an isomorphism keeps distance profiles, so a first image with another
-    # profile roots a subtree without one; profiles are computed only when
-    # there is a choice of first image, and only for the images tried
+    # profile roots a subtree without one; profiles are read only when there
+    # is a choice of first image
     root_choices = len(candidates_by_color[c1[order[0]]])
-    root_profile = _distance_profile(g1, order[0]) if root_choices > 1 else None
+    root_profile = _distance_profiles(g1)[order[0]] if root_choices > 1 else None
 
     def consistent(v: int, w: int) -> bool:
         mapped_nbrs = 0
@@ -206,7 +202,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
         for w in pool:
             if inverse[w] != -1 or c2[w] != c1[v]:
                 continue
-            if pos == 0 and root_profile is not None and _distance_profile(g2, w) != root_profile:
+            if pos == 0 and root_profile is not None and _distance_profiles(g2)[w] != root_profile:
                 continue
             if consistent(v, w):
                 image[v] = w

@@ -28,7 +28,6 @@ from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
 from .enumeration import CorpusEntry, corpus_up_to
 from .families import recognize_family
-from .graph6 import parse_graph6
 from .graphs import (
     Bipartition,
     Graph,
@@ -811,15 +810,13 @@ def list_suites() -> list[Suite]:
     return [SUITES[name] for name in sorted(SUITES)]
 
 
-def _run_entry(args: tuple[str, str]) -> tuple[str, list[str] | None]:
-    suite_name, graph6_line = args
-    checker = SUITES[suite_name].checker
-    g = parse_graph6(graph6_line)
+def _run_entry(args: tuple[str, Graph]) -> list[str] | None:
+    suite_name, g = args
     try:
-        return graph6_line, checker(g)
+        return SUITES[suite_name].checker(g)
     except InternalCheckError as exc:
         # a recognizer's witness did not rebuild this graph: a violation, not an abort
-        return graph6_line, [str(exc)]
+        return [str(exc)]
 
 
 # the process's worker pool and its size, kept across verify_suite calls
@@ -846,7 +843,7 @@ def _close_pool() -> None:
         _pool_state = None
 
 
-def _run_in_pool(work: list[tuple[str, str]], workers: int) -> list:
+def _run_in_pool(work: list[tuple[str, Graph]], workers: int) -> list:
     for attempt in range(2):
         try:
             return list(_pool(workers).map(_run_entry, work, chunksize=4))
@@ -868,7 +865,8 @@ def verify_suite(
     """Run one suite over the connected cubic corpus up to max_n.
 
     ``entries`` overrides the corpus (used to point suites at constructed
-    graphs). Violations carry the offending graph6 and a replay command.
+    graphs). Each entry's graph is checked as given, and its ``graph6``
+    labels the violations, which carry a replay command too.
 
     With ``jobs > 1`` the graphs go to the process's one worker pool of
     ``min(jobs, graphs)`` workers. It is started at first use, reused by
@@ -884,7 +882,8 @@ def verify_suite(
     start = time.perf_counter()
     if entries is None:
         entries = corpus_up_to(max_n, cache_dir=cache_dir)
-    work = [(suite, e.graph6) for e in entries]
+    # a worker receives each graph's value alone (Graph.__reduce__), not its facts
+    work = [(suite, e.graph) for e in entries]
     # the pool forks every worker up front, so never ask for more than graphs
     workers = min(jobs, len(work))
     if workers > 1:
@@ -894,12 +893,12 @@ def verify_suite(
     checked = 0
     violations = []
     claim = SUITES[suite].claim
-    for graph6_line, outcome in results:
+    for entry, outcome in zip(entries, results):
         if outcome is None:
             continue
         checked += 1
         for detail in outcome:
-            violations.append(Violation(graph6=graph6_line, claim=claim, detail=detail))
+            violations.append(Violation(graph6=entry.graph6, claim=claim, detail=detail))
     return VerificationReport(
         suite=suite,
         claim=claim,

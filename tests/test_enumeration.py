@@ -27,6 +27,8 @@ CORPUS_SHA256 = {
     (6, False): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
     (8, False): "9e7953010de9b1a449aba161d2d3e202241433a75de44cbeec4f6a83d397a67f",
     (10, False): "66199e97987ca16b257588e39bc670baef72e4b689e86ef6f7a86d0d30247618",
+    # the first order with a repeated part ({6, 6}) and with three ({4, 4, 4})
+    (12, False): "bfd97a5ce6b5fd21d2273172e33c2e42c2dc718d6a39fc99ee6ae23feb755eb0",
 }
 
 
@@ -194,3 +196,25 @@ def test_dedup_builds_each_search_order_once():
     assert len(classes) == 19
     assert builds and max(builds.values()) == 1
     assert set(builds) <= {id(g) for g in classes}
+
+
+def test_dedup_walks_each_distance_profile_once():
+    # the bucket key and is_isomorphic's first-image check read one memoised
+    # fact, so no (graph, start vertex) pair is walked twice, representatives'
+    # roots included
+    code = isomorphism._distance_profile.__code__
+    walks = Counter()
+    graphs = []  # keeps every counted graph alive, so no id is reused
+
+    def count_walks(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            graphs.append(frame.f_locals["g"])
+            walks[id(graphs[-1]), frame.f_locals["start"]] += 1
+
+    sys.setprofile(count_walks)
+    try:
+        classes = _connected_cubic_classes(10)
+    finally:
+        sys.setprofile(None)
+    assert len(classes) == 19
+    assert walks and max(walks.values()) == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from nicecubic import suites as suites_module
-from nicecubic.enumeration import CorpusEntry
+from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.suites import SUITES, list_suites, verify_suite
@@ -237,6 +237,32 @@ def test_violations_carry_graph6_and_replay(monkeypatch, cache_dir):
     entry = report.to_dict()["violations"][0]
     assert entry["graph6"]
     assert "verify" in entry["replay"]
+
+
+def test_verify_checks_each_entry_graph_as_given(monkeypatch, cache_dir):
+    # nothing is re-parsed: the checker gets each entry's own Graph, and the
+    # entry's graph6, here a label no parser accepts, names its violations
+    seen = []
+
+    def checker(g):
+        seen.append(g)
+        return ["boom"] if g.n == 4 else []
+
+    fake = suites_module.Suite(
+        "always-fails",
+        "synthetic claim used to exercise violation reporting",
+        ("test",),
+        checker,
+    )
+    monkeypatch.setitem(suites_module.SUITES, "always-fails", fake)
+    entries = [
+        CorpusEntry(e.graph, f"label-{i}", "constructed")
+        for i, e in enumerate(corpus_up_to(6, cache_dir=cache_dir))
+    ]
+    report = verify_suite("always-fails", max_n=6, entries=entries)
+    assert len(seen) == len(entries) == 3
+    assert all(g is e.graph for g, e in zip(seen, entries))
+    assert [(v.graph6, v.detail) for v in report.violations] == [("label-0", "boom")]
 
 
 def test_internal_check_error_becomes_a_violation(monkeypatch, cache_dir):
