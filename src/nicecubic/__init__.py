@@ -109,6 +109,13 @@ from .structure import (
     odd_component_count,
     tight_cut_contractions,
 )
-from .suites import SUITES, VerificationReport, Violation, list_suites, verify_suite
+from .suites import (
+    SUITES,
+    VerificationReport,
+    Violation,
+    list_suites,
+    verify_suite,
+    verify_suites,
+)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .enumeration import enumerate_cubic
 from .errors import DomainError, InvalidFamilySpecError, UnknownSuiteError
 from .families import build_family
 from .graph6 import write_graph6
-from .suites import SUITES, list_suites, verify_suite
+from .suites import SUITES, list_suites, verify_suites
 
 
 def _read_input(source: str) -> str:
@@ -71,9 +71,8 @@ def _cmd_verify(args) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    failed = False
-    for name in names:
-        report = verify_suite(name, max_n=args.max_n, jobs=args.jobs)
+    reports = verify_suites(names, max_n=args.max_n, jobs=args.jobs)
+    for report in reports:
         if args.json:
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
@@ -85,8 +84,7 @@ def _cmd_verify(args) -> int:
             )
             for violation in report.violations:
                 print(f"    {violation.graph6}: {violation.detail}")
-        failed = failed or not report.passed
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_build(args) -> int:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import DomainError
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import read_graph6_lines, write_graph6
 from .graphs import Graph, is_connected
 from .isomorphism import _distance_profiles, canonical_graph, is_isomorphic
 
@@ -164,7 +164,7 @@ def enumerate_cubic(
         path = _cache_file(directory, n, connected_only)
         if path.is_file():
             try:
-                graphs = [parse_graph6(line) for line in path.read_text().splitlines() if line.strip()]
+                graphs = read_graph6_lines(path.read_text())
             except ValueError:
                 graphs = None  # corrupt cache, regenerate below
             expected = (CONNECTED_COUNTS if connected_only else ALL_COUNTS).get(n)

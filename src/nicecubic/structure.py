@@ -6,10 +6,11 @@ components as the set has vertices. Any two of its vertices u, v are a
 blocked pair (G - u - v has no perfect matching), so barriers are found
 among the sets of pairwise blocked vertices read off the graph's
 pair-deletion table. The table is memoised on the graph, and the
-classification and the tight-cut domain check read the same one. Tightness
-of a cut means every perfect matching crosses it exactly once; it is
-decided by deletion-set matching queries, without enumerating perfect
-matchings. The second characterizations of these facts (the sweep
+classification and the tight-cut domain check read the same one; the
+barriers, the classification and the nontrivial tight cuts are memoised
+too. Tightness of a cut means every perfect matching crosses it exactly
+once; it is decided by deletion-set matching queries, without enumerating
+perfect matchings. The second characterizations of these facts (the sweep
 over every vertex set, perfect-matching enumeration, the bipartite split
 criterion, the balanced four-deletion brace test) live in the suites that
 check them.
@@ -150,11 +151,13 @@ def _pairwise_blocked_sets(table: PairDeletionTable, max_size: int) -> Iterator[
         yield from grow(1 << u, 1, later_blocked[u])
 
 
+@_graph_fact
 def classify(g: Graph) -> Classification:
     """Matching covered / bicritical / brick / 2-extendable / brace flags.
 
     Matching covered and bicritical are read off the graph's
-    ``pair_deletion_table``; a brace is a 2-extendable bipartite graph.
+    ``pair_deletion_table``; a brace is a 2-extendable bipartite graph. The
+    flags are computed once per graph.
     """
     profile = connectivity_profile(g)
     bicritical = _is_bicritical(g)
@@ -206,8 +209,15 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
     """All nontrivial tight cuts.
 
     Cubic hosts only need 3-edge candidates (every tight cut of a cubic
-    matching covered graph is a 3-cut); otherwise all sides are swept.
+    matching covered graph is a 3-cut); otherwise all sides are swept. The
+    sweep runs once per graph; every call returns a fresh list of the shared
+    result.
     """
+    return list(_nontrivial_tight_cuts(g))
+
+
+@_graph_fact
+def _nontrivial_tight_cuts(g: Graph) -> tuple[CutWitness, ...]:
     if g.n < 2 or not is_matching_covered(g):
         raise DomainError("tight cuts are defined for matching covered hosts")
     if g.is_cubic:
@@ -217,7 +227,7 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
             raise DomainError("general tight-cut sweep capped at desk scale")
         candidates = [cut for cut in all_cuts(g) if cut.nontrivial]
     witnesses = [is_tight_cut(g, cut) for cut in candidates]
-    return [w for w in witnesses if w.tight]
+    return tuple(w for w in witnesses if w.tight)
 
 
 def tight_cut_contractions(g: Graph, witness: CutWitness) -> tuple[Contraction, Contraction]:

@@ -3,10 +3,13 @@
 A suite's checker takes one corpus graph and returns None when the graph does
 not satisfy the claim's hypothesis, otherwise a list of violation details
 (empty when the claim holds there). Every suite is deterministic; reports are
-byte-stable given fixed flags, and per-graph checks are independent so they
-can run across processes. With ``jobs > 1`` they run on one worker pool per
-process, started at first use and reused by every suite; the interpreter
-joins its workers at exit.
+byte-stable given fixed flags. ``verify_suites`` runs every named suite in
+one pass: it loads the corpus once, and each graph goes through every
+checker in turn, so the facts memoised on the graph (profile, pair-deletion
+table, classification, barriers, tight cuts, perfect matchings) are built
+once per graph and shared by the suites. Graphs are independent, so with
+``jobs > 1`` they run on one worker pool per process, started at first use
+and reused by later passes; the interpreter joins its workers at exit.
 
 The library computes each fact one way. The second characterizations that
 the claims compare it against (the exhaustive barrier sweep over every
@@ -22,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
@@ -33,13 +36,13 @@ from .graphs import (
     Graph,
     VertexSet,
     _cut_masks,
+    _graph_fact,
     _mask_edge_cut,
     _odd_component_count,
     _vertex_mask,
     bipartition,
     connected_components,
     connectivity_profile,
-    contract,
     edge_cut,
     enumerate_cuts,
     induced_subgraph,
@@ -153,12 +156,13 @@ def is_minimal_nontrivial_barrier(g: Graph, vs) -> bool:
 # --- second characterizations, checked against the library's one path -----
 
 
-def _perfect_matching_masks(g: Graph) -> list[int]:
+@_graph_fact
+def _perfect_matching_masks(g: Graph) -> tuple[int, ...]:
     """Every perfect matching as an edge mask (bit i for edge i)."""
-    return [sum(1 << i for i in m.edge_indices) for m in perfect_matchings(g)]
+    return tuple(sum(1 << i for i in m.edge_indices) for m in perfect_matchings(g))
 
 
-def tight_by_enumeration(cut: int, pms: list[int]) -> bool:
+def tight_by_enumeration(cut: int, pms: Sequence[int]) -> bool:
     """The definition: every perfect matching of the host crosses the cut
     exactly once. The cut and the matchings are edge masks (bit i for edge
     i), so a matching crosses the cut popcount(cut & pm) times."""
@@ -570,17 +574,20 @@ def _check_pair_lift_tight_cut(g: Graph) -> list[str] | None:
     if not profile.two_connected:
         return None
     problems = []
+    full = frozenset(range(g.n))
     for witness in nontrivial_tight_cuts(g):
-        for side in (witness.cut.side, frozenset(range(g.n)) - witness.cut.side):
+        # g1 shrinks the complement of side, g2 shrinks side
+        shrink_complement, shrink_side = tight_cut_contractions(g, witness)
+        for side, g1, g2 in (
+            (witness.cut.side, shrink_complement, shrink_side),
+            (full - witness.cut.side, shrink_side, shrink_complement),
+        ):
             side_a, side_b = side & parts.a, side & parts.b
             if len(side_a) != len(side_b) + 1 and len(side_b) != len(side_a) + 1:
                 continue
             plus_is_a = len(side_a) == len(side_b) + 1
-            shrink_complement = contract(g, frozenset(range(g.n)) - side)
-            shrink_side = contract(g, side)
-            if not shrink_complement.graph.simple:
+            if not g1.graph.simple:
                 continue
-            g1, g2 = shrink_complement, shrink_side
             inside_pairs = [
                 (a, b)
                 for a in sorted(side_a if plus_is_a else side_b)
@@ -594,7 +601,7 @@ def _check_pair_lift_tight_cut(g: Graph) -> list[str] | None:
                         f"pair ({a},{b}) nice in contraction={small} host={host}"
                     )
             if profile.three_connected and g2.graph.simple:
-                out_side = frozenset(range(g.n)) - side
+                out_side = full - side
                 for a in sorted(side_a if plus_is_a else side_b):
                     if not is_nice_pair(g1.graph, g1.old_to_new[a], g1.merged):
                         continue
@@ -810,16 +817,22 @@ def list_suites() -> list[Suite]:
     return [SUITES[name] for name in sorted(SUITES)]
 
 
-def _run_entry(args: tuple[str, Graph]) -> list[str] | None:
-    suite_name, g = args
-    try:
-        return SUITES[suite_name].checker(g)
-    except InternalCheckError as exc:
-        # a recognizer's witness did not rebuild this graph: a violation, not an abort
-        return [str(exc)]
+def _run_entry(args: tuple[tuple[str, ...], Graph]) -> list[tuple[list[str] | None, float]]:
+    """Every named checker on one graph: its outcome and its seconds."""
+    names, g = args
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        try:
+            outcome = SUITES[name].checker(g)
+        except InternalCheckError as exc:
+            # a recognizer's witness did not rebuild this graph: a violation, not an abort
+            outcome = [str(exc)]
+        results.append((outcome, time.perf_counter() - start))
+    return results
 
 
-# the process's worker pool and its size, kept across verify_suite calls
+# the process's worker pool and its size, kept across verify passes
 _pool_state: tuple[int, ProcessPoolExecutor] | None = None
 
 
@@ -843,7 +856,7 @@ def _close_pool() -> None:
         _pool_state = None
 
 
-def _run_in_pool(work: list[tuple[str, Graph]], workers: int) -> list:
+def _run_in_pool(work: list[tuple[tuple[str, ...], Graph]], workers: int) -> list:
     for attempt in range(2):
         try:
             return list(_pool(workers).map(_run_entry, work, chunksize=4))
@@ -855,6 +868,78 @@ def _run_in_pool(work: list[tuple[str, Graph]], workers: int) -> list:
                 raise
 
 
+def verify_suites(
+    names: Sequence[str],
+    max_n: int,
+    jobs: int = 1,
+    cache_dir=None,
+    entries: list[CorpusEntry] | None = None,
+) -> list[VerificationReport]:
+    """Run the named suites over the connected cubic corpus up to max_n in
+    one pass, and return their reports in the order of ``names``.
+
+    Every name is checked before the corpus is read. The corpus is loaded
+    once, and each graph is handed to every named checker in turn, so the
+    facts memoised on it are computed once and shared. A report's
+    ``runtime_seconds`` is the time spent in its own checker, summed over
+    the graphs (and over the workers); a shared fact is charged to the first
+    suite that reads it.
+
+    ``entries`` overrides the corpus (used to point suites at constructed
+    graphs). Each entry's graph is checked as given, and its ``graph6``
+    labels the violations, which carry a replay command too.
+
+    With ``jobs > 1`` the graphs go to the process's one worker pool of
+    ``min(jobs, graphs)`` workers, one graph with all its suites at a time.
+    The pool is started at first use, reused by every later pass that asks
+    for the same size, replaced when the size changes or a worker dies, and
+    joined when the interpreter exits. Its workers start with the pool and
+    keep the module state of that moment: a ``SUITES`` entry patched in
+    later does not reach them.
+    """
+    for name in names:
+        if name not in SUITES:
+            raise UnknownSuiteError(
+                f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
+            )
+    names = tuple(names)
+    if entries is None:
+        entries = corpus_up_to(max_n, cache_dir=cache_dir)
+    # a worker receives each graph's value alone (Graph.__reduce__), not its facts
+    work = [(names, e.graph) for e in entries]
+    # the pool forks every worker up front, so never ask for more than graphs
+    workers = min(jobs, len(work))
+    if workers > 1:
+        results = _run_in_pool(work, workers)
+    else:
+        results = [_run_entry(item) for item in work]
+    reports = []
+    for index, name in enumerate(names):
+        claim = SUITES[name].claim
+        checked = 0
+        seconds = 0.0
+        violations = []
+        for entry, outcomes in zip(entries, results):
+            outcome, elapsed = outcomes[index]
+            seconds += elapsed
+            if outcome is None:
+                continue
+            checked += 1
+            for detail in outcome:
+                violations.append(Violation(graph6=entry.graph6, claim=claim, detail=detail))
+        reports.append(
+            VerificationReport(
+                suite=name,
+                claim=claim,
+                max_n=max_n,
+                graphs_checked=checked,
+                violations=tuple(violations),
+                runtime_seconds=seconds,
+            )
+        )
+    return reports
+
+
 def verify_suite(
     suite: str,
     max_n: int,
@@ -862,48 +947,6 @@ def verify_suite(
     cache_dir=None,
     entries: list[CorpusEntry] | None = None,
 ) -> VerificationReport:
-    """Run one suite over the connected cubic corpus up to max_n.
-
-    ``entries`` overrides the corpus (used to point suites at constructed
-    graphs). Each entry's graph is checked as given, and its ``graph6``
-    labels the violations, which carry a replay command too.
-
-    With ``jobs > 1`` the graphs go to the process's one worker pool of
-    ``min(jobs, graphs)`` workers. It is started at first use, reused by
-    every later call that asks for the same size, replaced when the size
-    changes or a worker dies, and joined when the interpreter exits. Its
-    workers start with the pool and keep the module state of that moment:
-    a ``SUITES`` entry patched in later does not reach them.
-    """
-    if suite not in SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}"
-        )
-    start = time.perf_counter()
-    if entries is None:
-        entries = corpus_up_to(max_n, cache_dir=cache_dir)
-    # a worker receives each graph's value alone (Graph.__reduce__), not its facts
-    work = [(suite, e.graph) for e in entries]
-    # the pool forks every worker up front, so never ask for more than graphs
-    workers = min(jobs, len(work))
-    if workers > 1:
-        results = _run_in_pool(work, workers)
-    else:
-        results = [_run_entry(item) for item in work]
-    checked = 0
-    violations = []
-    claim = SUITES[suite].claim
-    for entry, outcome in zip(entries, results):
-        if outcome is None:
-            continue
-        checked += 1
-        for detail in outcome:
-            violations.append(Violation(graph6=entry.graph6, claim=claim, detail=detail))
-    return VerificationReport(
-        suite=suite,
-        claim=claim,
-        max_n=max_n,
-        graphs_checked=checked,
-        violations=tuple(violations),
-        runtime_seconds=time.perf_counter() - start,
-    )
+    """Run one suite over the connected cubic corpus up to max_n: the
+    one-suite case of ``verify_suites``, which documents the parameters."""
+    return verify_suites([suite], max_n, jobs=jobs, cache_dir=cache_dir, entries=entries)[0]

@@ -30,7 +30,8 @@ from nicecubic.graphs import (
 from nicecubic.isomorphism import is_isomorphic
 from nicecubic.matching import pair_deletion_table
 from nicecubic.nice import nice_pair_matrix
-from nicecubic.structure import _barriers
+from nicecubic.structure import _barriers, _nontrivial_tight_cuts, classify
+from nicecubic.suites import _perfect_matching_masks
 
 from .strategies import connected_multigraphs, multigraphs, simple_graphs
 
@@ -56,6 +57,9 @@ GRAPH_FACTS = (
     bipartition,
     nice_pair_matrix,
     _barriers,
+    classify,
+    _nontrivial_tight_cuts,
+    _perfect_matching_masks,
 )
 
 

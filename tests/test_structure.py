@@ -215,8 +215,12 @@ def test_nontrivial_tight_cuts_bricks_and_braces_are_free():
 
 
 def test_nontrivial_tight_cuts_k33_triangle():
-    found = nontrivial_tight_cuts(k33_triangle())
+    g = k33_triangle()
+    found = nontrivial_tight_cuts(g)
     assert [sorted(w.cut.side) for w in found] == [[0, 1, 2, 3, 4]]
+    # the sweep is memoised; each call hands out a list of its own
+    again = nontrivial_tight_cuts(g)
+    assert again == found and again is not found
 
 
 def test_trivial_cut_contraction_shapes():

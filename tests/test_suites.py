@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from nicecubic import suites as suites_module
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
-from nicecubic.suites import SUITES, list_suites, verify_suite
+from nicecubic.graphs import connectivity_profile
+from nicecubic.matching import pair_deletion_table
+from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
 LIGHT_SUITES = [
     "matching-covered-2-connected",
@@ -35,6 +38,12 @@ def test_every_suite_has_claim_and_modules():
 def test_unknown_suite_rejected():
     with pytest.raises(UnknownSuiteError):
         verify_suite("no-such-suite", max_n=4)
+
+
+def test_unknown_suite_rejected_before_the_corpus_is_read(tmp_path):
+    with pytest.raises(UnknownSuiteError, match="no-such-suite"):
+        verify_suites(["nine-nice-pairs", "no-such-suite"], 6, cache_dir=tmp_path / "cache")
+    assert list(tmp_path.iterdir()) == []  # no cache file, not even its directory
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -118,10 +127,68 @@ def test_reports_are_stable_across_runs(cache_dir):
 
 def test_parallel_jobs_agree_with_serial(cache_dir):
     # every suite in one process, so every call after the first reuses the pool
+    one_by_one = []
     for name in sorted(SUITES):
         serial = verify_suite(name, max_n=8, cache_dir=cache_dir)
         parallel = verify_suite(name, max_n=8, jobs=2, cache_dir=cache_dir)
         assert parallel.to_dict() == serial.to_dict()
+        one_by_one.append(serial.to_dict())
+    # one pass of every suite gives the same reports, serially and in the pool
+    for jobs in (1, 2):
+        reports = verify_suites(sorted(SUITES), 8, jobs=jobs, cache_dir=cache_dir)
+        assert [report.to_dict() for report in reports] == one_by_one
+
+
+def _record_builds(monkeypatch, fact):
+    """The graphs a memoised fact is computed on from now on: the function
+    that ``_graph_fact`` wraps is swapped for one that records its graph."""
+    (cell,) = fact.__closure__
+    compute = cell.cell_contents
+    built = []
+
+    def recorded(g):
+        built.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(cell, "cell_contents", recorded)
+    return built
+
+
+def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
+    loads = []
+    load = suites_module.corpus_up_to
+
+    def recorded_load(*args, **kwargs):
+        loads.append(load(*args, **kwargs))
+        return loads[-1]
+
+    monkeypatch.setattr(suites_module, "corpus_up_to", recorded_load)
+    tables = _record_builds(monkeypatch, pair_deletion_table)
+    profiles = _record_builds(monkeypatch, connectivity_profile)
+    reports = verify_suites(sorted(SUITES), 10, cache_dir=cache_dir)
+    assert all(report.passed for report in reports)
+    (entries,) = loads
+    corpus = {id(e.graph) for e in entries}
+    assert len(corpus) == 27
+    # contractions and subgraphs build their own facts; each corpus graph
+    # builds its table and its profile once, for all 22 suites
+    for built in (tables, profiles):
+        per_graph = Counter(id(g) for g in built if id(g) in corpus)
+        assert set(per_graph) == corpus
+        assert set(per_graph.values()) == {1}
+
+
+def test_runtime_is_each_suite_own_checker_time(monkeypatch, cache_dir):
+    def slow(g):
+        time.sleep(0.02)
+        return []
+
+    fake = suites_module.Suite("slow", "synthetic claim that takes its time", ("test",), slow)
+    monkeypatch.setitem(suites_module.SUITES, "slow", fake)
+    slow_report, quick_report = verify_suites(["slow", "tutte-existence"], 6, cache_dir=cache_dir)
+    assert slow_report.graphs_checked == quick_report.graphs_checked == 3
+    assert slow_report.runtime_seconds >= 0.06
+    assert quick_report.runtime_seconds < slow_report.runtime_seconds
 
 
 def test_pool_asks_for_at_most_one_worker_per_graph(monkeypatch, cache_dir):
