@@ -14,13 +14,20 @@ unions of connected corpus graphs of smaller orders. Corpora are cached on
 disk as graph6 files keyed by (n, connected), written atomically; a cached
 corpus whose size is not the published count, or with an entry that repeats
 or is not a cubic graph of its order (connected, for a connected corpus), is
-regenerated.
+regenerated, with a ``RuntimeWarning`` that names the file and the reason.
+A corpus read from a file and found sound is kept with the file's bytes,
+one per order and flavour: while the bytes stay the same, later calls in the
+process return the same graphs, so the facts memoised on them persist from
+call to call. Other bytes are parsed and checked afresh and replace it. A
+generated corpus and a run without a cache are not kept, and the worker
+processes of ``verify --jobs`` receive bare graphs, without their facts.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -145,6 +152,42 @@ def _is_sound_corpus(graphs: list[Graph], n: int, connected_only: bool) -> bool:
     )
 
 
+# The last corpus read and checked per (n, connected_only), with the file bytes
+# it came from: a later read of the same bytes hands out the same entries, so
+# the facts memoised on their graphs carry over from call to call.
+_corpus_memo: dict[tuple[int, bool], tuple[bytes, list[CorpusEntry]]] = {}
+
+
+def _read_cache(path: Path, n: int, connected_only: bool) -> list[CorpusEntry] | None:
+    """The cached corpus in ``path``, or None, with a warning that names the
+    file and the reason, when it does not parse, has the wrong count or is
+    unsound. Unchanged bytes are not parsed or checked again."""
+    data = path.read_bytes()
+    key = (n, connected_only)
+    memo = _corpus_memo.get(key)
+    if memo is not None and memo[0] == data:
+        return list(memo[1])
+    try:
+        graphs = read_graph6_lines(data.decode())
+    except ValueError as exc:  # UnicodeDecodeError included
+        problem = f"does not parse ({exc})"
+    else:
+        expected = (CONNECTED_COUNTS if connected_only else ALL_COUNTS).get(n)
+        if expected not in (None, len(graphs)):
+            problem = f"holds {len(graphs)} graphs, expected {expected}"
+        elif not _is_sound_corpus(graphs, n, connected_only):
+            flavor = "connected cubic" if connected_only else "cubic"
+            problem = (
+                f"repeats an entry or holds one that is not a {flavor} graph on {n} vertices"
+            )
+        else:
+            entries = [CorpusEntry(g, write_graph6(g), "file") for g in graphs]
+            _corpus_memo[key] = (data, entries)
+            return list(entries)
+    warnings.warn(f"corpus cache {path} {problem}; regenerating it", RuntimeWarning, stacklevel=3)
+    return None
+
+
 def enumerate_cubic(
     n: int,
     connected_only: bool = True,
@@ -163,20 +206,9 @@ def enumerate_cubic(
     if directory is not None:
         path = _cache_file(directory, n, connected_only)
         if path.is_file():
-            try:
-                graphs = read_graph6_lines(path.read_text())
-            except ValueError:
-                graphs = None  # corrupt cache, regenerate below
-            expected = (CONNECTED_COUNTS if connected_only else ALL_COUNTS).get(n)
-            if (
-                graphs is not None
-                and expected in (None, len(graphs))
-                and _is_sound_corpus(graphs, n, connected_only)
-            ):
-                return [
-                    CorpusEntry(g, write_graph6(g), "file")
-                    for g in graphs
-                ]
+            entries = _read_cache(path, n, connected_only)
+            if entries is not None:
+                return entries
     if connected_only:
         canonical = [canonical_graph(g) for g in _connected_cubic_classes(n)]
     else:

@@ -20,6 +20,11 @@ the blocked pairs u, v (v outside row u) among which ``structure.barriers``
 looks for barriers; in a matching covered graph, u with the vertices
 blocked with it form one maximal barrier (Kotzig; Lovász & Plummer,
 *Matching Theory*, §5.2).
+
+Apart from that path, ``_deletion_sets`` sweeps every vertex set of at most
+half the vertices once per graph, memoised, for the two exponential oracles:
+``tutte_condition_holds`` here and the exhaustive barrier sweep in
+``suites``. Neither fast path reads it.
 """
 
 from __future__ import annotations
@@ -208,17 +213,35 @@ def tutte_condition_holds(g: Graph) -> bool:
     vertex set S leaves more than |S| odd components (Tutte 1947).
 
     Independent of the augmenting-path machinery; exponential, so only
-    suitable as a small-order oracle. The sweep stops below |S| = n/2: every
+    suitable as a small-order oracle. Only |S| < n/2 needs testing: every
     odd component of G - S holds at least one of its n - |S| vertices, so
     odd(G - S) <= n - |S| <= |S| once |S| >= n/2, and no such S can break
-    the condition.
+    the condition. The sweep itself, ``_deletion_sets``, is shared with the
+    exhaustive barrier oracle and goes one size further, to |S| = n/2 for
+    even n, where by the same bound no S breaks the condition either.
     """
+    return _deletion_sets(g)[0]
+
+
+@_graph_fact
+def _deletion_sets(g: Graph) -> tuple[bool, tuple[int, ...]]:
+    """One sweep of every vertex set S with |S| <= n/2, by size and then
+    lexicographically, with one odd-component count per set: whether no S
+    leaves more than |S| odd components (Tutte's condition), and the masks of
+    the nonempty S that leave exactly |S| (the barriers), in sweep order.
+    Exponential; the Tutte and barrier oracles read it, no fast path does."""
     bits = [1 << v for v in range(g.n)]
-    for size in range((g.n + 1) // 2):
+    tutte = True
+    barrier_masks = []
+    for size in range(g.n // 2 + 1):
         for subset in combinations(bits, size):
-            if _odd_component_count(g, sum(subset)) > size:
-                return False
-    return True
+            mask = sum(subset)
+            odd = _odd_component_count(g, mask)
+            if odd > size:
+                tutte = False
+            elif odd == size and size:
+                barrier_masks.append(mask)
+    return tutte, tuple(barrier_masks)
 
 
 def perfect_matchings(g: Graph) -> list[Matching]:

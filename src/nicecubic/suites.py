@@ -6,14 +6,17 @@ not satisfy the claim's hypothesis, otherwise a list of violation details
 byte-stable given fixed flags. ``verify_suites`` runs every named suite in
 one pass: it loads the corpus once, and each graph goes through every
 checker in turn, so the facts memoised on the graph (profile, pair-deletion
-table, classification, barriers, tight cuts, perfect matchings) are built
-once per graph and shared by the suites. Graphs are independent, so with
-``jobs > 1`` they run on one worker pool per process, started at first use
-and reused by later passes; the interpreter joins its workers at exit.
+table, classification, barriers, tight cuts, perfect matchings, the
+deletion-set sweep) are built once per graph and shared by the suites, and,
+with the corpus kept by ``enumerate_cubic``, by later passes in the process
+too. Graphs are independent, so with ``jobs > 1`` they run on one worker
+pool per process, started at first use and reused by later passes; the
+interpreter joins its workers at exit.
 
 The library computes each fact one way. The second characterizations that
 the claims compare it against (the exhaustive barrier sweep over every
-vertex set, perfect-matching enumeration and the bipartite split criterion
+vertex set, read from the deletion-set sweep that ``matching``'s Tutte
+oracle shares, perfect-matching enumeration and the bipartite split criterion
 for tightness, the four-deletion brace test, the barrier route of niceness)
 live here, next to the suite that checks them.
 """
@@ -51,6 +54,7 @@ from .graphs import (
 )
 from .isomorphism import is_isomorphic
 from .matching import (
+    _deletion_sets,
     count_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
@@ -131,13 +135,11 @@ def _is_independent(g: Graph, vs) -> bool:
 
 def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
     """Every nonempty barrier, by sweeping all vertex sets of size at most
-    n/2 in size-then-lexicographic order. Exponential; small orders only."""
-    bits = [1 << v for v in range(g.n)]
+    n/2 in size-then-lexicographic order: the deletion-set sweep that the
+    Tutte oracle reads too. Exponential; small orders only."""
     return [
-        frozenset(bit.bit_length() - 1 for bit in subset)
-        for size in range(1, g.n // 2 + 1)
-        for subset in combinations(bits, size)
-        if _odd_component_count(g, sum(subset)) == size
+        frozenset(v for v in range(g.n) if mask >> v & 1)
+        for mask in _deletion_sets(g)[1]
     ]
 
 
@@ -880,10 +882,14 @@ def verify_suites(
 
     Every name is checked before the corpus is read. The corpus is loaded
     once, and each graph is handed to every named checker in turn, so the
-    facts memoised on it are computed once and shared. A report's
-    ``runtime_seconds`` is the time spent in its own checker, summed over
-    the graphs (and over the workers); a shared fact is charged to the first
-    suite that reads it.
+    facts memoised on it are computed once and shared. A cached corpus is
+    kept by ``enumerate_cubic`` while its file is unchanged, so a later call
+    in the same process checks the same graphs and finds their facts built;
+    the workers of the pool receive bare graphs and keep no facts across
+    calls. A report's ``runtime_seconds`` is the time spent in its own
+    checker, summed over the graphs (and over the workers); a shared fact
+    is charged to the first suite that reads it, and one an earlier call
+    built to none.
 
     ``entries`` overrides the corpus (used to point suites at constructed
     graphs). Each entry's graph is checked as given, and its ``graph6``

@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from nicecubic import isomorphism
+from nicecubic import enumeration, isomorphism
 from nicecubic.catalog import h44, k4, k33, triangular_prism
-from nicecubic.enumeration import _connected_cubic_classes, enumerate_cubic
+from nicecubic.enumeration import CACHE_ENV, _connected_cubic_classes, enumerate_cubic
 from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import bipartition, connectivity_profile, is_connected
@@ -122,16 +122,26 @@ def test_cache_round_trip(tmp_path):
 def test_corrupt_cache_regenerated(tmp_path):
     path = tmp_path / "cubic-n4-connected.g6"
     path.write_text("not graph6 at all\x01\n")
-    entries = enumerate_cubic(4, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match=f"{path.name} does not parse"):
+        entries = enumerate_cubic(4, cache_dir=tmp_path)
     assert len(entries) == 1
     assert entries[0].provenance == "enumerated"
+
+
+def test_undecodable_cache_regenerated(tmp_path):
+    path = tmp_path / "cubic-n4-connected.g6"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.warns(RuntimeWarning, match=f"{path.name} does not parse"):
+        entries = enumerate_cubic(4, cache_dir=tmp_path)
+    assert [e.provenance for e in entries] == ["enumerated"]
 
 
 def test_truncated_cache_regenerated(tmp_path, corpus10):
     ids = [e.graph6 for e in corpus10 if e.graph.n == 10]
     path = tmp_path / "cubic-n10-connected.g6"
     path.write_text("".join(line + "\n" for line in ids[:7]))
-    entries = enumerate_cubic(10, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match=f"{path.name} holds 7 graphs, expected 19"):
+        entries = enumerate_cubic(10, cache_dir=tmp_path)
     assert [e.graph6 for e in entries] == ids
     assert all(e.provenance == "enumerated" for e in entries)
     assert path.read_text().splitlines() == ids
@@ -145,7 +155,8 @@ def test_cache_with_bad_and_repeated_entries_regenerated(tmp_path, cache_dir):
     damaged = ["G?????", ids[1], ids[1]] + ids[3:]
     assert len(damaged) == len(ids) == 5
     path.write_text("".join(line + "\n" for line in damaged))
-    entries = enumerate_cubic(8, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match=f"{path.name} repeats an entry"):
+        entries = enumerate_cubic(8, cache_dir=tmp_path)
     assert [e.graph6 for e in entries] == ids
     assert all(e.provenance == "enumerated" for e in entries)
     text = path.read_text()
@@ -157,10 +168,84 @@ def test_truncated_all_graphs_cache_regenerated(tmp_path, cache_dir):
     assert len(ids) == 21  # OEIS A005638
     path = tmp_path / "cubic-n10-all.g6"
     path.write_text("".join(line + "\n" for line in ids[:3]))
-    entries = enumerate_cubic(10, connected_only=False, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match=f"{path.name} holds 3 graphs, expected 21"):
+        entries = enumerate_cubic(10, connected_only=False, cache_dir=tmp_path)
     assert [e.graph6 for e in entries] == ids
     assert all(e.provenance == "enumerated" for e in entries)
     assert path.read_text().splitlines() == ids
+
+
+@pytest.fixture
+def corpus_memo(monkeypatch):
+    """An empty corpus memo for one test."""
+    memo = {}
+    monkeypatch.setattr(enumeration, "_corpus_memo", memo)
+    return memo
+
+
+def _record_parses(monkeypatch):
+    parsed = []
+    parse = enumeration.read_graph6_lines
+
+    def recorded(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(enumeration, "read_graph6_lines", recorded)
+    return parsed
+
+
+def test_unchanged_cache_file_hands_out_the_same_graphs(tmp_path, monkeypatch, corpus_memo):
+    fresh = enumerate_cubic(8, cache_dir=tmp_path)
+    assert corpus_memo == {}  # a generated corpus is not kept
+    parsed = _record_parses(monkeypatch)
+    first = enumerate_cubic(8, cache_dir=tmp_path)
+    second = enumerate_cubic(8, cache_dir=tmp_path)
+    assert len(parsed) == 1 and list(corpus_memo) == [(8, True)]
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second)) and len(first) == 5
+    assert not any(a.graph is b.graph for a, b in zip(fresh, first))
+    assert all(e.provenance == "file" for e in second)
+    first.clear()  # a caller's list is its own
+    assert len(enumerate_cubic(8, cache_dir=tmp_path)) == 5
+
+
+def test_rewritten_cache_file_is_read_again(tmp_path, monkeypatch, corpus_memo):
+    enumerate_cubic(8, cache_dir=tmp_path)
+    path = tmp_path / "cubic-n8-connected.g6"
+    text = path.read_text()
+    kept = enumerate_cubic(8, cache_dir=tmp_path)
+    parsed = _record_parses(monkeypatch)
+    # other bytes that hold the same sound corpus: parsed again, new graphs
+    path.write_text(text + "\n")
+    reread = enumerate_cubic(8, cache_dir=tmp_path)
+    assert parsed == [text + "\n"]
+    assert [e.graph6 for e in reread] == [e.graph6 for e in kept]
+    assert not any(a.graph is b.graph for a, b in zip(kept, reread))
+    assert all(e.provenance == "file" for e in reread)
+    # truncated bytes: parsed, refused and regenerated
+    path.write_text("".join(text.splitlines(keepends=True)[:2]))
+    with pytest.warns(RuntimeWarning, match="holds 2 graphs, expected 5"):
+        regenerated = enumerate_cubic(8, cache_dir=tmp_path)
+    assert len(parsed) == 2
+    assert all(e.provenance == "enumerated" for e in regenerated)
+    assert not any(a.graph is b.graph for a, b in zip(reread, regenerated))
+    assert path.read_text() == text
+    # the regenerated file is read, checked and kept once more
+    again = enumerate_cubic(8, cache_dir=tmp_path)
+    assert len(parsed) == 3
+    assert all(a is b for a, b in zip(again, enumerate_cubic(8, cache_dir=tmp_path)))
+    assert len(parsed) == 3 and len(corpus_memo) == 1
+
+
+def test_without_a_cache_every_call_builds_new_graphs(monkeypatch, corpus_memo):
+    monkeypatch.setenv(CACHE_ENV, "")
+    first = enumerate_cubic(6, cache_dir=None)
+    second = enumerate_cubic(6, cache_dir=None)
+    assert [e.graph6 for e in first] == [e.graph6 for e in second]
+    assert not any(a.graph is b.graph for a, b in zip(first, second))
+    assert all(e.provenance == "enumerated" for e in first + second)
+    assert corpus_memo == {}
 
 
 def test_disconnected_enumeration(cache_dir):

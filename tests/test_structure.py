@@ -44,7 +44,7 @@ from nicecubic.suites import (
     tight_by_enumeration,
 )
 
-from .strategies import multigraphs
+from .strategies import multigraphs, simple_graphs
 from .test_nice import _bridged_cubic
 
 
@@ -310,6 +310,19 @@ def _assert_barriers_match_exhaustive_sweep(g):
 def test_barrier_partition_route_matches_exhaustive_sweep(g):
     assume(not g.is_cubic)
     _assert_barriers_match_exhaustive_sweep(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(simple_graphs(max_n=9), multigraphs()))
+def test_exhaustive_barrier_sets_are_the_definition(g):
+    # counted by connected_components, not by the mask flood fill the sweep uses
+    expected = [
+        frozenset(s)
+        for size in range(1, g.n // 2 + 1)
+        for s in combinations(range(g.n), size)
+        if sum(len(comp) % 2 for comp in connected_components(g, s)) == size
+    ]
+    assert exhaustive_barrier_sets(g) == expected
 
 
 def test_barriers_match_exhaustive_sweep_on_corpus_hosts_not_matching_covered(corpus12):

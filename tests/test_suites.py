@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from nicecubic import enumeration
 from nicecubic import suites as suites_module
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import connectivity_profile
-from nicecubic.matching import pair_deletion_table
+from nicecubic.matching import _deletion_sets, pair_deletion_table
 from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
 LIGHT_SUITES = [
@@ -165,6 +166,7 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     monkeypatch.setattr(suites_module, "corpus_up_to", recorded_load)
     tables = _record_builds(monkeypatch, pair_deletion_table)
     profiles = _record_builds(monkeypatch, connectivity_profile)
+    sweeps = _record_builds(monkeypatch, _deletion_sets)
     reports = verify_suites(sorted(SUITES), 10, cache_dir=cache_dir)
     assert all(report.passed for report in reports)
     (entries,) = loads
@@ -172,6 +174,44 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     assert len(corpus) == 27
     # contractions and subgraphs build their own facts; each corpus graph
     # builds its table and its profile once, for all 22 suites
+    for built in (tables, profiles):
+        per_graph = Counter(id(g) for g in built if id(g) in corpus)
+        assert set(per_graph) == corpus
+        assert set(per_graph.values()) == {1}
+    # the Tutte and barrier oracles read one deletion-set sweep, on corpus
+    # graphs only
+    assert sorted(id(g) for g in sweeps) == sorted(corpus)
+
+
+def test_suite_calls_share_each_corpus_graph_facts(monkeypatch, cache_dir):
+    corpus_up_to(10, cache_dir=cache_dir)  # a cold run writes the cache files
+    parsed = []
+    parse = enumeration.read_graph6_lines
+
+    def recorded_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(enumeration, "read_graph6_lines", recorded_parse)
+    loads = []
+    load = suites_module.corpus_up_to
+
+    def recorded_load(*args, **kwargs):
+        loads.append(load(*args, **kwargs))
+        return loads[-1]
+
+    monkeypatch.setattr(suites_module, "corpus_up_to", recorded_load)
+    tables = _record_builds(monkeypatch, pair_deletion_table)
+    profiles = _record_builds(monkeypatch, connectivity_profile)
+    for name in sorted(SUITES):
+        assert verify_suite(name, 10, cache_dir=cache_dir).passed, name
+    assert len(loads) == 22
+    # every call gets a list of its own, of the same 27 graphs
+    assert len({id(entries) for entries in loads}) == 22
+    corpus = {id(e.graph) for entries in loads for e in entries}
+    assert len(corpus) == 27
+    # each cache file (n = 4, 6, 8, 10) is parsed at most once in all 22 calls
+    assert len(parsed) == len(set(parsed)) <= 4
     for built in (tables, profiles):
         per_graph = Counter(id(g) for g in built if id(g) in corpus)
         assert set(per_graph) == corpus
