@@ -25,9 +25,10 @@ _ANALYSIS_SIZE_CAP = 24
 def analyze_graph(g: Graph) -> dict:
     """Full dossier for one graph. Sections that require structure the graph
     lacks (a perfect matching, cubicity, bipartiteness) mark themselves not
-    applicable instead of failing. So does the barrier section of a host
-    that is not matching covered and has more than 20 vertices, where the
-    barrier sweep is capped."""
+    applicable instead of failing. So do the sections whose sweep is capped
+    at 20 vertices: the barrier section of a host that is not matching
+    covered, and the tight-cut section of a matching covered host that is
+    not cubic."""
     profile = connectivity_profile(g)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -84,8 +85,11 @@ def analyze_graph(g: Graph) -> dict:
             ],
         }
 
-    if flags.matching_covered:
+    try:
         witnesses = nontrivial_tight_cuts(g)
+    except DomainError:
+        pass  # not matching covered, or a non-cubic host over the sweep's cap
+    else:
         report["nontrivial_tight_cuts"] = {
             "applicable": True,
             "count": len(witnesses),

@@ -18,7 +18,7 @@ from .enumeration import corpus_up_to
 from .errors import InvalidFamilySpecError
 from .families import FamilyG1Spec, FamilyG2Spec, build_g1, build_g2
 from .graph6 import write_graph6
-from .graphs import Graph, bipartition, connectivity_profile
+from .graphs import Graph, connectivity_profile
 from .nice import is_nice_vertex
 from .structure import barriers
 
@@ -67,8 +67,9 @@ def search_barrier_counterexample(
         graphs.extend(constructed_candidates(max_n))
     hits = []
     for g in graphs:
+        # corpus graphs and the G1/G2 members are cubic
         profile = connectivity_profile(g)
-        if not (profile.cubic and profile.three_connected) or bipartition(g) is not None:
+        if not profile.three_connected or profile.bipartition is not None:
             continue
         nontrivial = [b for b in barriers(g) if b.nontrivial]
         if not nontrivial:

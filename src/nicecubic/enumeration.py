@@ -143,11 +143,17 @@ def _cache_file(cache_dir: Path, n: int, connected_only: bool) -> Path:
     return cache_dir / f"cubic-n{n}-{flavor}.g6"
 
 
+def _is_corpus_graph(g: Graph) -> bool:
+    """The domain of the connected corpus, and of every verify suite: a
+    connected simple cubic graph."""
+    return g.is_cubic and g.simple and is_connected(g)
+
+
 def _is_sound_corpus(graphs: list[Graph], n: int, connected_only: bool) -> bool:
     """No entry repeats, and each is a cubic graph on n vertices, connected
-    when the corpus is."""
+    (a corpus graph) when the corpus is."""
     return len(set(graphs)) == len(graphs) and all(
-        g.n == n and g.is_cubic and (is_connected(g) or not connected_only)
+        g.n == n and (_is_corpus_graph(g) if connected_only else g.is_cubic)
         for g in graphs
     )
 

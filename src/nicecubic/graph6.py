@@ -86,7 +86,10 @@ def read_graph6_lines(text: str) -> list[Graph]:
         try:
             graphs.append(parse_graph6(line.strip()))
         except GraphParseError as exc:
-            raise GraphParseError(f"line {lineno}: {exc}", exc.offset) from exc
+            # the message names the offset already: keep it, print it once
+            error = GraphParseError(f"line {lineno}: {exc}")
+            error.offset = exc.offset
+            raise error from exc
     return graphs
 
 

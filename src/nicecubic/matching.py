@@ -54,17 +54,6 @@ class Matching:
 
     edge_indices: tuple[int, ...]
 
-    def pairs(self, g: Graph) -> tuple[tuple[int, int], ...]:
-        return tuple(g.edges[i] for i in self.edge_indices)
-
-    def covered(self, g: Graph) -> frozenset[int]:
-        out = set()
-        for i in self.edge_indices:
-            u, v = g.edges[i]
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
     def is_perfect(self, g: Graph) -> bool:
         return 2 * len(self.edge_indices) == g.n
 

@@ -2,14 +2,17 @@
 
 A suite's checker takes one corpus graph and returns None when the graph does
 not satisfy the claim's hypothesis, otherwise a list of violation details
-(empty when the claim holds there). Every suite is deterministic; reports are
-byte-stable given fixed flags. ``verify_suites`` runs every named suite in
-one pass: it loads the corpus once, and each graph goes through every
-checker in turn, so the facts memoised on the graph (profile, pair-deletion
-table, classification, barriers, tight cuts, perfect matchings, the
-deletion-set sweep) are built once per graph and shared by the suites, and,
-with the corpus kept by ``enumerate_cubic``, by later passes in the process
-too. Graphs are independent, so with ``jobs > 1`` they run on one worker
+(empty when the claim holds there). Every graph a checker sees is connected,
+simple and cubic: the corpus is built and loaded so, and ``verify_suites``
+refuses other entries. So a checker tests only its claim's own hypothesis
+(2- or 3-connected, bipartite or not, matching covered, bicritical, brace).
+Every suite is deterministic; reports are byte-stable given fixed flags.
+``verify_suites`` runs every named suite in one pass: it loads the corpus
+once, and each graph goes through every checker in turn, so the facts
+memoised on the graph (profile, pair-deletion table, classification,
+barriers, tight cuts, perfect matchings, the deletion-set sweep) are built
+once per graph and shared by the suites, and, with the corpus kept by
+``enumerate_cubic``, by later passes in the process too. Graphs are independent, so with ``jobs > 1`` they run on one worker
 pool per process, started at first use and reused by later passes; the
 interpreter joins its workers at exit.
 
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
-from .enumeration import CorpusEntry, corpus_up_to
+from .enumeration import CorpusEntry, _is_corpus_graph, corpus_up_to
 from .families import recognize_family
 from .graphs import (
     Bipartition,
@@ -227,10 +230,7 @@ def nice_by_barriers(g: Graph) -> VertexSet:
 
 
 def _check_matching_covered_2_connected(g: Graph) -> list[str] | None:
-    profile = connectivity_profile(g)
-    if not (g.is_cubic and profile.connected):
-        return None
-    two = profile.two_connected
+    two = connectivity_profile(g).two_connected
     covered = is_matching_covered(g)
     if two != covered:
         return [f"2-connected={two} but matching covered={covered}"]
@@ -238,7 +238,7 @@ def _check_matching_covered_2_connected(g: Graph) -> list[str] | None:
 
 
 def _check_bicritical_all_nice(g: Graph) -> list[str] | None:
-    if not g.is_cubic or not classify(g).bicritical:
+    if not classify(g).bicritical:
         return None
     report = nice_vertices(g)
     if report.upsilon != g.n:
@@ -247,7 +247,7 @@ def _check_bicritical_all_nice(g: Graph) -> list[str] | None:
 
 
 def _check_edge_in_perfect_matching(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and connectivity_profile(g).two_connected):
+    if not connectivity_profile(g).two_connected:
         return None
     problems = []
     if not is_matching_covered(g):
@@ -267,7 +267,7 @@ def _check_tutte_existence(g: Graph) -> list[str] | None:
 
 
 def _check_barrier_properties(g: Graph) -> list[str] | None:
-    if g.n < 2 or not is_matching_covered(g):
+    if not is_matching_covered(g):
         return None
     problems = []
     exhaustive = exhaustive_barrier_sets(g)
@@ -296,7 +296,7 @@ def _check_barrier_properties(g: Graph) -> list[str] | None:
 
 
 def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and connectivity_profile(g).two_connected):
+    if not connectivity_profile(g).two_connected:
         return None
     pms = _perfect_matching_masks(g)
     problems = []
@@ -323,7 +323,7 @@ def _check_nontrivial_3_cut_matching(g: Graph) -> list[str] | None:
 
 def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
     parts = bipartition(g)
-    if g.n < 2 or parts is None or not is_matching_covered(g):
+    if parts is None or not is_matching_covered(g):
         return None
     pms = _perfect_matching_masks(g)
     problems = []
@@ -345,7 +345,7 @@ def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
 
 
 def _check_tight_free_brick_brace(g: Graph) -> list[str] | None:
-    if g.n < 2 or not is_matching_covered(g) or not g.is_cubic:
+    if not is_matching_covered(g):
         return None
     free = not nontrivial_tight_cuts(g)
     flags = classify(g)
@@ -358,9 +358,7 @@ def _check_tight_free_brick_brace(g: Graph) -> list[str] | None:
 
 def _check_brace_four_deletion(g: Graph) -> list[str] | None:
     parts = bipartition(g)
-    if parts is None or not connectivity_profile(g).connected or g.n < 6:
-        return None
-    if len(parts.a) != len(parts.b) or not has_perfect_matching(g):
+    if parts is None:
         return None
     deletion_ok = brace_by_four_deletion(g, parts)
     brace = classify(g).brace
@@ -370,7 +368,7 @@ def _check_brace_four_deletion(g: Graph) -> list[str] | None:
 
 
 def _check_bipartite_nonbrace_contraction(g: Graph) -> list[str] | None:
-    if g.n < 2 or bipartition(g) is None or not is_matching_covered(g):
+    if bipartition(g) is None or not is_matching_covered(g):
         return None
     if classify(g).brace:
         return None
@@ -385,7 +383,7 @@ def _check_bipartite_nonbrace_contraction(g: Graph) -> list[str] | None:
 
 
 def _check_cubic_barrier_components(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple and connectivity_profile(g).three_connected):
+    if not connectivity_profile(g).three_connected:
         return None
     nontrivial_barriers = [b for b in barriers(g) if b.nontrivial]
     if not nontrivial_barriers:
@@ -422,8 +420,6 @@ def _check_cubic_barrier_components(g: Graph) -> list[str] | None:
 
 
 def _check_minimal_barrier_all_nice(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple):
-        return None
     profile = connectivity_profile(g)
     if not profile.three_connected or profile.bipartition is not None:
         return None
@@ -439,7 +435,7 @@ def _check_minimal_barrier_all_nice(g: Graph) -> list[str] | None:
 
 
 def _check_nice_lift_tight_cut(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple and connectivity_profile(g).two_connected):
+    if not connectivity_profile(g).two_connected:
         return None
     problems = []
     for witness in nontrivial_tight_cuts(g):
@@ -460,7 +456,7 @@ def _check_nice_lift_tight_cut(g: Graph) -> list[str] | None:
 
 
 def _check_two_cut_nice_transfer(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple and connectivity_profile(g).two_connected):
+    if not connectivity_profile(g).two_connected:
         return None
     problems = []
     full = frozenset(range(g.n))
@@ -472,26 +468,27 @@ def _check_two_cut_nice_transfer(g: Graph) -> list[str] | None:
             problems.append(f"2-cut at {sorted(side)}: trimmed sides not matchable")
         inner = induced_subgraph(g, side)
         parts = bipartition(inner.graph)
-        if parts is not None and a != c:
+        if parts is not None:
             if (inner.old_to_new[a] in parts.a) == (inner.old_to_new[c] in parts.a):
                 problems.append(
                     f"2-cut at {sorted(side)}: endpoints {a},{c} share a color class"
                 )
+        # a and c differ (were they one vertex, its third edge would be a
+        # bridge), so without an edge ac the patched side is simple and cubic
         if g.multiplicity(a, c):
             continue
         patched = patched_side(g, side, a, c)
-        if patched.graph.is_cubic:
-            for u in sorted(side):
-                patched_nice = is_nice_vertex(patched.graph, patched.old_to_new[u])
-                if patched_nice and not is_nice_vertex(g, u):
-                    problems.append(
-                        f"{u} nice in the patched side {sorted(side)} but not in the host"
-                    )
+        for u in sorted(side):
+            patched_nice = is_nice_vertex(patched.graph, patched.old_to_new[u])
+            if patched_nice and not is_nice_vertex(g, u):
+                problems.append(
+                    f"{u} nice in the patched side {sorted(side)} but not in the host"
+                )
     return problems
 
 
 def _check_barrier_criterion_equivalence(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple and connectivity_profile(g).two_connected):
+    if not connectivity_profile(g).two_connected:
         return None
     by_definition = nice_vertices(g).nice
     by_barrier = nice_by_barriers(g)
@@ -504,9 +501,7 @@ def _check_barrier_criterion_equivalence(g: Graph) -> list[str] | None:
 
 def _check_nice_count_bounds(g: Graph) -> list[str] | None:
     profile = connectivity_profile(g)
-    if not (g.is_cubic and g.simple and profile.two_connected):
-        return None
-    if profile.bipartition is not None:
+    if not profile.two_connected or profile.bipartition is not None:
         return None
     problems = []
     count = nice_vertices(g).upsilon
@@ -526,9 +521,7 @@ def _check_nice_count_bounds(g: Graph) -> list[str] | None:
 
 
 def _check_nice_pair_rectangle(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple) or bipartition(g) is None:
-        return None
-    if not connectivity_profile(g).connected:
+    if bipartition(g) is None:
         return None
     problems = []
     if find_nice_pair_set(g, 3) is None:
@@ -543,9 +536,7 @@ def _check_nice_pair_rectangle(g: Graph) -> list[str] | None:
 
 
 def _check_nine_nice_pairs(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple) or bipartition(g) is None:
-        return None
-    if not connectivity_profile(g).connected:
+    if bipartition(g) is None:
         return None
     problems = []
     count = nice_pair_matrix(g).pair_count
@@ -557,9 +548,7 @@ def _check_nine_nice_pairs(g: Graph) -> list[str] | None:
 
 
 def _check_brace_all_pairs_nice(g: Graph) -> list[str] | None:
-    if not (g.is_cubic and g.simple) or bipartition(g) is None:
-        return None
-    if not connectivity_profile(g).connected:
+    if bipartition(g) is None:
         return None
     every = all_pairs_nice(g)
     brace = classify(g).brace
@@ -570,10 +559,8 @@ def _check_brace_all_pairs_nice(g: Graph) -> list[str] | None:
 
 def _check_pair_lift_tight_cut(g: Graph) -> list[str] | None:
     parts = bipartition(g)
-    if not (g.is_cubic and g.simple) or parts is None:
-        return None
     profile = connectivity_profile(g)
-    if not profile.two_connected:
+    if parts is None or not profile.two_connected:
         return None
     problems = []
     full = frozenset(range(g.n))
@@ -620,9 +607,7 @@ def _check_pair_lift_tight_cut(g: Graph) -> list[str] | None:
 
 def _check_two_cut_pair_transfer(g: Graph) -> list[str] | None:
     parts = bipartition(g)
-    if not (g.is_cubic and g.simple) or parts is None:
-        return None
-    if not connectivity_profile(g).two_connected:
+    if parts is None or not connectivity_profile(g).two_connected:
         return None
     problems = []
     rel = nice_pair_matrix(g)
@@ -641,8 +626,6 @@ def _check_two_cut_pair_transfer(g: Graph) -> list[str] | None:
                     f"nice pair ({a},{b}) crosses the 2-cut at {sorted(side)}"
                 )
         patched = patched_side(g, side, u, w)
-        if not patched.graph.is_cubic:
-            continue
         for a in sorted(side & parts.a):
             for b in sorted(side & parts.b):
                 host = (a, b) in nice_pairs
@@ -893,7 +876,9 @@ def verify_suites(
 
     ``entries`` overrides the corpus (used to point suites at constructed
     graphs). Each entry's graph is checked as given, and its ``graph6``
-    labels the violations, which carry a replay command too.
+    labels the violations, which carry a replay command too. An entry whose
+    graph is not connected, simple and cubic raises ``DomainError``, naming
+    its ``graph6``, before any checker runs.
 
     With ``jobs > 1`` the graphs go to the process's one worker pool of
     ``min(jobs, graphs)`` workers, one graph with all its suites at a time.
@@ -910,7 +895,14 @@ def verify_suites(
             )
     names = tuple(names)
     if entries is None:
+        # the generator or the load check has admitted every corpus graph
         entries = corpus_up_to(max_n, cache_dir=cache_dir)
+    else:
+        for entry in entries:
+            if not _is_corpus_graph(entry.graph):
+                raise DomainError(
+                    f"entry {entry.graph6} is not a connected simple cubic graph"
+                )
     # a worker receives each graph's value alone (Graph.__reduce__), not its facts
     work = [(names, e.graph) for e in entries]
     # the pool forks every worker up front, so never ask for more than graphs

@@ -89,3 +89,19 @@ def test_capped_barrier_sweep_leaves_section_not_applicable(schema):
     assert not report["classification"]["matching_covered"]
     assert report["barriers"] == {"applicable": False}
     assert report["nice_vertices"]["applicable"]
+
+
+# The 22-cycle: matching covered and not cubic, so its tight-cut sweep is the
+# general one, capped at 20 vertices.
+CYCLE_22 = "UhCGGC@?G?_@?@??_?G?@??C??G??G??C??@_??G"
+
+
+def test_capped_tight_cut_sweep_leaves_section_not_applicable(schema):
+    reports, errors = analyze_text(CYCLE_22 + "\n" + write_graph6(k4()) + "\n")
+    assert errors == []
+    _validate(reports, schema)
+    cycle, complete = reports
+    assert cycle["vertices"] == 22
+    assert cycle["classification"]["matching_covered"]
+    assert cycle["nontrivial_tight_cuts"] == {"applicable": False}
+    assert complete["family"]["family"] == "K4"

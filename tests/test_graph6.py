@@ -58,6 +58,13 @@ def test_read_lines_reports_line_numbers():
     assert "line 3" in str(err.value)
 
 
+def test_read_lines_names_the_byte_offset_once():
+    with pytest.raises(GraphParseError) as err:
+        read_graph6_lines("C~\nnot graph6\n")
+    assert str(err.value) == "line 2: invalid graph6 byte 32 (byte offset 3)"
+    assert err.value.offset == 3
+
+
 def test_read_lines_skips_blanks():
     graphs = read_graph6_lines("C~\n\n" + write_graph6(k33()) + "\n")
     assert graphs == [k4(), k33()]

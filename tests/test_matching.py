@@ -101,7 +101,7 @@ def _tutte_full_sweep(g):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(multigraphs(), simple_graphs(min_n=1, max_n=9)))
 def test_tutte_half_sweep_agrees_with_the_full_sweep(g):
-    # the oracle skips |S| >= n/2, where odd(G - S) <= n - |S| <= |S|
+    # the oracle sweeps only |S| <= n/2: past that, odd(G - S) <= n - |S| < |S|
     assert tutte_condition_holds(g) == _tutte_full_sweep(g)
 
 

@@ -13,9 +13,9 @@ import pytest
 from nicecubic import enumeration
 from nicecubic import suites as suites_module
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
-from nicecubic.errors import InternalCheckError, UnknownSuiteError
+from nicecubic.errors import DomainError, InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
-from nicecubic.graphs import connectivity_profile
+from nicecubic.graphs import Graph, connectivity_profile
 from nicecubic.matching import _deletion_sets, pair_deletion_table
 from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
@@ -370,6 +370,26 @@ def test_verify_checks_each_entry_graph_as_given(monkeypatch, cache_dir):
     assert len(seen) == len(entries) == 3
     assert all(g is e.graph for g, e in zip(seen, entries))
     assert [(v.graph6, v.detail) for v in report.violations] == [("label-0", "boom")]
+
+
+def test_entries_outside_the_domain_are_refused_before_any_checker(monkeypatch):
+    seen = []
+    fake = suites_module.Suite(
+        "records", "synthetic claim that records its graphs", ("test",), seen.append
+    )
+    monkeypatch.setitem(suites_module.SUITES, "records", fake)
+    k4 = CorpusEntry(parse_graph6("C~"), "C~", "constructed")
+    outside = {
+        "two-K4": Graph(8, [(u + o, v + o) for o in (0, 4) for u, v in k4.graph.edges]),
+        "C6": Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+        "multigraph": Graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)]),
+    }
+    for label, graph in outside.items():
+        entries = [k4, CorpusEntry(graph, label, "constructed")]
+        for jobs in (1, 2):
+            with pytest.raises(DomainError, match=label):
+                verify_suites(["records", "tutte-existence"], 8, jobs=jobs, entries=entries)
+    assert seen == []
 
 
 def test_internal_check_error_becomes_a_violation(monkeypatch, cache_dir):
