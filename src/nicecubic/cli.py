@@ -3,7 +3,8 @@
 Subcommands: analyze, enumerate, verify, build, search-counterexample.
 Everything is deterministic (no seeds anywhere); the exit code is nonzero
 exactly when a verification suite reports violations (1), or input fails to
-parse or a file cannot be read or written (2). The corpus cache directory
+parse, an option is out of range (a negative order, --jobs below 1) or a
+file cannot be read or written (2). The corpus cache directory
 honors NICECUBIC_CACHE_DIR.
 """
 
@@ -50,6 +51,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n < 0:
+        print("error: --n must not be negative", file=sys.stderr)
+        return 2
     entries = enumerate_cubic(args.n, connected_only=args.connected)
     _write_output("".join(e.graph6 + "\n" for e in entries), args.out)
     if args.out is not None:
@@ -66,6 +70,9 @@ def _cmd_verify(args) -> int:
         return 0
     if args.suite is None:
         print("error: --suite or --list required", file=sys.stderr)
+        return 2
+    if args.max_n < 0:
+        print("error: --max-n must not be negative", file=sys.stderr)
         return 2
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
@@ -102,6 +109,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.max_n < 0:
+        print("error: --max-n must not be negative", file=sys.stderr)
+        return 2
     hits = search_barrier_counterexample(
         args.max_n, include_constructed=args.include_constructed
     )

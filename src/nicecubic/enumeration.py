@@ -3,8 +3,11 @@
 Generation is labeled backtracking in discovery order: vertex labels are
 assigned the moment a vertex is first attached, which is the
 lexicographically-smallest-extension constraint and cuts the duplication per
-isomorphism class from n!-sized to a few thousand. Post-hoc dedup buckets
-candidates by their sorted distance profiles (refinement is blind on regular
+isomorphism class from n!-sized to a few thousand. The backtracker yields
+each class's breadth-first labeling from every root, so the dedup keeps only
+candidates whose vertex 0 has a largest distance profile (273 of 639 at
+n = 10, 3,533 of 9,609 at n = 12) and still meets every class. It buckets
+them by their sorted distance profiles (refinement is blind on regular
 graphs) and settles ties with explicit isomorphism tests against the
 bucket's representatives. A representative goes first in each test, so its
 refinement, search order and profiles, memoised on it, serve every later
@@ -102,7 +105,12 @@ def _connected_cubic_classes(n: int) -> list[Graph]:
     buckets: dict[tuple, list[Graph]] = {}
     for edge_tuple in _labeled_connected_cubic(n):
         g = Graph(n, edge_tuple)
-        bucket = buckets.setdefault(tuple(sorted(_distance_profiles(g))), [])
+        profiles = _distance_profiles(g)
+        # every class is yielded in discovery order from every root, so from
+        # a root of largest profile too: the other candidates are redundant
+        if profiles[0] != max(profiles):
+            continue
+        bucket = buckets.setdefault(tuple(sorted(profiles)), [])
         if all(is_isomorphic(seen, g) is None for seen in bucket):
             bucket.append(g)
     return [g for bucket in buckets.values() for g in bucket]

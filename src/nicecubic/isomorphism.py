@@ -1,14 +1,18 @@
 """Isomorphism testing and canonical labeling for small (multi)graphs.
 
 Both rest on one equitable refinement, ``_refine`` (McKay 1981), which
-counts neighbours with multiplicity. ``is_isomorphic`` refines each graph
-once (the refinement, the search order and the distance profiles are facts
-memoised on the graph) and backtracks within equal cells to an explicit
-bijection, trying as first image only vertices whose distance profile
-matches. ``canonical_labeling`` refines at every node of an
-individualization search, skips branches that only swap twin vertices, and
-keeps the least relabeled edge list, for stable corpus identifiers. The root
-pruning does not change the mapping that the plain search returns.
+counts neighbours with multiplicity; on a regular graph the unit partition
+is already equitable, so ``refined_colors`` returns it unrefined.
+``is_isomorphic`` refines each graph once (the refinement, the search order
+and the distance profiles are facts memoised on the graph) and backtracks
+within equal cells to an explicit bijection. When there is a choice of first
+image it reads the distance profiles and, at every depth, tries as image only
+vertices whose profile matches; on simple graphs a candidate image is checked
+against the mapped vertices with one mask comparison. ``canonical_labeling``
+refines at every node of an individualization search, skips branches that
+only swap twin vertices, and keeps the least relabeled edge list, for stable
+corpus identifiers. The pruning only drops subtrees without an isomorphism,
+so it does not change the mapping that the plain search returns.
 """
 
 from __future__ import annotations
@@ -103,8 +107,9 @@ def _unit_partition(n: int) -> tuple[list[int], list[int], list[int]]:
 def refined_colors(g: Graph) -> tuple[int, ...]:
     """Each vertex's cell index in the refinement of the unit partition;
     equal structures in different graphs receive equal indices."""
-    if g.n == 0:
-        return ()
+    if len(set(g.degrees)) <= 1:
+        # every vertex counts its degree into the one cell: already equitable
+        return (0,) * g.n
     lab, cell_at, size = _unit_partition(g.n)
     _refine(g, lab, cell_at, size, [0])
     index = {start: i for i, start in enumerate(sorted(set(cell_at)))}
@@ -162,77 +167,73 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
         candidates_by_color.setdefault(c2[v], []).append(v)
 
     both_simple = g1.simple and g2.simple
-    nbrs1, nbrs2 = g1.neighbor_sets, g2.neighbor_sets
-    adj1 = g1.adjacency
+    masks2 = g2.neighbor_masks
+    # g2's neighbours of a vertex, sorted, each once
+    pools2 = g2.adjacency if g2.simple else [sorted(s) for s in g2.neighbor_sets]
     image = [-1] * n  # g1 vertex -> g2 vertex
-    inverse = [-1] * n
 
     order = _search_order(g1)
-    # an isomorphism keeps distance profiles, so a first image with another
-    # profile roots a subtree without one; profiles are read only when there
-    # is a choice of first image
-    root_choices = len(candidates_by_color[c1[order[0]]])
-    root_profile = _distance_profiles(g1)[order[0]] if root_choices > 1 else None
+    # an isomorphism keeps distance profiles, so an image with another profile
+    # roots a subtree without one; profiles are read only when there is a
+    # choice of first image
+    if len(candidates_by_color[c1[order[0][0]]]) > 1:
+        prof1, prof2 = _distance_profiles(g1), _distance_profiles(g2)
+    else:
+        prof1 = prof2 = None
 
-    def consistent(v: int, w: int) -> bool:
-        mapped_nbrs = 0
-        if both_simple:
-            for u in adj1[v]:
-                mu = image[u]
-                if mu != -1:
-                    mapped_nbrs += 1
-                    if mu not in nbrs2[w]:
-                        return False
-            mapped_hits = sum(1 for x in nbrs2[w] if inverse[x] != -1)
-            return mapped_hits == mapped_nbrs
+    def multiplicities_match(v: int, w: int) -> bool:
         for u in range(n):
             if image[u] != -1 and g1.multiplicity(v, u) != g2.multiplicity(w, image[u]):
                 return False
         return True
 
-    def backtrack(pos: int) -> bool:
+    def backtrack(pos: int, used: int) -> bool:
         if pos == n:
             return True
-        v = order[pos]
-        anchor = next((u for u in nbrs1[v] if image[u] != -1), None)
-        if anchor is not None:
-            pool = sorted(nbrs2[image[anchor]])
-        else:
-            pool = candidates_by_color[c1[v]]
+        v, earlier = order[pos]
+        need = 0  # the images of v's mapped neighbours
+        for u in earlier:
+            need |= 1 << image[u]
+        pool = pools2[image[earlier[0]]] if earlier else candidates_by_color[c1[v]]
         for w in pool:
-            if inverse[w] != -1 or c2[w] != c1[v]:
+            if used >> w & 1 or c2[w] != c1[v]:
                 continue
-            if pos == 0 and root_profile is not None and _distance_profiles(g2)[w] != root_profile:
+            if prof1 is not None and prof2[w] != prof1[v]:
                 continue
-            if consistent(v, w):
-                image[v] = w
-                inverse[w] = v
-                if backtrack(pos + 1):
-                    return True
-                image[v] = -1
-                inverse[w] = -1
+            if both_simple:
+                # on simple graphs, w's mapped neighbours must be exactly those
+                if masks2[w] & used != need:
+                    continue
+            elif not multiplicities_match(v, w):
+                continue
+            image[v] = w
+            if backtrack(pos + 1, used | 1 << w):
+                return True
+            image[v] = -1
         return False
 
-    if backtrack(0):
+    if backtrack(0, 0):
         return {v: image[v] for v in range(n)}
     return None
 
 
 @_graph_fact
-def _search_order(g: Graph) -> tuple[int, ...]:
+def _search_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Static target order: most-constrained color classes first, then
-    connect outward so partial assignments prune early."""
+    connect outward so partial assignments prune early. Each vertex comes
+    with its neighbours placed before it (with multiplicity, sorted), which
+    are the mapped ones when the search reaches it."""
     colors = refined_colors(g)
     class_size = {c: colors.count(c) for c in set(colors)}
     remaining = set(range(g.n))
-    order: list[int] = []
+    order: list[tuple[int, tuple[int, ...]]] = []
     placed: set[int] = set()
     while remaining:
         def score(v: int) -> tuple:
             attached = sum(1 for u in g.neighbor_sets[v] if u in placed)
             return (-attached, class_size[colors[v]], v)
         v = min(remaining, key=score)
-        order.append(v)
+        order.append((v, tuple(u for u in g.adjacency[v] if u in placed)))
         placed.add(v)
         remaining.remove(v)
     return tuple(order)

@@ -153,6 +153,23 @@ def test_verify_rejects_jobs_below_one(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "-4"],
+        ["enumerate", "--n", "-3", "--no-connected"],
+        ["verify", "--suite", "nine-nice-pairs", "--max-n", "-5"],
+        ["verify", "--suite", "all", "--max-n", "-1", "--jobs", "2"],
+        ["search-counterexample", "--max-n", "-2"],
+    ],
+)
+def test_negative_order_is_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "negative" in captured.err
+    assert captured.out == ""
+
+
 def test_search_counterexample_runs(capsys):
     assert main(["search-counterexample", "--max-n", "8"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,22 @@
 import hashlib
 import sys
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from nicecubic import enumeration, isomorphism
 from nicecubic.catalog import h44, k4, k33, triangular_prism
-from nicecubic.enumeration import CACHE_ENV, _connected_cubic_classes, enumerate_cubic
+from nicecubic.enumeration import (
+    CACHE_ENV,
+    _connected_cubic_classes,
+    _labeled_connected_cubic,
+    enumerate_cubic,
+)
 from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6
-from nicecubic.graphs import bipartition, connectivity_profile, is_connected
-from nicecubic.isomorphism import is_isomorphic
+from nicecubic.graphs import Graph, bipartition, connectivity_profile, is_connected
+from nicecubic.isomorphism import _distance_profiles, is_isomorphic
 
 # Connected cubic graph counts by order, from the published sequence.
 KNOWN_CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
@@ -303,3 +309,54 @@ def test_dedup_walks_each_distance_profile_once():
         sys.setprofile(None)
     assert len(classes) == 19
     assert walks and max(walks.values()) == 1
+
+
+def _bfs_relabelings(g, root):
+    """Every breadth-first order of g's vertices from root (new label -> old
+    vertex), over every order of each vertex's newly reached neighbours."""
+    def grow(order, i):
+        if i == len(order):
+            yield order
+            return
+        fresh = sorted(set(g.adjacency[order[i]]) - set(order))
+        for tail in permutations(fresh):
+            yield from grow(order + list(tail), i + 1)
+
+    yield from grow([root], 0)
+
+
+def test_every_bfs_relabeling_is_a_candidate(corpus10):
+    # the root filter keeps only candidates rooted at a largest distance
+    # profile; it is sound because the backtracker yields every class's
+    # breadth-first relabeling from every root, in every tie order
+    for n in (4, 6, 8, 10):
+        candidates = {Graph(n, edges) for edges in _labeled_connected_cubic(n)}
+        for entry in corpus10:
+            g = entry.graph
+            if g.n != n:
+                continue
+            for root in range(n):
+                for order in _bfs_relabelings(g, root):
+                    assert len(order) == n
+                    new = {v: i for i, v in enumerate(order)}
+                    assert Graph(n, [(new[u], new[v]) for u, v in g.edges]) in candidates
+
+
+def test_dedup_compares_only_candidates_rooted_at_a_largest_profile():
+    code = isomorphism.is_isomorphic.__code__
+    compared = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            compared.extend((frame.f_locals["g1"], frame.f_locals["g2"]))
+
+    sys.setprofile(record)
+    try:
+        classes = _connected_cubic_classes(10)
+    finally:
+        sys.setprofile(None)
+    assert len(classes) == 19
+    assert compared
+    for g in compared:
+        profiles = _distance_profiles(g)
+        assert profiles[0] == max(profiles)

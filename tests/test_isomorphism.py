@@ -12,6 +12,8 @@ from nicecubic.enumeration import _labeled_connected_cubic
 from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     _distance_profiles,
+    _refine,
+    _unit_partition,
     canonical_graph,
     canonical_labeling,
     is_isomorphic,
@@ -119,6 +121,46 @@ def test_refined_colors_are_equitable_and_follow_relabeling(g, rnd):
     rnd.shuffle(perm)
     relabeled = refined_colors(_relabel(g, perm))
     assert all(relabeled[perm[v]] == colors[v] for v in range(g.n))
+
+
+def _colors_by_full_refinement(g):
+    """refined_colors without its shortcut: refine the unit partition."""
+    if g.n == 0:
+        return ()
+    lab, cell_at, size = _unit_partition(g.n)
+    _refine(g, lab, cell_at, size, [0])
+    index = {start: i for i, start in enumerate(sorted(set(cell_at)))}
+    return tuple(index[cell_at[v]] for v in range(g.n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(2, [(0, 1)] * 3),  # the theta graph
+        Graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (0, 3), (0, 3)]),
+        Graph(0),
+        Graph(1),
+        Graph(3),
+        k4(),
+        r8(),
+    ],
+)
+def test_regular_graphs_keep_the_unit_partition(g):
+    assert len(set(g.degrees)) <= 1
+    assert refined_colors(g) == _colors_by_full_refinement(g) == (0,) * g.n
+
+
+def test_irregular_graph_still_splits():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    colors = refined_colors(g)
+    assert colors == _colors_by_full_refinement(g)
+    assert len(set(colors)) == 3
+
+
+@settings(max_examples=80)
+@given(multigraphs(max_n=7))
+def test_refined_colors_match_full_refinement(g):
+    assert refined_colors(g) == _colors_by_full_refinement(g)
 
 
 def test_canonical_graph_is_isomorphic_to_input():
