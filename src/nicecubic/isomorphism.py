@@ -8,11 +8,15 @@ and the distance profiles are facts memoised on the graph) and backtracks
 within equal cells to an explicit bijection. When there is a choice of first
 image it reads the distance profiles and, at every depth, tries as image only
 vertices whose profile matches; on simple graphs a candidate image is checked
-against the mapped vertices with one mask comparison. ``canonical_labeling``
-refines at every node of an individualization search, skips branches that
-only swap twin vertices, and keeps the least relabeled edge list, for stable
-corpus identifiers. The pruning only drops subtrees without an isomorphism,
-so it does not change the mapping that the plain search returns.
+against the mapped vertices with one mask comparison; this pruning only
+drops subtrees without an isomorphism, so it does not change the mapping
+that the plain search returns. ``canonical_labeling`` refines at every node
+of an individualization search and keeps the least relabeled edge list, for
+stable corpus identifiers. Two leaves with equal edge lists give an
+automorphism, and a child in the orbit of an earlier child under the
+automorphisms found that fix the node's path is skipped (orbit pruning,
+McKay & Piperno 2014); the first least leaf, and so the permutation, is the
+plain search's.
 """
 
 from __future__ import annotations
@@ -264,18 +268,23 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
     vertex of the first non-singleton cell in turn, down to discrete
     partitions whose cell order is a relabeling. The tree depends only on
     the graph's structure, so isomorphic graphs reach the same set of
-    relabeled edge lists, and the least one is canonical. A branch that only
-    swaps twin vertices is skipped; otherwise the leaf count is on the order
-    of the automorphism group, fine at desk scale.
+    relabeled edge lists, and the least one is canonical. A leaf whose edge
+    list equals the best one so far gives an automorphism: the leaf's
+    relabeling followed by the inverse of the best one. A child in the orbit
+    of an earlier child under the automorphisms found that fix the node's
+    individualized vertices is skipped (McKay & Piperno 2014). Such an
+    automorphism maps the node to itself, refinement being equivariant, and
+    the earlier child's subtree onto the skipped one, so the first least
+    leaf, the one returned, is never skipped.
     """
     n = g.n
     if n == 0:
         return ()
     adj = g.adjacency
-    twin_class = _twin_classes(g)
-    best: list | None = None
+    best: list | None = None  # [edge list, permutation, its inverse]
+    automorphisms: list[tuple[int, ...]] = []
 
-    def search(lab: list[int], cell_at: list[int], size: list[int]) -> None:
+    def search(lab: list[int], cell_at: list[int], size: list[int], path: list[int]) -> None:
         nonlocal best
         target = 0
         while target < n and size[target] == 1:
@@ -288,42 +297,46 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
                 (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
             )
             if best is None or key < best[0]:
-                best = [key, tuple(perm)]
+                best = [key, tuple(perm), lab]
+            elif key == best[0]:
+                inverse = best[2]
+                automorphisms.append(tuple(inverse[perm[v]] for v in range(n)))
             return
         end = target + size[target]
-        tried: set[int] = set()
-        for v in sorted(lab[target:end]):
-            # swapping twins is an automorphism fixing the partition, so its
-            # subtree repeats an earlier one's leaves; the first minimum stays
-            if twin_class[v] in tried:
+        cell = sorted(lab[target:end])
+        # the cell's orbits under the automorphisms fixing the path, as a
+        # union-find forest; automorphisms found since the last child merge in
+        orbit = {v: v for v in cell}
+        merged = 0
+
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                v = orbit[v]
+            return v
+
+        tried: list[int] = []
+        for v in cell:
+            for gamma in automorphisms[merged:]:
+                if all(gamma[p] == p for p in path):
+                    for u in cell:
+                        orbit[root(u)] = root(gamma[u])
+            merged = len(automorphisms)
+            if any(root(v) == root(t) for t in tried):
                 continue
-            tried.add(twin_class[v])
+            tried.append(v)
             child_lab, child_cell_at, child_size = lab[:], cell_at[:], size[:]
             child_lab[target:end] = [v] + [u for u in lab[target:end] if u != v]
             child_size[target], child_size[target + 1] = 1, size[target] - 1
             for u in child_lab[target + 1:end]:
                 child_cell_at[u] = target + 1
             _refine(g, child_lab, child_cell_at, child_size, {child_cell_at[u] for u in adj[v]})
-            search(child_lab, child_cell_at, child_size)
+            search(child_lab, child_cell_at, child_size, path + [v])
 
     lab, cell_at, size = _unit_partition(n)
     _refine(g, lab, cell_at, size, [0])
-    search(lab, cell_at, size)
+    search(lab, cell_at, size, [])
     assert best is not None
     return best[1]
-
-
-def _twin_classes(g: Graph) -> list[int]:
-    """Each vertex's least twin: v and w are twins iff they meet every other
-    vertex with equal multiplicity (an equivalence relation)."""
-    def twins(v: int, w: int) -> bool:
-        return all(
-            g.multiplicity(v, x) == g.multiplicity(w, x)
-            for x in g.neighbor_sets[v] | g.neighbor_sets[w]
-            if x != v and x != w
-        )
-
-    return [next(w for w in range(v + 1) if w == v or twins(v, w)) for v in range(g.n)]
 
 
 def canonical_graph(g: Graph) -> Graph:

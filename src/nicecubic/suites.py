@@ -305,8 +305,11 @@ def _check_tight_cuts_are_3_cuts(g: Graph) -> list[str] | None:
         size = cut.bit_count()
         if tight and size != 3:
             problems.append(f"tight cut at side {list(side)} has {size} edges")
-        if len(side) == 1 and not tight:
-            problems.append(f"trivial cut at {list(side)} is not tight")
+    # the sides above all hold vertex 0, so the trivial cut at any other
+    # vertex comes as its complement: check all n here, one per vertex
+    for v in range(g.n):
+        if not tight_by_enumeration(sum(1 << i for i, _ in g.incidence[v]), pms):
+            problems.append(f"trivial cut at [{v}] is not tight")
     return problems
 
 

@@ -289,18 +289,25 @@ def test_dedup_builds_each_search_order_once():
     assert set(builds) <= {id(g) for g in classes}
 
 
-def test_dedup_walks_each_distance_profile_once():
-    # the bucket key and is_isomorphic's first-image check read one memoised
-    # fact, so no (graph, start vertex) pair is walked twice, representatives'
-    # roots included
-    code = isomorphism._distance_profile.__code__
+def test_dedup_walks_each_distance_profile_at_most_twice():
+    # the filter walks a candidate's profiles in label order, stopping at the
+    # first violation; a kept candidate then builds its memoised fact once,
+    # which serves the bucket key and is_isomorphic's first-image check, so
+    # no (graph, start vertex) pair is walked a third time, representatives'
+    # roots included, and only graphs with a fact are walked twice
+    walk = isomorphism._distance_profile.__code__
+    build = isomorphism._distance_profiles.__wrapped__.__code__
     walks = Counter()
+    builds = Counter()
     graphs = []  # keeps every counted graph alive, so no id is reused
 
     def count_walks(frame, event, arg):
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code in (walk, build):
             graphs.append(frame.f_locals["g"])
-            walks[id(graphs[-1]), frame.f_locals["start"]] += 1
+            if frame.f_code is walk:
+                walks[id(graphs[-1]), frame.f_locals["start"]] += 1
+            else:
+                builds[id(graphs[-1])] += 1
 
     sys.setprofile(count_walks)
     try:
@@ -308,7 +315,9 @@ def test_dedup_walks_each_distance_profile_once():
     finally:
         sys.setprofile(None)
     assert len(classes) == 19
-    assert walks and max(walks.values()) == 1
+    assert builds and max(builds.values()) == 1
+    assert walks and max(walks.values()) == 2
+    assert {g for (g, _), count in walks.items() if count == 2} <= set(builds)
 
 
 def _bfs_relabelings(g, root):
@@ -326,9 +335,10 @@ def _bfs_relabelings(g, root):
 
 
 def test_every_bfs_relabeling_is_a_candidate(corpus10):
-    # the root filter keeps only candidates rooted at a largest distance
-    # profile; it is sound because the backtracker yields every class's
-    # breadth-first relabeling from every root, in every tie order
+    # the filter keeps only candidates rooted at a largest distance profile
+    # whose siblings come in non-increasing profile order; it is sound
+    # because the backtracker yields every class's breadth-first relabeling
+    # from every root, in every tie order
     for n in (4, 6, 8, 10):
         candidates = {Graph(n, edges) for edges in _labeled_connected_cubic(n)}
         for entry in corpus10:
@@ -343,6 +353,8 @@ def test_every_bfs_relabeling_is_a_candidate(corpus10):
 
 
 def test_dedup_compares_only_candidates_rooted_at_a_largest_profile():
+    # the candidates that pass the filter: each is compared with its
+    # bucket's representatives or founds a bucket of its own
     code = isomorphism.is_isomorphic.__code__
     compared = []
 
@@ -357,6 +369,15 @@ def test_dedup_compares_only_candidates_rooted_at_a_largest_profile():
         sys.setprofile(None)
     assert len(classes) == 19
     assert compared
-    for g in compared:
+    kept = {id(g): g for g in compared + classes}
+    assert len(kept) == 95  # of 639 candidates
+    for g in kept.values():
         profiles = _distance_profiles(g)
         assert profiles[0] == max(profiles)
+        # a vertex's children, the vertices whose least neighbour it is, are
+        # consecutively labeled, in non-increasing profile order
+        children = [[w for w in range(1, g.n) if min(g.adjacency[w]) == v] for v in range(g.n)]
+        for kids in filter(None, children):
+            assert kids == list(range(kids[0], kids[0] + len(kids)))
+            ordered = [profiles[w] for w in kids]
+            assert ordered == sorted(ordered, reverse=True)

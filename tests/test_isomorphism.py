@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecubic.catalog import h44, k4, k33, k33_triangle, r8, triangular_prism
-from nicecubic.enumeration import _labeled_connected_cubic
+from nicecubic.enumeration import _labeled_connected_cubic, enumerate_cubic
 from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     _distance_profiles,
@@ -222,3 +222,81 @@ def test_isomorphism_mappings_are_pinned():
         return "None" if mapping is None else " ".join(str(mapping[v]) for v in sorted(mapping))
 
     assert _digest(line(is_isomorphic(a, b)) for a, b in pairs) == MAPPING_SHA256
+
+
+def _plain_canonical_labeling(g):
+    """The reference search: canonical_labeling without any pruning, every
+    child of every node searched and the first least leaf kept."""
+    n = g.n
+    if n == 0:
+        return ()
+    best = None
+
+    def search(lab, cell_at, size):
+        nonlocal best
+        target = 0
+        while target < n and size[target] == 1:
+            target += 1
+        if target == n:
+            perm = [0] * n
+            for new, v in enumerate(lab):
+                perm[v] = new
+            key = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
+            if best is None or key < best[0]:
+                best = (key, tuple(perm))
+            return
+        end = target + size[target]
+        for v in sorted(lab[target:end]):
+            child_lab, child_cell_at, child_size = lab[:], cell_at[:], size[:]
+            child_lab[target:end] = [v] + [u for u in lab[target:end] if u != v]
+            child_size[target], child_size[target + 1] = 1, size[target] - 1
+            for u in child_lab[target + 1:end]:
+                child_cell_at[u] = target + 1
+            _refine(g, child_lab, child_cell_at, child_size, {child_cell_at[u] for u in g.adjacency[v]})
+            search(child_lab, child_cell_at, child_size)
+
+    lab, cell_at, size = _unit_partition(n)
+    _refine(g, lab, cell_at, size, [0])
+    search(lab, cell_at, size)
+    return best[1]
+
+
+THETA = Graph(2, [(0, 1)] * 3)
+K4_DOUBLED_EDGE = Graph(4, k4().edges + ((0, 1),))
+
+
+@pytest.fixture(scope="module")
+def cubic_graphs10(cache_dir):
+    """Every connected and every cubic graph with n <= 10, one per class."""
+    graphs = {
+        e.graph
+        for n in (4, 6, 8, 10)
+        for connected_only in (True, False)
+        for e in enumerate_cubic(n, connected_only=connected_only, cache_dir=cache_dir)
+    }
+    return sorted(graphs, key=lambda g: (g.n, g.edges))
+
+
+def test_orbit_pruning_keeps_the_plain_labeling_on_the_corpus(cubic_graphs10):
+    assert len(cubic_graphs10) == 30  # 27 connected, 3 disconnected
+    for g in cubic_graphs10:
+        assert canonical_labeling(g) == _plain_canonical_labeling(g)
+
+
+@pytest.mark.parametrize("g", [THETA, k33(), K4_DOUBLED_EDGE])
+def test_orbit_pruning_keeps_the_plain_labeling_under_relabeling(g):
+    rnd = random.Random(g.n)
+    for _ in range(40):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = _relabel(g, perm)
+        assert canonical_labeling(h) == _plain_canonical_labeling(h)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_orbit_pruning_keeps_the_plain_labeling(cubic_graphs10, data):
+    specials = st.sampled_from([THETA, k33(), K4_DOUBLED_EDGE])
+    g = data.draw(st.one_of(specials, st.sampled_from(cubic_graphs10), multigraphs(max_n=7)))
+    h = _relabel(g, data.draw(st.permutations(range(g.n))))
+    assert canonical_labeling(h) == _plain_canonical_labeling(h)

@@ -12,6 +12,7 @@ import pytest
 
 from nicecubic import enumeration
 from nicecubic import suites as suites_module
+from nicecubic.catalog import triangular_prism
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import DomainError, InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
@@ -117,6 +118,20 @@ def test_two_cut_nice_transfer_colors_cut_ends_in_side_labels():
     report = verify_suite("two-cut-nice-transfer", max_n=12, entries=entries)
     assert report.graphs_checked == 2
     assert report.passed, report.violations
+
+
+def test_tight_cuts_suite_checks_every_trivial_cut(monkeypatch):
+    # a "perfect matching" that misses the edge uv, with 0 not in {u, v}:
+    # the trivial cuts at u and at v are not tight, and both are reported,
+    # though the cut sides the suite sweeps hold vertex 0, not u or v
+    g = triangular_prism()
+    pm = suites_module._perfect_matching_masks(g)[0]
+    i = next(i for i, (u, v) in enumerate(g.edges) if pm >> i & 1 and 0 not in (u, v))
+    u, v = g.edges[i]
+    monkeypatch.setattr(suites_module, "_perfect_matching_masks", lambda g: (pm ^ 1 << i,))
+    problems = suites_module._check_tight_cuts_are_3_cuts(g)
+    trivial = [p for p in problems if p.startswith("trivial cut")]
+    assert trivial == [f"trivial cut at [{u}] is not tight", f"trivial cut at [{v}] is not tight"]
 
 
 def test_reports_are_stable_across_runs(cache_dir):
