@@ -465,11 +465,47 @@ def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
     lexicographically. The side is a tuple of its vertices in increasing
     order; the cut is an edge mask (bit i for edge i), the XOR of the side's
     incident-edge masks, in which every edge with both ends in the side
-    cancels. Exponential; small orders only."""
+    cancels. ``all_cuts`` and the bipartite tightness oracle walk all
+    2^(n-1) sides; the tight-cut oracle walks only ``_sides_crossed_once``.
+    Exponential; small orders only."""
     incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
     for size in range(g.n - 1):
         for extra in combinations(range(1, g.n), size):
             yield (0,) + extra, reduce(xor, map(incident.__getitem__, extra), incident[0])
+
+
+def _sides_crossed_once(g: Graph, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The pairs of ``_cut_masks`` whose cut the matching m (an edge mask)
+    crosses exactly once, in the same order. Such a side is a union of
+    units, each edge of m whole and each vertex that m leaves uncovered
+    alone, plus exactly one end of one further edge of m: n * 2^(n/2 - 2)
+    sides when m is perfect, against 2^(n-1). Exponential; small orders
+    only."""
+    incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
+    pairs = [g.edges[i] for i in range(len(g.edges)) if m >> i & 1]
+    covered = {v for pair in pairs for v in pair}
+    # (vertices, cut mask) per unit; the edges of m come first, in order
+    units = [((u, v), incident[u] ^ incident[v]) for u, v in pairs]
+    units += [((v,), incident[v]) for v in range(g.n) if v not in covered]
+    zero = next((k for k, (vs, _) in enumerate(units) if 0 in vs), None)
+    found = []
+    for j, pair in enumerate(pairs):
+        for end in pair:
+            rest = [k for k in range(len(units)) if k != j]
+            if end == 0:
+                sides = [((end,), incident[end])]
+            elif zero == j:
+                continue  # vertex 0 would be the far end, outside the side
+            else:
+                sides = [((end,) + units[zero][0], incident[end] ^ units[zero][1])]
+                rest.remove(zero)
+            for k in rest:
+                vs, cut = units[k]
+                sides += [(side + vs, mask ^ cut) for side, mask in sides]
+            found += sides
+    walked = [(tuple(sorted(side)), cut) for side, cut in found]
+    walked.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    yield from walked
 
 
 def _mask_edge_cut(g: Graph, side: tuple[int, ...], cut: int) -> EdgeCut:

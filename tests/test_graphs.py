@@ -16,6 +16,7 @@ from nicecubic.graphs import (
     _cut_masks,
     _cut_space_labels,
     _odd_component_count,
+    _sides_crossed_once,
     all_cuts,
     bipartition,
     connected_components,
@@ -31,7 +32,7 @@ from nicecubic.isomorphism import is_isomorphic
 from nicecubic.matching import pair_deletion_table
 from nicecubic.nice import nice_pair_matrix
 from nicecubic.structure import _barriers, _nontrivial_tight_cuts, classify
-from nicecubic.suites import _perfect_matching_masks
+from nicecubic.suites import _perfect_matching_masks, tight_by_enumeration
 
 from .strategies import connected_multigraphs, multigraphs, simple_graphs
 
@@ -391,6 +392,24 @@ def test_cut_space_labels_match_the_cut_oracle(g):
         for subset in combinations(range(len(g.edges)), size):
             if _label_xor(labels, subset) == 0:
                 assert sum(1 << i for i in subset) in cuts, subset
+
+
+def test_sides_crossed_once_filter_the_cut_walk_on_corpus(corpus12):
+    # the tight-cut oracle's walk is the full walk filtered by one crossing,
+    # pairs and order both: for a perfect matching M, for M less the edge at
+    # vertex 0 (0 uncovered) and for M less its last edge (0 covered)
+    for entry in corpus12:
+        g = entry.graph
+        every = list(_cut_masks(g))
+        pms = _perfect_matching_masks(g)
+        m = pms[0]
+        for matching in (m, m & m - 1, m ^ 1 << m.bit_length() - 1):
+            expected = [(side, cut) for side, cut in every if (cut & matching).bit_count() == 1]
+            assert list(_sides_crossed_once(g, matching)) == expected, (entry.graph6, matching)
+        tight = [side for side, cut in every if tight_by_enumeration(cut, pms)]
+        assert [
+            side for side, cut in _sides_crossed_once(g, m) if tight_by_enumeration(cut, pms)
+        ] == tight, entry.graph6
 
 
 def test_enumerate_cuts_matches_brute_force_on_corpus(corpus12):

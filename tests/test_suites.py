@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from nicecubic import enumeration
+from nicecubic import matching as matching_module
 from nicecubic import suites as suites_module
 from nicecubic.catalog import triangular_prism
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import DomainError, InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
-from nicecubic.graphs import Graph, connectivity_profile
+from nicecubic.graphs import Graph, _cut_masks, connectivity_profile
 from nicecubic.matching import _deletion_sets, pair_deletion_table
 from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
@@ -134,6 +135,18 @@ def test_tight_cuts_suite_checks_every_trivial_cut(monkeypatch):
     assert trivial == [f"trivial cut at [{u}] is not tight", f"trivial cut at [{v}] is not tight"]
 
 
+def test_tight_cuts_suite_walks_every_side_without_a_perfect_matching(monkeypatch):
+    # no first matching to filter by: every cut is vacuously tight, so the
+    # full walk reports each side whose cut is not a 3-cut
+    g = triangular_prism()
+    monkeypatch.setattr(suites_module, "_perfect_matching_masks", lambda g: ())
+    assert suites_module._check_tight_cuts_are_3_cuts(g) == [
+        f"tight cut at side {list(side)} has {cut.bit_count()} edges"
+        for side, cut in _cut_masks(g)
+        if cut.bit_count() != 3
+    ]
+
+
 def test_reports_are_stable_across_runs(cache_dir):
     first = verify_suite("nine-nice-pairs", max_n=8, cache_dir=cache_dir)
     second = verify_suite("nine-nice-pairs", max_n=8, cache_dir=cache_dir)
@@ -182,6 +195,16 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     tables = _record_builds(monkeypatch, pair_deletion_table)
     profiles = _record_builds(monkeypatch, connectivity_profile)
     sweeps = _record_builds(monkeypatch, _deletion_sets)
+    masks = _record_builds(monkeypatch, suites_module._perfect_matching_masks)
+    enumerations = []
+    enumerate_matchings = matching_module.perfect_matchings
+
+    def recorded_enumeration(g):
+        enumerations.append(g)
+        return enumerate_matchings(g)
+
+    monkeypatch.setattr(suites_module, "perfect_matchings", recorded_enumeration)
+    monkeypatch.setattr(matching_module, "perfect_matchings", recorded_enumeration)
     reports = verify_suites(sorted(SUITES), 10, cache_dir=cache_dir)
     assert all(report.passed for report in reports)
     (entries,) = loads
@@ -196,6 +219,11 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     # the Tutte and barrier oracles read one deletion-set sweep, on corpus
     # graphs only
     assert sorted(id(g) for g in sweeps) == sorted(corpus)
+    # the suites that read the perfect matchings share one enumeration per
+    # 2-connected corpus graph, and no other enumeration runs on the corpus
+    two_connected = [id(e.graph) for e in entries if connectivity_profile(e.graph).two_connected]
+    assert sorted(id(g) for g in masks if id(g) in corpus) == sorted(two_connected)
+    assert sorted(id(g) for g in enumerations if id(g) in corpus) == sorted(two_connected)
 
 
 def test_suite_calls_share_each_corpus_graph_facts(monkeypatch, cache_dir):
