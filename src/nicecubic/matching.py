@@ -10,7 +10,8 @@ are reproducible across runs.
 There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
 It reads the host's ``g.adjacency`` and skips a mask of deleted vertices,
 so every question "is G - W perfectly matchable" (``has_perfect_matching``,
-``nice_check``) runs on the host itself and no subgraph is built.
+``nice_check``) runs on the host itself and no subgraph is built. The
+answers are memoised on the host by mask, so each G - W runs it once.
 ``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
 once per vertex u, with u masked out, to read, from one perfect matching,
 which vertex pairs leave a perfectly matchable graph when deleted. The
@@ -21,17 +22,19 @@ looks for barriers; in a matching covered graph, u with the vertices
 blocked with it form one maximal barrier (Kotzig; Lovász & Plummer,
 *Matching Theory*, §5.2).
 
-Apart from that path, ``_deletion_sets`` sweeps every vertex set of at most
+Apart from that path, ``_deletion_sets`` sweeps the vertex sets of at most
 half the vertices once per graph, memoised, for the two exponential oracles:
 ``tutte_condition_holds`` here and the exhaustive barrier sweep in
-``suites``. Neither fast path reads it.
+``suites``. It visits every set that can leave at least as many odd
+components as it has vertices, and skips a subtree only by a parity bound
+that needs no matching (see ``_deletion_sets``). Neither fast path reads it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import DomainError
@@ -192,9 +195,22 @@ def has_perfect_matching(g: Graph) -> bool:
 
 def _matchable_without(g: Graph, removed: int) -> bool:
     """True iff g minus the vertices of the mask ``removed`` has a perfect
-    matching: every vertex left exposed by a maximum matching is removed."""
+    matching: every vertex left exposed by a maximum matching is removed.
+
+    Memoised per graph and mask, in ``g.__dict__`` as ``_graph_fact`` does,
+    so each deletion query runs the blossom search once per graph, whichever
+    reader (nice vertices and pairs, tightness, 2-extendability, the
+    four-deletion brace test) asks first. Odd remainders need no search."""
     gone = removed.bit_count()
-    return (g.n - gone) % 2 == 0 and _maximum_mates(g, removed).count(-1) == gone
+    if (g.n - gone) % 2:
+        return False
+    known = g.__dict__.get(_matchable_without)
+    if known is None:
+        known = g.__dict__[_matchable_without] = {}
+    matchable = known.get(removed)
+    if matchable is None:
+        matchable = known[removed] = _maximum_mates(g, removed).count(-1) == gone
+    return matchable
 
 
 def tutte_condition_holds(g: Graph) -> bool:
@@ -207,30 +223,81 @@ def tutte_condition_holds(g: Graph) -> bool:
     odd(G - S) <= n - |S| <= |S| once |S| >= n/2, and no such S can break
     the condition. The sweep itself, ``_deletion_sets``, is shared with the
     exhaustive barrier oracle and goes one size further, to |S| = n/2 for
-    even n, where by the same bound no S breaks the condition either.
+    even n, where by the same bound no S breaks the condition either. It
+    skips only subtrees of sets that provably leave fewer than |S| odd
+    components, none of which can break the condition.
     """
     return _deletion_sets(g)[0]
 
 
 @_graph_fact
 def _deletion_sets(g: Graph) -> tuple[bool, tuple[int, ...]]:
-    """One sweep of every vertex set S with |S| <= n/2, by size and then
-    lexicographically, with one odd-component count per set: whether no S
-    leaves more than |S| odd components (Tutte's condition), and the masks of
-    the nonempty S that leave exactly |S| (the barriers), in sweep order.
-    Exponential; the Tutte and barrier oracles read it, no fast path does."""
-    bits = [1 << v for v in range(g.n)]
+    """Whether no vertex set S with |S| <= n/2 leaves more than |S| odd
+    components (Tutte's condition), and the masks of the nonempty S that
+    leave exactly |S| (the barriers), by size and then lexicographically.
+    Exponential; the Tutte and barrier oracles read it, no fast path does.
+
+    Both questions ask for the sets with d(S) = odd(G - S) - |S| >= 0, and
+    the sweep visits every set that can reach d >= 0: a depth-first walk
+    over S that adds vertices in increasing order, one odd-component count
+    per visited set. Pre-order restricted to one size is lexicographic, so
+    collecting the barriers by size keeps the order of a plain sweep.
+
+    The pruning bound uses neither a matching nor any claim a suite checks:
+    - d(S) = n (mod 2), since the component sizes of G - S sum to n - |S|,
+      so every change of d is even.
+    - Adding v to S removes v from its component C of G - S, which splits
+      into at most p = |N(v) - S| pieces (distinct neighbours, since each
+      piece holds one). If C is even, at most p pieces are odd and d rises
+      by at most p - 1; if C is odd, at most p - 1 are, and d rises by at
+      most p - 2. Being even, the rise is at most 2 * lift(v), where
+      lift(v) = floor((p - 1) / 2), which is -1 when p = 0.
+    - p only shrinks as S grows, so lift(v) taken at S also bounds the rise
+      when v joins any larger set.
+    So every set below S + v, that is S + v + U with U after v and |U| <=
+    n/2 - |S| - 1, has d <= d(S) + 2 * (lift(v) + the n/2 - |S| - 1 largest
+    positive lifts of the vertices after v). When that is negative, the
+    walk skips S + v and everything under it; d(S) + 2x < 0 exactly when
+    x < -floor(d(S) / 2), the pairs of odd components that S lacks.
+    """
+    n = g.n
+    limit = n // 2
+    neighbors = [[w for w in range(n) if mask >> w & 1] for mask in g.neighbor_masks]
+    free = [mask.bit_count() for mask in g.neighbor_masks]  # |N(w) - S|
     tutte = True
-    barrier_masks = []
-    for size in range(g.n // 2 + 1):
-        for subset in combinations(bits, size):
-            mask = sum(subset)
-            odd = _odd_component_count(g, mask)
-            if odd > size:
-                tutte = False
-            elif odd == size and size:
-                barrier_masks.append(mask)
-    return tutte, tuple(barrier_masks)
+    barriers_by_size: list[list[int]] = [[] for _ in range(limit + 1)]
+
+    def visit(s: int, size: int, start: int) -> None:
+        nonlocal tutte
+        d = _odd_component_count(g, s) - size
+        if d > 0:
+            tutte = False
+        elif d == 0 and size:
+            barriers_by_size[size].append(s)
+        if size == limit:
+            return
+        lacking = -(d // 2)
+        room = limit - size - 1  # vertices that may still follow the next one
+        lifts = [(free[v] - 1) // 2 for v in range(start, n)]
+        # reach[i]: the room largest positive lifts after vertex start + i
+        reach = [0] * len(lifts)
+        if room:
+            ahead: list[int] = []
+            for i in range(len(lifts) - 1, -1, -1):
+                reach[i] = sum(ahead[-room:])
+                if lifts[i] > 0:
+                    insort(ahead, lifts[i])
+        for v, lift, more in zip(range(start, n), lifts, reach):
+            if lift + more < lacking:
+                continue
+            for w in neighbors[v]:
+                free[w] -= 1
+            visit(s | 1 << v, size + 1, v + 1)
+            for w in neighbors[v]:
+                free[w] += 1
+
+    visit(0, 0, 0)
+    return tutte, tuple(mask for masks in barriers_by_size for mask in masks)
 
 
 def perfect_matchings(g: Graph) -> list[Matching]:

@@ -55,9 +55,10 @@ def is_nice_vertex(g: Graph, u: int) -> bool:
     return _matchable_without(g, _closed_neighborhood_mask(g, u))
 
 
+@_graph_fact
 def nice_vertices(g: Graph) -> NiceReport:
     """All nice vertices and their count: u is nice iff g minus N[u] has a
-    perfect matching."""
+    perfect matching. Computed once per graph."""
     if not g.is_cubic:
         raise DomainError("nice vertices are defined for cubic graphs")
     nice = frozenset(u for u in range(g.n) if is_nice_vertex(g, u))

@@ -10,8 +10,9 @@ classification and the tight-cut domain check read the same one; the
 barriers, the classification and the nontrivial tight cuts are memoised
 too. Tightness of a cut means every perfect matching crosses it exactly
 once; it is decided by deletion-set matching queries, without enumerating
-perfect matchings. The second characterizations of these facts (the sweep
-over every vertex set, perfect-matching enumeration, the bipartite split
+perfect matchings, on the cut's edge mask (``_is_tight``, which
+``is_tight_cut`` wraps). The second characterizations of these facts (the
+deletion-set sweep, perfect-matching enumeration, the bipartite split
 criterion, the balanced four-deletion brace test) live in the suites that
 check them.
 """
@@ -188,7 +189,14 @@ def _is_two_extendable(g: Graph) -> bool:
 
 
 def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
-    """Tightness by deletion-set matching queries.
+    """Tightness by deletion-set matching queries (see ``_is_tight``)."""
+    mask = sum(1 << i for i in cut.edge_indices)
+    return CutWitness(cut=cut, tight=_is_tight(g, len(cut.side), mask))
+
+
+def _is_tight(g: Graph, side_size: int, cut: int) -> bool:
+    """Whether a side of ``side_size`` vertices whose cut is the edge mask
+    ``cut`` (bit i for edge i) is tight, with no ``EdgeCut`` built.
 
     A perfect matching crosses a side an odd or even number of times as the
     side is odd or even, so an even side is never tight. An odd side is
@@ -198,11 +206,19 @@ def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
     """
     if pair_deletion_table(g) is None:
         raise DomainError("tightness is defined over hosts with perfect matchings")
-    ends = [1 << u | 1 << v for u, v in (g.edges[i] for i in cut.edge_indices)]
-    tight = len(cut.side) % 2 == 1 and not any(
-        not x & y and _matchable_without(g, x | y) for x, y in combinations(ends, 2)
-    )
-    return CutWitness(cut=cut, tight=tight)
+    if side_size % 2 == 0:
+        return False
+    earlier = []  # the ends of the cut edges taken so far, as vertex masks
+    while cut:
+        low = cut & -cut
+        u, v = g.edges[low.bit_length() - 1]
+        x = 1 << u | 1 << v
+        for y in earlier:
+            if not x & y and _matchable_without(g, x | y):
+                return False
+        earlier.append(x)
+        cut ^= low
+    return True
 
 
 def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:

@@ -10,21 +10,25 @@ Every suite is deterministic; reports are byte-stable given fixed flags.
 ``verify_suites`` runs every named suite in one pass: it loads the corpus
 once, and each graph goes through every checker in turn, so the facts
 memoised on the graph (profile, pair-deletion table, classification,
-barriers, tight cuts, perfect matchings, the deletion-set sweep) are built
-once per graph and shared by the suites, and, with the corpus kept by
+barriers, tight cuts, perfect matchings, nice vertices, the deletion-set
+sweep, each G - W matching query) are built once per graph and shared by
+the suites, and, with the corpus kept by
 ``enumerate_cubic``, by later passes in the process too. Graphs are independent, so with ``jobs > 1`` they run on one worker
 pool per process, started at first use and reused by later passes; the
 interpreter joins its workers at exit.
 
 The library computes each fact one way. The second characterizations that
-the claims compare it against (the exhaustive barrier sweep over every
-vertex set, read from the deletion-set sweep that ``matching``'s Tutte
-oracle shares, perfect-matching enumeration and the bipartite split criterion
-for tightness, the four-deletion brace test, the barrier route of niceness)
+the claims compare it against (the exhaustive barrier sweep, read from the
+deletion-set sweep that ``matching``'s Tutte oracle shares and that skips
+only sets that provably leave fewer odd components than vertices,
+perfect-matching enumeration and the bipartite split criterion for
+tightness, the four-deletion brace test, the barrier route of niceness)
 live here, next to the suite that checks them. ``bipartite-tight-criterion``
-tests every cut side by enumeration; ``tight-cuts-are-3-cuts`` tests only
-the sides that the first perfect matching crosses once, since no other side
-can be tight.
+walks every cut side on int masks and compares enumeration, the split
+criterion and the library's deletion-query test (``structure._is_tight``,
+the mask entry that ``is_tight_cut`` wraps) on each; ``tight-cuts-are-3-cuts``
+tests only the sides that the first perfect matching crosses once, since no
+other side can be tight.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .graphs import (
     VertexSet,
     _cut_masks,
     _graph_fact,
-    _mask_edge_cut,
     _odd_component_count,
     _sides_crossed_once,
     _vertex_mask,
@@ -78,6 +81,7 @@ from .nice import (
     nice_vertices,
 )
 from .structure import (
+    _is_tight,
     barriers,
     classify,
     is_tight_cut,
@@ -140,9 +144,12 @@ def _is_independent(g: Graph, vs) -> bool:
 
 
 def exhaustive_barrier_sets(g: Graph) -> list[frozenset[int]]:
-    """Every nonempty barrier, by sweeping all vertex sets of size at most
-    n/2 in size-then-lexicographic order: the deletion-set sweep that the
-    Tutte oracle reads too. Exponential; small orders only."""
+    """Every nonempty barrier, in size-then-lexicographic order, from the
+    deletion-set sweep that the Tutte oracle reads too: it visits every
+    vertex set of size at most n/2 that can reach d(S) = odd(G - S) - |S|
+    >= 0, and skips only subtrees where a parity bound rules that out (the
+    proof is at ``matching._deletion_sets``); a barrier has d = 0.
+    Exponential; small orders only."""
     return [
         frozenset(v for v in range(g.n) if mask >> v & 1)
         for mask in _deletion_sets(g)[1]
@@ -177,28 +184,35 @@ def tight_by_enumeration(cut: int, pms: Sequence[int]) -> bool:
     return all((cut & pm).bit_count() == 1 for pm in pms)
 
 
-def bipartite_split(side: VertexSet, parts: Bipartition) -> tuple[VertexSet, VertexSet]:
+def bipartite_split(side: int, color: int) -> tuple[int, int]:
     """(X+, X-): the larger and the smaller color-class intersection of an
-    odd cut side."""
-    inside_a, inside_b = side & parts.a, side & parts.b
-    if len(inside_a) > len(inside_b):
+    odd cut side, as vertex masks; ``color`` is the mask of one color class
+    and every vertex outside it is in the other."""
+    inside_a, inside_b = side & color, side & ~color
+    if inside_a.bit_count() > inside_b.bit_count():
         return inside_a, inside_b
     return inside_b, inside_a
 
 
-def tight_by_bipartite_split(g: Graph, side: VertexSet, parts: Bipartition) -> bool:
-    """The bipartite split criterion: the side is odd, |X+| = |X-| + 1, and
-    no edge joins X- to the smaller color class of the complement."""
-    if len(side) % 2 == 0:
+def tight_by_bipartite_split(g: Graph, side: int, color: int) -> bool:
+    """The bipartite split criterion on vertex masks: the side is odd,
+    |X+| = |X-| + 1, and no edge joins X- to the smaller color class of the
+    complement. ``color`` is the mask of one color class."""
+    if side.bit_count() % 2 == 0:
         return False
-    x_plus, x_minus = bipartite_split(side, parts)
-    complement = frozenset(range(g.n)) - side
-    co_a, co_b = complement & parts.a, complement & parts.b
-    co_minus = co_a if len(co_a) < len(co_b) else co_b
-    return len(x_plus) == len(x_minus) + 1 and not any(
-        (u in x_minus and v in co_minus) or (v in x_minus and u in co_minus)
-        for u, v in g.edges
-    )
+    x_plus, x_minus = bipartite_split(side, color)
+    if x_plus.bit_count() != x_minus.bit_count() + 1:
+        return False
+    complement = ((1 << g.n) - 1) & ~side
+    co_a, co_b = complement & color, complement & ~color
+    co_minus = co_a if co_a.bit_count() < co_b.bit_count() else co_b
+    neighbor_masks = g.neighbor_masks
+    while x_minus:
+        low = x_minus & -x_minus
+        if neighbor_masks[low.bit_length() - 1] & co_minus:
+            return False
+        x_minus ^= low
+    return True
 
 
 def brace_by_four_deletion(g: Graph, parts: Bipartition) -> bool:
@@ -335,24 +349,29 @@ def _check_nontrivial_3_cut_matching(g: Graph) -> list[str] | None:
 
 
 def _check_bipartite_tight_criterion(g: Graph) -> list[str] | None:
+    """Enumeration, the split criterion and the library's deletion-query
+    test (``structure._is_tight``) agree on every cut side, walked on int
+    masks."""
     parts = bipartition(g)
     if parts is None or not is_matching_covered(g):
         return None
     pms = _perfect_matching_masks(g)
+    color = _vertex_mask(g, parts.a)
+    bits = [1 << v for v in range(g.n)]
     problems = []
-    for side, mask in _cut_masks(g):
-        cut = _mask_edge_cut(g, side, mask)
-        enumerated = tight_by_enumeration(mask, pms)
-        criterion = tight_by_bipartite_split(g, cut.side, parts)
-        fast = is_tight_cut(g, cut).tight
+    for side, cut in _cut_masks(g):
+        mask = sum(map(bits.__getitem__, side))
+        enumerated = tight_by_enumeration(cut, pms)
+        criterion = tight_by_bipartite_split(g, mask, color)
+        fast = _is_tight(g, len(side), cut)
         if not enumerated == criterion == fast:
             problems.append(
                 f"side {list(side)}: enumeration={enumerated}, "
                 f"split criterion={criterion}, is_tight_cut={fast}"
             )
         if enumerated and len(side) % 2 == 1:
-            plus, minus = bipartite_split(cut.side, parts)
-            if len(plus) != len(minus) + 1:
+            plus, minus = bipartite_split(mask, color)
+            if plus.bit_count() != minus.bit_count() + 1:
                 problems.append(f"tight cut side {list(side)} has bad split sizes")
     return problems
 
@@ -441,8 +460,9 @@ def _check_minimal_barrier_all_nice(g: Graph) -> list[str] | None:
     minimal = [b for b in barriers(g) if b.minimal_nontrivial]
     if not minimal:
         return ["non-bicritical 3-connected graph without a minimal nontrivial barrier"]
+    nice = nice_vertices(g).nice
     for barrier in minimal:
-        if all(is_nice_vertex(g, v) for v in barrier.vertices):
+        if barrier.vertices <= nice:
             return []
     return ["no minimal nontrivial barrier consists of nice vertices only"]
 
@@ -461,7 +481,7 @@ def _check_nice_lift_tight_cut(g: Graph) -> list[str] | None:
                 continue
             for u in sorted(side):
                 if is_nice_vertex(contraction.graph, contraction.old_to_new[u]):
-                    if not is_nice_vertex(g, u):
+                    if u not in nice_vertices(g).nice:
                         problems.append(
                             f"{u} nice in the contraction at {sorted(side)} but not in the host"
                         )
@@ -493,7 +513,7 @@ def _check_two_cut_nice_transfer(g: Graph) -> list[str] | None:
         patched = patched_side(g, side, a, c)
         for u in sorted(side):
             patched_nice = is_nice_vertex(patched.graph, patched.old_to_new[u])
-            if patched_nice and not is_nice_vertex(g, u):
+            if patched_nice and u not in nice_vertices(g).nice:
                 problems.append(
                     f"{u} nice in the patched side {sorted(side)} but not in the host"
                 )

@@ -1,14 +1,25 @@
+import pickle
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nicecubic import matching as matching_module
 from nicecubic.catalog import h44, k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError
-from nicecubic.graphs import Graph, connected_components, induced_subgraph, is_connected
+from nicecubic.graphs import (
+    Graph,
+    _odd_component_count,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from nicecubic.matching import (
+    _deletion_sets,
+    _matchable_without,
     count_perfect_matchings,
     has_perfect_matching,
     is_matching_covered,
@@ -271,3 +282,87 @@ def test_pair_deletion_table_agrees_with_nice_check(g):
         assert expected == _matchable_after_deleting(g, (u, v))
         assert (v in table[u]) == expected
         assert (u in table[v]) == expected
+
+
+def _plain_deletion_sets(g):
+    """The reference for ``_deletion_sets``: every vertex set S with
+    |S| <= n/2, by size and then lexicographically, one odd-component count
+    each, with no pruning."""
+    bits = [1 << v for v in range(g.n)]
+    tutte = True
+    barrier_masks = []
+    for size in range(g.n // 2 + 1):
+        for subset in combinations(bits, size):
+            mask = sum(subset)
+            odd = _odd_component_count(g, mask)
+            if odd > size:
+                tutte = False
+            elif odd == size and size:
+                barrier_masks.append(mask)
+    return tutte, tuple(barrier_masks)
+
+
+def test_pruned_deletion_sweep_is_the_plain_sweep_on_corpus(corpus12):
+    for entry in corpus12:
+        g = Graph(entry.graph.n, entry.graph.edges)  # no memoised sweep
+        assert _deletion_sets(g) == _plain_deletion_sets(g), entry.graph6
+
+
+# The examples defeat two unsound bounds: in the multigraph a vertex with a
+# doubled edge into S loses one neighbour, not two, so a lift that counts
+# edges with multiplicity skips barriers; K33's colour classes lie below sets
+# with d = -2, which a bound without the parity halving skips.
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(simple_graphs(max_n=10), multigraphs(max_n=9, max_edges=18)))
+@example(Graph(6, [(0, 2), (0, 4), (1, 5), (2, 3), (2, 3), (4, 5), (4, 5)]))
+@example(k33())
+def test_pruned_deletion_sweep_is_the_plain_sweep(g):
+    # simple and multigraphs, disconnected ones and odd orders included
+    assert _deletion_sets(g) == _plain_deletion_sets(g)
+
+
+def test_pruned_deletion_sweep_counts_under_a_third_of_the_sets(monkeypatch, corpus12):
+    counted = []
+    count = matching_module._odd_component_count
+
+    def recorded(g, removed):
+        counted.append(removed)
+        return count(g, removed)
+
+    monkeypatch.setattr(matching_module, "_odd_component_count", recorded)
+    hosts = [Graph(e.graph.n, e.graph.edges) for e in corpus12 if e.graph.n == 12]
+    assert len(hosts) == 85
+    for g in hosts:
+        _deletion_sets(g)
+    every_set = sum(comb(12, size) for size in range(7))
+    assert every_set == 2510
+    assert 3 * len(counted) < len(hosts) * every_set
+
+
+def test_deletion_queries_run_one_blossom_search_per_graph_and_mask(monkeypatch):
+    searched = []
+    search = matching_module._maximum_mates
+
+    def recorded(g, removed=0):
+        searched.append(removed)
+        return search(g, removed)
+
+    monkeypatch.setattr(matching_module, "_maximum_mates", recorded)
+    g = h44()
+    deleted = [(), (0, 1), (0, 1, 2, 3), (6, 7), (0, 1, 2)]
+    masks = [sum(1 << v for v in w) for w in deleted]
+    expected = [_matchable_after_deleting(g, w) for w in deleted]
+    assert [_matchable_without(g, mask) for mask in masks] == expected
+    assert [_matchable_without(g, mask) for mask in masks] == expected
+    # one search per mask, and none for the odd remainder
+    assert searched == masks[:4]
+
+
+def test_pickled_graph_carries_no_deletion_memo():
+    g = h44()
+    edge = g.edges[0]  # h44 is matching covered
+    assert nice_check(g, edge)
+    assert _matchable_without in g.__dict__
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and clone.__dict__ == {"n": g.n, "edges": g.edges}
+    assert nice_check(clone, edge)

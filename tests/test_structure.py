@@ -13,6 +13,7 @@ from nicecubic.graphs import (
     Graph,
     _cut_masks,
     _mask_edge_cut,
+    _vertex_mask,
     bipartition,
     connected_components,
     connectivity_profile,
@@ -166,10 +167,46 @@ def test_bipartite_split_populated():
     g = k33()
     cut = edge_cut(g, {0})
     assert is_tight_cut(g, cut).tight
-    x_plus, x_minus = bipartite_split(cut.side, bipartition(g))
-    assert x_plus == frozenset({0})
-    assert x_minus == frozenset()
-    assert tight_by_bipartite_split(g, cut.side, bipartition(g))
+    color = _vertex_mask(g, bipartition(g).a)
+    x_plus, x_minus = bipartite_split(1 << 0, color)
+    assert x_plus == 1 << 0
+    assert x_minus == 0
+    assert tight_by_bipartite_split(g, 1 << 0, color)
+
+
+def _tight_by_split_on_sets(g, side, parts):
+    """The split criterion on frozensets, as first written: the side is
+    odd, |X+| = |X-| + 1, and no edge joins X- to the smaller color class
+    of the complement."""
+    if len(side) % 2 == 0:
+        return False
+    inside_a, inside_b = side & parts.a, side & parts.b
+    x_plus, x_minus = (
+        (inside_a, inside_b) if len(inside_a) > len(inside_b) else (inside_b, inside_a)
+    )
+    complement = frozenset(range(g.n)) - side
+    co_a, co_b = complement & parts.a, complement & parts.b
+    co_minus = co_a if len(co_a) < len(co_b) else co_b
+    return len(x_plus) == len(x_minus) + 1 and not any(
+        (u in x_minus and v in co_minus) or (v in x_minus and u in co_minus)
+        for u, v in g.edges
+    )
+
+
+def test_mask_split_criterion_is_the_set_definition_on_bipartite_corpus(corpus12):
+    # every nonempty proper side, not only those holding vertex 0
+    hosts = [e.graph for e in corpus12 if bipartition(e.graph) is not None]
+    assert len(hosts) == 9
+    tight_sides = 0
+    for g in hosts:
+        parts = bipartition(g)
+        color = _vertex_mask(g, parts.a)
+        for side in range(1, (1 << g.n) - 1):
+            vertices = frozenset(v for v in range(g.n) if side >> v & 1)
+            expected = _tight_by_split_on_sets(g, vertices, parts)
+            assert tight_by_bipartite_split(g, side, color) == expected, (g.edges, side)
+            tight_sides += expected
+    assert tight_sides
 
 
 def test_tightness_agrees_with_enumeration_on_corpus(corpus10):

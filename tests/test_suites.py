@@ -19,6 +19,7 @@ from nicecubic.errors import DomainError, InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import Graph, _cut_masks, connectivity_profile
 from nicecubic.matching import _deletion_sets, pair_deletion_table
+from nicecubic.nice import nice_vertices
 from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
 LIGHT_SUITES = [
@@ -196,6 +197,15 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     profiles = _record_builds(monkeypatch, connectivity_profile)
     sweeps = _record_builds(monkeypatch, _deletion_sets)
     masks = _record_builds(monkeypatch, suites_module._perfect_matching_masks)
+    nices = _record_builds(monkeypatch, nice_vertices)
+    searches = []
+    search = matching_module._maximum_mates
+
+    def recorded_search(g, removed=0):
+        searches.append((g, removed))  # holds g, so no id is reused
+        return search(g, removed)
+
+    monkeypatch.setattr(matching_module, "_maximum_mates", recorded_search)
     enumerations = []
     enumerate_matchings = matching_module.perfect_matchings
 
@@ -224,6 +234,12 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     two_connected = [id(e.graph) for e in entries if connectivity_profile(e.graph).two_connected]
     assert sorted(id(g) for g in masks if id(g) in corpus) == sorted(two_connected)
     assert sorted(id(g) for g in enumerations if id(g) in corpus) == sorted(two_connected)
+    # the nice vertices of each 2-connected corpus graph are found once, for
+    # the suites that read them and the host-side tests of the others
+    assert sorted(id(g) for g in nices if id(g) in corpus) == sorted(two_connected)
+    # every deletion query G - W runs the blossom search once per graph
+    deletions = Counter((id(g), removed) for g, removed in searches if removed)
+    assert deletions and set(deletions.values()) == {1}
 
 
 def test_suite_calls_share_each_corpus_graph_facts(monkeypatch, cache_dir):
