@@ -26,8 +26,9 @@ A corpus read from a file and found sound is kept with the file's bytes,
 one per order and flavour: while the bytes stay the same, later calls in the
 process return the same graphs, so the facts memoised on them persist from
 call to call. Other bytes are parsed and checked afresh and replace it. A
-generated corpus and a run without a cache are not kept, and the worker
-processes of ``verify --jobs`` receive bare graphs, without their facts.
+generated corpus and a run without a cache are not kept. The worker
+processes of ``verify --jobs`` receive bare graphs, and each keeps the
+graphs it is sent again, with their facts (see ``suites``).
 """
 
 from __future__ import annotations

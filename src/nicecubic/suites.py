@@ -13,9 +13,12 @@ memoised on the graph (profile, pair-deletion table, classification,
 barriers, tight cuts, perfect matchings, nice vertices, the deletion-set
 sweep, each G - W matching query) are built once per graph and shared by
 the suites, and, with the corpus kept by
-``enumerate_cubic``, by later passes in the process too. Graphs are independent, so with ``jobs > 1`` they run on one worker
-pool per process, started at first use and reused by later passes; the
-interpreter joins its workers at exit.
+``enumerate_cubic``, by later passes in the process too. Graphs are
+independent, so with ``jobs > 1`` they run on one pool of pinned workers per
+process: a graph goes to whichever worker is free the first time, and to
+that same worker on every later pass, which keeps it, with its facts, once
+it is sent again. The pool is started at first use and reused by later
+passes; the interpreter joins its workers at exit.
 
 The library computes each fact one way. The second characterizations that
 the claims compare it against (the exhaustive barrier sweep, read from the
@@ -33,17 +36,21 @@ other side can be tight.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+import traceback
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, InternalCheckError, UnknownSuiteError
 from .catalog import k33
 from .enumeration import CorpusEntry, _is_corpus_graph, corpus_up_to
 from .families import recognize_family
+from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     Bipartition,
     Graph,
@@ -835,55 +842,203 @@ def list_suites() -> list[Suite]:
     return [SUITES[name] for name in sorted(SUITES)]
 
 
-def _run_entry(args: tuple[tuple[str, ...], Graph]) -> list[tuple[list[str] | None, float]]:
-    """Every named checker on one graph: its outcome and its seconds."""
-    names, g = args
-    results = []
-    for name in names:
-        start = time.perf_counter()
+@dataclass
+class _Tally:
+    """One suite over a run of graphs: how many met its hypothesis, its
+    checker's seconds, and each violating graph's index with the details."""
+
+    checked: int = 0
+    seconds: float = 0.0
+    failures: list[tuple[int, list[str]]] = field(default_factory=list)
+
+
+def _check_all(names: tuple[str, ...], graphs: Iterable[Graph]) -> list[_Tally]:
+    """Every named checker on each graph in turn: one tally per name."""
+    tallies = [_Tally() for _ in names]
+    for index, g in enumerate(graphs):
+        for name, tally in zip(names, tallies):
+            start = time.perf_counter()
+            try:
+                outcome = SUITES[name].checker(g)
+            except InternalCheckError as exc:
+                # a recognizer's witness did not rebuild this graph: a violation, not an abort
+                outcome = [str(exc)]
+            tally.seconds += time.perf_counter() - start
+            if outcome is not None:
+                tally.checked += 1
+                if outcome:
+                    tally.failures.append((index, outcome))
+    return tallies
+
+
+def _serve(conn: Connection, inherited: list[Connection]) -> None:
+    """A pinned worker: check each run of graph6 lines the parent sends,
+    one reply per run, until the parent closes its end of the pipe.
+
+    A graph sent a second time is kept, with the facts memoised on it, and
+    every later pass checks that same ``Graph``; any other graph is dropped
+    once checked, so a pass over new graphs holds one graph's facts at a
+    time.
+    """
+    for other in inherited:
+        # the parent's ends of the pipes, this worker's own among them: a
+        # copy held here would keep a pipe open after the parent closes it
+        other.close()
+    kept: dict[str, Graph] = {}
+    sent_once: set[str] = set()
+
+    def graphs(lines):
+        for line in lines:
+            g = kept.get(line)
+            if g is None:
+                g = parse_graph6(line)
+                if line in sent_once:
+                    kept[line] = g
+                else:
+                    sent_once.add(line)
+            yield g
+
+    while True:
         try:
-            outcome = SUITES[name].checker(g)
-        except InternalCheckError as exc:
-            # a recognizer's witness did not rebuild this graph: a violation, not an abort
-            outcome = [str(exc)]
-        results.append((outcome, time.perf_counter() - start))
-    return results
+            names, lines = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _check_all(names, graphs(lines)), None
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            reply = None, (exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent has gone
 
 
-# the process's worker pool and its size, kept across verify passes
-_pool_state: tuple[int, ProcessPoolExecutor] | None = None
+class _WorkerTraceback(Exception):
+    """The cause attached to an exception re-raised from a worker: the
+    traceback it had there."""
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's worker pool with this many workers: started at first
-    use and reused while the size holds."""
-    global _pool_state
-    if _pool_state is not None and _pool_state[0] != workers:
+# the process's pinned workers, each with the parent's end of its pipe, kept
+# across verify passes while their number holds
+_workers: list[tuple[BaseProcess, Connection]] = []
+# the worker each graph6 line was first sent to, for as long as that pool lives
+_homes: dict[str, int] = {}
+
+
+def _pool(size: int) -> list[tuple[BaseProcess, Connection]]:
+    """The process's workers, this many: started at first use and reused
+    while the size holds."""
+    if len(_workers) != size:
         _close_pool()
-    if _pool_state is None:
-        _pool_state = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _pool_state[1]
+        fork = multiprocessing.get_context("fork")
+        for _ in range(size):
+            ours, theirs = fork.Pipe()
+            inherited = [conn for _, conn in _workers] + [ours]
+            # daemonic: multiprocessing terminates and joins it at exit
+            worker = fork.Process(target=_serve, args=(theirs, inherited), daemon=True)
+            worker.start()
+            theirs.close()
+            _workers.append((worker, ours))
+    return _workers
 
 
-def _close_pool() -> None:
-    # join the old pool's threads and workers first: forking a new pool
-    # from a threaded process risks a deadlock (and warns on 3.12+)
-    global _pool_state
-    if _pool_state is not None:
-        _pool_state[1].shutdown(wait=True)
-        _pool_state = None
+def _close_pool(kill: bool = False) -> None:
+    """Join every worker: an idle one returns when its pipe closes, and
+    ``kill`` stops one that is busy with a run."""
+    global _workers
+    for worker, conn in _workers:
+        conn.close()
+        if kill:
+            worker.terminate()
+    for worker, _ in _workers:
+        worker.join()
+    _workers = []
+    _homes.clear()
 
 
-def _run_in_pool(work: list[tuple[tuple[str, ...], Graph]], workers: int) -> list:
+def _pool_pass(
+    names: tuple[str, ...], lines: list[str], workers: list[tuple[BaseProcess, Connection]]
+) -> tuple[list[_Tally], tuple[BaseException, str] | None]:
+    """One pass over the pool: the merged tallies, failures in entry order,
+    or the first checker exception a worker sent back with its traceback.
+
+    A graph goes to its home worker, all of a worker's homed graphs as one
+    message. The others are handed out to whichever worker is free, which
+    becomes their home, in runs of a 2K-th of what is left for K workers:
+    the runs shrink to one graph, so the workers finish close together.
+    """
+    homed: list[list[int]] = [[] for _ in workers]
+    free: list[int] = []
+    for index, line in enumerate(lines):
+        home = _homes.get(line)
+        (free if home is None else homed[home]).append(index)
+    pending: dict[Connection, tuple[int, list[int]]] = {}
+
+    def send(w: int, indices: list[int]) -> None:
+        conn = workers[w][1]
+        conn.send((names, [lines[i] for i in indices]))
+        pending[conn] = (w, indices)
+
+    def hand_out(w: int) -> None:
+        if free:
+            run = free[: -(-len(free) // (2 * len(workers)))]
+            del free[: len(run)]
+            for i in run:
+                _homes.setdefault(lines[i], w)
+            send(w, run)
+
+    for w, indices in enumerate(homed):
+        if indices:
+            send(w, indices)
+        else:
+            hand_out(w)
+    merged = [_Tally() for _ in names]
+    error = None
+    while pending:
+        for conn in wait(list(pending)):
+            w, indices = pending.pop(conn)
+            tallies, failure = conn.recv()
+            if error is None and failure is not None:
+                error = failure
+            if error is not None:
+                continue  # drain the other replies, so the pool stays in step
+            for total, tally in zip(merged, tallies):
+                total.checked += tally.checked
+                total.seconds += tally.seconds
+                total.failures += [(indices[i], details) for i, details in tally.failures]
+            hand_out(w)
+    for total in merged:
+        total.failures.sort(key=lambda failure: failure[0])
+    return merged, error
+
+
+def _run_in_pool(names: tuple[str, ...], graphs: list[Graph], size: int) -> list[_Tally]:
+    """``_check_all`` over the graphs on the pool's workers (``_pool_pass``),
+    with one rerun on fresh workers if one dies."""
+    lines = [write_graph6(g) for g in graphs]
     for attempt in range(2):
+        workers = _pool(size)
         try:
-            return list(_pool(workers).map(_run_entry, work, chunksize=4))
-        except BrokenProcessPool:
-            # a worker died, maybe while the pool sat idle: never hand this
-            # pool out again; the checkers are pure, so one rerun is safe
-            _close_pool()
+            tallies, error = _pool_pass(names, lines, workers)
+            break
+        except (EOFError, OSError) as exc:
+            # a worker died, maybe while the pool sat idle: replace the
+            # pool; the checkers are pure, so one rerun is safe
+            _close_pool(kill=True)
             if attempt:
-                raise
+                raise ChildProcessError("a verify worker died twice in one pass") from exc
+        except BaseException:
+            # replies may still be on their way: never hand these workers out again
+            _close_pool(kill=True)
+            raise
+    if error is not None:
+        exc, text = error
+        raise exc from _WorkerTraceback(text)
+    return tallies
 
 
 def verify_suites(
@@ -900,12 +1055,14 @@ def verify_suites(
     once, and each graph is handed to every named checker in turn, so the
     facts memoised on it are computed once and shared. A cached corpus is
     kept by ``enumerate_cubic`` while its file is unchanged, so a later call
-    in the same process checks the same graphs and finds their facts built;
-    the workers of the pool receive bare graphs and keep no facts across
-    calls. A report's ``runtime_seconds`` is the time spent in its own
-    checker, summed over the graphs (and over the workers); a shared fact
-    is charged to the first suite that reads it, and one an earlier call
-    built to none.
+    in the same process checks the same graphs and finds their facts built.
+    A pool worker receives each graph's value alone, and keeps a graph with
+    its facts from the second time it is sent it: a repeat means the graph
+    is being verified again, as by one ``verify_suite`` call per suite. A
+    single pass, as the CLI makes, repeats no graph and so keeps none. A
+    report's ``runtime_seconds`` is the time spent in its own checker,
+    summed over the graphs (and over the workers); a shared fact is charged
+    to the first suite that reads it, and one an earlier call built to none.
 
     ``entries`` overrides the corpus (used to point suites at constructed
     graphs). Each entry's graph is checked as given, and its ``graph6``
@@ -913,13 +1070,18 @@ def verify_suites(
     graph is not connected, simple and cubic raises ``DomainError``, naming
     its ``graph6``, before any checker runs.
 
-    With ``jobs > 1`` the graphs go to the process's one worker pool of
-    ``min(jobs, graphs)`` workers, one graph with all its suites at a time.
-    The pool is started at first use, reused by every later pass that asks
-    for the same size, replaced when the size changes or a worker dies, and
-    joined when the interpreter exits. Its workers start with the pool and
-    keep the module state of that moment: a ``SUITES`` entry patched in
-    later does not reach them.
+    With ``jobs > 1`` the graphs go to the process's one pool of
+    ``K = min(jobs, graphs)`` forked workers, each on its own pipe. A graph
+    the pool has not seen goes, in a run of shrinking length, to whichever
+    worker is free; one it has seen goes back to the worker that first got
+    it, so it meets its kept facts, and each worker gets all such graphs,
+    with all the suites, as one message. The outcomes are put back in
+    entry order. The pool is started at first use, reused by every later
+    pass that asks for the same size, replaced when the size changes or a
+    worker dies (the pass then reruns once), and joined when the
+    interpreter exits. A checker's exception is raised here with its type.
+    The workers start with the pool and keep the module state of that
+    moment: a ``SUITES`` entry patched in later does not reach them.
     """
     for name in names:
         if name not in SUITES:
@@ -936,39 +1098,28 @@ def verify_suites(
                 raise DomainError(
                     f"entry {entry.graph6} is not a connected simple cubic graph"
                 )
-    # a worker receives each graph's value alone (Graph.__reduce__), not its facts
-    work = [(names, e.graph) for e in entries]
+    graphs = [e.graph for e in entries]
     # the pool forks every worker up front, so never ask for more than graphs
-    workers = min(jobs, len(work))
+    workers = min(jobs, len(graphs))
     if workers > 1:
-        results = _run_in_pool(work, workers)
+        tallies = _run_in_pool(names, graphs, workers)
     else:
-        results = [_run_entry(item) for item in work]
-    reports = []
-    for index, name in enumerate(names):
-        claim = SUITES[name].claim
-        checked = 0
-        seconds = 0.0
-        violations = []
-        for entry, outcomes in zip(entries, results):
-            outcome, elapsed = outcomes[index]
-            seconds += elapsed
-            if outcome is None:
-                continue
-            checked += 1
-            for detail in outcome:
-                violations.append(Violation(graph6=entry.graph6, claim=claim, detail=detail))
-        reports.append(
-            VerificationReport(
-                suite=name,
-                claim=claim,
-                max_n=max_n,
-                graphs_checked=checked,
-                violations=tuple(violations),
-                runtime_seconds=seconds,
-            )
+        tallies = _check_all(names, graphs)
+    return [
+        VerificationReport(
+            suite=name,
+            claim=SUITES[name].claim,
+            max_n=max_n,
+            graphs_checked=tally.checked,
+            violations=tuple(
+                Violation(graph6=entries[index].graph6, claim=SUITES[name].claim, detail=detail)
+                for index, details in tally.failures
+                for detail in details
+            ),
+            runtime_seconds=tally.seconds,
         )
-    return reports
+        for name, tally in zip(names, tallies)
+    ]
 
 
 def verify_suite(

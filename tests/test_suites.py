@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -290,38 +289,141 @@ def test_runtime_is_each_suite_own_checker_time(monkeypatch, cache_dir):
     assert quick_report.runtime_seconds < slow_report.runtime_seconds
 
 
-def test_pool_asks_for_at_most_one_worker_per_graph(monkeypatch, cache_dir):
-    pools = []
+@pytest.fixture
+def fresh_pool():
+    """No workers before the test, so they fork with its patches, and none
+    after it, so no later test meets them."""
+    suites_module._close_pool()
+    yield
+    suites_module._close_pool()
 
-    class RecordingPool:
-        """Stand-in for the process pool: records its size, runs serially."""
 
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.shut_down = False
-            pools.append(self)
+def _worker_processes():
+    return [worker for worker, _ in suites_module._workers]
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
 
-        def shutdown(self, wait=True):
-            assert wait
-            self.shut_down = True
-
-    monkeypatch.setattr(suites_module, "ProcessPoolExecutor", RecordingPool)
-    # start from no pool, and put the process's own pool back afterwards:
-    # a stand-in must never stay cached past this test
-    monkeypatch.setattr(suites_module, "_pool_state", None)
+def test_pool_asks_for_at_most_one_worker_per_graph(fresh_pool, cache_dir):
     report = verify_suite("nine-nice-pairs", max_n=6, jobs=64, cache_dir=cache_dir)
-    assert [p.max_workers for p in pools] == [3]  # K4, K3,3 and the prism
+    first = _worker_processes()
+    assert len(first) == 3  # K4, K3,3 and the prism
     assert report.passed
     verify_suite("tutte-existence", max_n=6, jobs=3, cache_dir=cache_dir)
-    assert len(pools) == 1  # the same size: the same pool
+    assert _worker_processes() == first  # the same size: the same workers
     verify_suite("nine-nice-pairs", max_n=4, jobs=64, cache_dir=cache_dir)
-    assert len(pools) == 1  # one graph: no pool
+    assert _worker_processes() == first  # one graph: no pool
     verify_suite("nine-nice-pairs", max_n=8, jobs=64, cache_dir=cache_dir)
-    assert [p.max_workers for p in pools] == [3, 8]  # 1 + 2 + 5 graphs
-    assert pools[0].shut_down and not pools[1].shut_down
+    second = _worker_processes()
+    assert len(second) == 8  # 1 + 2 + 5 graphs
+    # the old workers were joined before the new ones forked
+    assert all(worker.exitcode == 0 for worker in first)
+    assert all(worker.is_alive() for worker in second)
+
+
+def test_a_worker_killed_while_idle_does_not_break_the_next_call(fresh_pool, cache_dir):
+    serial = verify_suite("nine-nice-pairs", max_n=8, cache_dir=cache_dir)
+    verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
+    broken = _worker_processes()
+    assert len(broken) == 2
+    os.kill(broken[0].pid, signal.SIGKILL)
+    broken[0].join(10)
+    assert broken[0].exitcode == -signal.SIGKILL
+    parallel = verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
+    assert parallel.to_dict() == serial.to_dict()
+    replaced = _worker_processes()
+    assert len(replaced) == 2 and not set(replaced) & set(broken)
+    assert broken[1].exitcode is not None
+
+
+def _probe(monkeypatch, checker):
+    """Register a suite named "probe" whose checker is ``checker``."""
+    fake = suites_module.Suite("probe", "synthetic claim that probes a worker", ("test",), checker)
+    monkeypatch.setitem(suites_module.SUITES, "probe", fake)
+
+
+def test_a_worker_that_dies_in_a_pass_is_replaced_and_the_pass_reruns(
+    fresh_pool, monkeypatch, cache_dir, tmp_path
+):
+    died = tmp_path / "died"
+
+    def checker(g):
+        if g.n == 8 and not died.exists():
+            died.touch()
+            os._exit(1)
+        return []
+
+    _probe(monkeypatch, checker)
+    report = verify_suite("probe", max_n=8, jobs=2, cache_dir=cache_dir)
+    assert died.exists()
+    assert report.passed and report.graphs_checked == 8
+
+
+def test_a_worker_keeps_a_graph_with_its_facts_from_the_second_pass(
+    fresh_pool, monkeypatch, cache_dir
+):
+    (cell,) = pair_deletion_table.__closure__
+    compute = cell.cell_contents
+
+    def checker(g):
+        memoised = compute in g.__dict__
+        pair_deletion_table(g)
+        return ["memoised"] if memoised else []
+
+    _probe(monkeypatch, checker)
+    passes = [verify_suite("probe", max_n=8, jobs=2, cache_dir=cache_dir) for _ in range(4)]
+    assert [len(report.violations) for report in passes] == [0, 0, 8, 8]
+
+
+def test_each_entry_is_checked_by_the_same_worker_on_every_pass(
+    fresh_pool, monkeypatch, cache_dir
+):
+    _probe(monkeypatch, lambda g: [str(os.getpid())])
+    passes = [verify_suite("probe", max_n=8, jobs=3, cache_dir=cache_dir) for _ in range(3)]
+    first = [(v.graph6, v.detail) for v in passes[0].violations]
+    assert [graph6 for graph6, _ in first] == [e.graph6 for e in corpus_up_to(8, cache_dir=cache_dir)]
+    assert {pid for _, pid in first} <= {str(worker.pid) for worker in _worker_processes()}
+    for report in passes[1:]:
+        assert [(v.graph6, v.detail) for v in report.violations] == first
+
+
+def test_graphs_seen_first_go_to_whichever_worker_is_free(fresh_pool, monkeypatch, cache_dir):
+    def checker(g):
+        if g.n == 4:
+            time.sleep(1.0)  # K4, the first entry, holds its worker up
+        return [str(os.getpid())]
+
+    _probe(monkeypatch, checker)
+    report = verify_suite("probe", max_n=8, jobs=2, cache_dir=cache_dir)
+    pids = Counter(v.detail for v in report.violations)
+    # the held-up worker checks only its first run of two; fixed halves would give it four
+    assert pids[report.violations[0].detail] == 2 and sum(pids.values()) == 8
+
+
+def test_a_checker_exception_in_a_worker_reaches_the_caller(fresh_pool, monkeypatch, cache_dir):
+    def checker(g):
+        if g.n == 6:
+            raise ValueError("probe refuses n = 6")
+        return []
+
+    _probe(monkeypatch, checker)
+    with pytest.raises(ValueError, match="probe refuses n = 6") as raised:
+        verify_suite("probe", max_n=8, jobs=2, cache_dir=cache_dir)
+    # the worker's traceback comes along as the cause
+    assert "in checker" in str(raised.value.__cause__)
+    workers = _worker_processes()
+    # every reply was read, so the same workers serve the next call
+    serial = verify_suite("tutte-existence", max_n=8, cache_dir=cache_dir)
+    parallel = verify_suite("tutte-existence", max_n=8, jobs=2, cache_dir=cache_dir)
+    assert parallel.to_dict() == serial.to_dict()
+    assert _worker_processes() == workers
+
+
+def test_three_workers_over_uneven_slices_agree_with_serial(fresh_pool, cache_dir):
+    # n <= 8 has 8 graphs, handed out in runs of 2, 1, 1, 1, 1, 1 and 1
+    serial = [r.to_dict() for r in verify_suites(sorted(SUITES), 8, cache_dir=cache_dir)]
+    one_pass = verify_suites(sorted(SUITES), 8, jobs=3, cache_dir=cache_dir)
+    assert [r.to_dict() for r in one_pass] == serial
+    one_by_one = [verify_suite(name, 8, jobs=3, cache_dir=cache_dir) for name in sorted(SUITES)]
+    assert [r.to_dict() for r in one_by_one] == serial
 
 
 def _exists(pid):
@@ -332,31 +434,11 @@ def _exists(pid):
     return True
 
 
-def _wait_until_gone(pid, seconds=10.0):
-    deadline = time.monotonic() + seconds
-    while _exists(pid):
-        assert time.monotonic() < deadline, f"process {pid} is still there"
-        time.sleep(0.01)
-
-
-def test_a_worker_killed_while_idle_does_not_break_the_next_call(cache_dir):
-    serial = verify_suite("nine-nice-pairs", max_n=8, cache_dir=cache_dir)
-    verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
-    broken = suites_module._pool_state[1]
-    workers = multiprocessing.active_children()
-    assert len(workers) == 2
-    os.kill(workers[0].pid, signal.SIGKILL)
-    _wait_until_gone(workers[0].pid)  # reaped: the pool has seen it die
-    parallel = verify_suite("nine-nice-pairs", max_n=8, jobs=2, cache_dir=cache_dir)
-    assert parallel.to_dict() == serial.to_dict()
-    assert suites_module._pool_state[1] is not broken
-
-
 def test_no_worker_outlives_the_interpreter(cache_dir, tmp_path):
-    # concurrent.futures joins a live pool's workers at exit, with no hook of
-    # ours. The child also replaces its pool by one of another size, which
-    # must not fork while the old pool's threads run: 3.12+ warns then (a
-    # warning CPython drops under -W error, so the child records warnings)
+    # multiprocessing terminates and joins the daemonic workers at exit. The
+    # child also replaces its pool by one of another size, which must not
+    # fork while any thread runs: 3.12+ warns then (a warning CPython drops
+    # under -W error, so the child records warnings)
     script = tmp_path / "child.py"
     script.write_text(
         "import json, multiprocessing, sys, warnings\n"
