@@ -3,9 +3,11 @@ contractions.
 
 A barrier is a vertex set whose deletion leaves exactly as many odd
 components as the set has vertices. Any two of its vertices u, v are a
-blocked pair (G - u - v has no perfect matching), so barriers are found
-among the sets of pairwise blocked vertices read off the graph's
-pair-deletion table. The table is memoised on the graph, and the
+blocked pair (G - u - v has no perfect matching), so barriers lie among
+the sets of pairwise blocked vertices read off the graph's pair-deletion
+table. A cubic matching covered host builds them from its maximal
+barriers, the classes of blocked pairs, and the shores of its nontrivial
+tight cuts. The table is memoised on the graph, and the
 classification and the tight-cut domain check read the same one; the
 barriers, the classification and the nontrivial tight cuts are memoised
 too. Tightness of a cut means every perfect matching crosses it exactly
@@ -93,16 +95,55 @@ def barriers(g: Graph) -> list[Barrier]:
     is when v is outside row u of the ``pair_deletion_table``. The members of
     a barrier S are pairwise blocked: deleting S - {u, v} from G - u - v
     leaves the |S| odd components of G - S, more than |S| - 2, so by Tutte's
-    theorem G - u - v has no perfect matching. So only the sets of pairwise
-    blocked vertices of size at most n/2 are tested. On a matching covered
-    host blocking is Kotzig's equivalence, whose classes are the maximal
-    barriers; there the sweep costs n blossom searches plus one component
-    count per subset of a class: one per vertex on a brick, about
-    2^(n/2 + 1) on a bipartite host. Hosts that are not matching covered are
-    capped at 20 vertices. The sweep lists every barrier, so a nontrivial
-    barrier is minimal iff no other listed nontrivial barrier is a proper
-    subset of it. The sweep runs once per graph; every call returns a fresh
-    list of the shared result.
+    theorem G - u - v has no perfect matching. On a matching covered host
+    blocking is Kotzig's equivalence, whose classes B0 = {u} + (V - u - row
+    u) are the maximal barriers (Lovasz & Plummer, Matching Theory, 1986), so
+    every barrier lies inside one class.
+
+    A cubic matching covered host takes the shore route
+    (``_cubic_barrier_masks``), which does mask work only for the barriers
+    that exist. Every vertex is a barrier, because a matching covered graph
+    is 2-connected. A barrier S of a matching covered host is independent
+    and G - S has only odd components, so each perfect matching joins each
+    member of S to its own component and the cut around each component is
+    tight. A class B0 with k = |B0| >= 2 leaves k odd components K_j. Call a
+    side Y of a nontrivial tight cut (either side) a candidate of B0 when Y
+    meets B0, S_Y = B0 - Y is nonempty, o(G - S_Y) = |S_Y| and Y is a
+    component of G - S_Y; the other components are then the K_j outside Y,
+    so Y holds |Y & B0| + 1 of the K_j. The barriers inside B0 with two or
+    more vertices are exactly the sets B0 - (union of F) for the families F
+    of pairwise disjoint candidates that leave two or more vertices, F empty
+    giving B0 itself:
+
+    - Every such barrier is found. Take a barrier S inside B0 with |S| >= 2
+      and a component D of G - S that meets B0. D's cut is tight; D has two
+      or more vertices, since the neighbours of a vertex of D & B0 lie
+      outside B0 and so in D; and its complement holds S. So D is a
+      nontrivial tight-cut shore, on a cubic host a 3-cut in
+      ``nontrivial_tight_cuts``. The one perfect matching edge leaving D
+      starts in a K_j inside D and each vertex of D & B0 is matched into
+      its own K_j inside D, so D holds |D & B0| + 1 of the K_j. Hence
+      B0 - D is a barrier whose components are D and the K_j outside D: D
+      is a candidate, and S = B0 - (union of the components of G - S that
+      meet B0), one family for each S.
+    - Every family gives a barrier. The boundary of a candidate Y lies in
+      S_Y, inside B0, and B0 is independent, so disjoint candidates are not
+      adjacent and a K_j outside Y has no neighbour in Y. The components of
+      G - (B0 - union of F) are then the members of F and the K_j that no
+      member holds: k - sum(|Y & B0| + 1) + |F| odd components, the size of
+      the set.
+
+    So one flood fill per side and class finds the candidates and a
+    depth-first walk over them in index order emits one barrier per node.
+    A brick has no class of two vertices: it gets its n singletons with no
+    tight cut computed and no fill run. Other hosts keep the sweep over the
+    sets of pairwise blocked vertices of size at most n/2, one component
+    count each (``_pairwise_blocked_sets``): on a non-cubic host the tight
+    cuts would cost a sweep over all 2^(n - 1) sides. Hosts that are not
+    matching covered are capped at 20 vertices. Both routes list every
+    barrier, so a nontrivial barrier is minimal iff no other listed
+    nontrivial barrier is a proper subset of it. The barriers are built
+    once per graph; every call returns a fresh list of the shared result.
     """
     return list(_barriers(g))
 
@@ -112,17 +153,21 @@ def _barriers(g: Graph) -> tuple[Barrier, ...]:
     table = pair_deletion_table(g)
     if table is None:
         raise DomainError("barriers are defined for graphs with a perfect matching")
-    if g.n > _SUBSET_ENUMERATION_CAP and not is_matching_covered(g):
-        raise DomainError(
-            f"barrier enumeration on a non matching covered host is capped "
-            f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
-        )
-    found = sorted(
-        (
-            frozenset(v for v in range(g.n) if mask >> v & 1)
+    if g.is_cubic and g.n >= 2 and is_matching_covered(g):
+        masks = _cubic_barrier_masks(g, table)
+    else:
+        if g.n > _SUBSET_ENUMERATION_CAP and not is_matching_covered(g):
+            raise DomainError(
+                f"barrier enumeration on a non matching covered host is capped "
+                f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
+            )
+        masks = (
+            mask
             for mask in _pairwise_blocked_sets(table, g.n // 2)
             if _odd_component_count(g, mask) == mask.bit_count()
-        ),
+        )
+    found = sorted(
+        (frozenset(v for v in range(g.n) if mask >> v & 1) for mask in masks),
         key=lambda s: (len(s), sorted(s)),
     )
     nontrivial_sets = [s for s in found if len(s) >= 2]
@@ -134,6 +179,55 @@ def _barriers(g: Graph) -> tuple[Barrier, ...]:
         )
         for s in found
     )
+
+
+def _cubic_barrier_masks(g: Graph, table: PairDeletionTable) -> list[int]:
+    """Every barrier of a cubic matching covered host as a vertex mask, from
+    its Kotzig classes and the shores of its nontrivial tight cuts (the
+    argument is at ``barriers``)."""
+    everything = (1 << g.n) - 1
+    masks = [1 << v for v in range(g.n)]
+    classes = {everything & ~_vertex_mask(g, row) for row in table}
+    classes = [c for c in classes if c & c - 1]
+    if not classes:
+        return masks
+    # each shore with the vertices outside it that have a neighbour in it,
+    # the ends of the cut edges beyond it; a shore is connected, else the
+    # vertex that the other shore shrinks to would cut the tight cut's
+    # contraction, a matching covered graph on four or more vertices
+    sides = []
+    for w in nontrivial_tight_cuts(g):
+        side = _vertex_mask(g, w.cut.side)
+        ends = 0
+        for i in w.cut.edge_indices:
+            u, v = g.edges[i]
+            ends |= 1 << u | 1 << v
+        sides += [(side, ends & ~side), (everything & ~side, ends & side)]
+    for b0 in classes:
+        candidates = [
+            y
+            for y, boundary in sides
+            if y & b0
+            and b0 & ~y
+            and not boundary & ~b0
+            and _odd_component_count(g, b0 & ~y) == (b0 & ~y).bit_count()
+        ]
+        masks.extend(_minus_disjoint_families(b0, candidates))
+    return masks
+
+
+def _minus_disjoint_families(
+    rest: int, candidates: list[int], covered: int = 0, start: int = 0
+) -> Iterator[int]:
+    """rest, then rest minus the union of each family of pairwise disjoint
+    candidates from index start on, disjoint from covered too, that leaves
+    two or more vertices: a depth-first walk, one mask per node."""
+    yield rest
+    for j in range(start, len(candidates)):
+        y = candidates[j]
+        left = rest & ~y
+        if not y & covered and left & left - 1:
+            yield from _minus_disjoint_families(left, candidates, covered | y, j + 1)
 
 
 def _pairwise_blocked_sets(table: PairDeletionTable, max_size: int) -> Iterator[int]:

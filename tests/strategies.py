@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
 from nicecubic.graphs import Graph
 
@@ -41,3 +41,17 @@ def connected_multigraphs(draw, min_n=1, max_n=7, max_extra_edges=10):
 @st.composite
 def permutations_of(draw, n):
     return draw(st.permutations(list(range(n))))
+
+
+@st.composite
+def cubic_multigraphs(draw, max_n=14):
+    """A loopless cubic multigraph on an even number n <= max_n of vertices,
+    by the pairing model: the 3n points, three per vertex, paired off in a
+    drawn order. A pairing with a loop is drawn again, up to 20 times."""
+    n = draw(st.sampled_from(range(2, max_n + 1, 2)))
+    for _ in range(20):
+        points = draw(st.permutations(range(3 * n)))
+        edges = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in edges):
+            return Graph(n, edges)
+    reject()

@@ -1,5 +1,7 @@
-"""Golden dossiers: the analyze JSON of every corpus graph with n <= 12 and
-of every catalog graph, pinned to sha256 digests.
+"""Golden dossiers: the analyze JSON of every corpus graph with n <= 12, of
+every catalog graph and of a slate of F, G1, G2 and T members with
+14 <= n <= 22, pinned to sha256 digests. The T members are bipartite hosts
+with 46, 68 and 114 barriers.
 
 A refactor of the structural layers must leave every dossier byte-identical.
 To regenerate the digests after a deliberate change of the dossier content:
@@ -14,9 +16,55 @@ from pathlib import Path
 from nicecubic.analyze import analyze_graph, to_json
 from nicecubic.catalog import NAMED
 from nicecubic.enumeration import corpus_up_to, enumerate_cubic
+from nicecubic.families import build_family
 from nicecubic.graph6 import write_graph6
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "analyze-digests.json"
+
+FAMILY_SPECS = [
+    {
+        "family": "F",
+        "replacements": [{"edge": [0, 1], "host": "G?]uf?", "host_edge": [0, 5], "quads": 2}],
+    },
+    {
+        "family": "F",
+        "replacements": [
+            {"edge": [0, 1], "host": "EFz_", "host_edge": [0, 3], "quads": 1},
+            {"edge": [0, 2], "host": "EFz_", "host_edge": [0, 3], "quads": 2},
+        ],
+    },
+    {"family": "G1", "attachment": 0, "host": "G?]uf?", "host_vertex": 0, "phi": None},
+    {"family": "G1", "attachment": 0, "host": "I??ysr_w?", "host_vertex": 0, "phi": None},
+    {
+        "family": "G2",
+        "splices": [
+            {"attachment": 0, "host": "EFz_", "host_vertex": 0, "phi": None},
+            {"attachment": 1, "host": "I??ysr_w?", "host_vertex": 0, "phi": None},
+        ],
+    },
+    {
+        "family": "G2",
+        "splices": [
+            {"attachment": 0, "host": "G?]uf?", "host_vertex": 0, "phi": None},
+            {"attachment": 1, "host": "I??ysr_w?", "host_vertex": 0, "phi": None},
+        ],
+    },
+    {"family": "T", "steps": [{"host_edge": [0, 3], "k33_edge": [0, 3], "quads": 3}]},
+    {
+        "family": "T",
+        "steps": [
+            {"host_edge": [0, 3], "k33_edge": [0, 3], "quads": 1},
+            {"host_edge": [2, 10], "k33_edge": [0, 3], "quads": 2},
+        ],
+    },
+    {
+        "family": "T",
+        "steps": [
+            {"host_edge": [1, 4], "k33_edge": [0, 3], "quads": 2},
+            {"host_edge": [4, 10], "k33_edge": [0, 3], "quads": 2},
+        ],
+    },
+]
 
 
 def _digest(g) -> str:
@@ -25,6 +73,11 @@ def _digest(g) -> str:
 
 def _catalog_digests() -> dict[str, str]:
     return {name: _digest(build()) for name, build in sorted(NAMED.items())}
+
+
+def _family_digests() -> dict[str, str]:
+    members = [build_family(spec) for spec in FAMILY_SPECS]
+    return {write_graph6(g): _digest(g) for g in members}
 
 
 def test_corpus_dossiers_match_golden_digests(corpus10):
@@ -54,10 +107,19 @@ def test_catalog_dossiers_match_golden_digests():
     assert not differing, f"dossiers differ for {differing}"
 
 
+def test_family_member_dossiers_match_golden_digests():
+    expected = json.loads(DIGESTS.read_text())["families"]
+    actual = _family_digests()
+    assert sorted(actual) == sorted(expected)
+    differing = [key for key in sorted(actual) if actual[key] != expected[key]]
+    assert not differing, f"dossiers differ for {differing}"
+
+
 if __name__ == "__main__":
     payload = {
         "corpus": {e.graph6: _digest(e.graph) for e in corpus_up_to(10)},
         "corpus12": {e.graph6: _digest(e.graph) for e in enumerate_cubic(12)},
         "catalog": _catalog_digests(),
+        "families": _family_digests(),
     }
     DIGESTS.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -45,7 +46,7 @@ from nicecubic.suites import (
     tight_by_enumeration,
 )
 
-from .strategies import multigraphs, simple_graphs
+from .strategies import cubic_multigraphs, multigraphs, simple_graphs
 from .test_nice import _bridged_cubic
 
 
@@ -99,24 +100,67 @@ def test_barriers_require_perfect_matching():
         barriers(c5)
 
 
-def test_barrier_sweep_runs_once_per_graph(monkeypatch):
-    # analyze_graph reads the barriers of this 3-connected non-bipartite host
-    # itself and again through the G1/G2 recognizer
-    sweeps = []
-    sweep = structure._pairwise_blocked_sets
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    wrapped = getattr(module, name)
 
     def counted(*args):
-        sweeps.append(args)
-        return sweep(*args)
+        calls.append(args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(structure, "_pairwise_blocked_sets", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_barrier_sweep_runs_once_per_graph(monkeypatch):
+    # analyze_graph reads the barriers of a 3-connected non-bipartite host
+    # itself and again through the G1/G2 recognizer. This host is cubic and
+    # matching covered, so they are built once from its tight-cut shores.
+    shore_builds = _count_calls(monkeypatch, structure, "_cubic_barrier_masks")
+    walks = _count_calls(monkeypatch, structure, "_pairwise_blocked_sets")
     g = parse_graph6("I?DjcQPw?")
     analyze_graph(g)
-    assert len(sweeps) == 1
+    assert len(shore_builds) == 1 and not walks
     first, second = barriers(g), barriers(g)
     assert first == second
     assert first is not second
-    assert len(sweeps) == 1
+    assert len(shore_builds) == 1 and not walks
+    # a host that is not matching covered keeps the walk, once
+    bridged = _bridged_cubic()
+    assert not is_matching_covered(bridged)
+    analyze_graph(bridged)
+    assert barriers(bridged) == barriers(bridged)
+    assert len(walks) == 1 and len(shore_builds) == 1
+
+
+def _random_brick(n, seed):
+    """The first pairing-model draw of order n, under a seeded generator,
+    that is a simple brick."""
+    rng = random.Random(seed)
+    while True:
+        points = list(range(3 * n))
+        rng.shuffle(points)
+        pairs = {tuple(sorted((points[i] // 3, points[i + 1] // 3))) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            g = Graph(n, pairs)
+            if classify(g).brick:
+                return g
+
+
+@pytest.mark.parametrize(
+    "build",
+    [k4, lambda: parse_graph6("IheA@GUAo"), lambda: _random_brick(20, 1)],
+    ids=["K4", "Petersen", "random-n20"],
+)
+def test_brick_barriers_are_singletons_without_cuts_or_fills(monkeypatch, build):
+    g = build()
+    assert classify(g).brick
+    cut_sweeps = _count_calls(monkeypatch, structure, "nontrivial_tight_cuts")
+    fills = _count_calls(monkeypatch, structure, "_odd_component_count")
+    found = barriers(g)
+    assert [b.vertices for b in found] == [frozenset({v}) for v in range(g.n)]
+    assert not any(b.nontrivial or b.minimal_nontrivial for b in found)
+    assert not cut_sweeps and not fills
 
 
 def test_classify_k4_is_brick():
@@ -347,6 +391,17 @@ def _assert_barriers_match_exhaustive_sweep(g):
 def test_barrier_partition_route_matches_exhaustive_sweep(g):
     assume(not g.is_cubic)
     _assert_barriers_match_exhaustive_sweep(g)
+
+
+@settings(max_examples=250, deadline=None)
+@given(cubic_multigraphs(max_n=14))
+def test_shore_route_matches_exhaustive_sweep_on_cubic_multigraphs(g):
+    # parallel edges included; the corpus test below covers simple hosts
+    assume(is_matching_covered(g))
+    found = barriers(g)
+    assert [b.vertices for b in found] == exhaustive_barrier_sets(g)
+    for b in found:
+        assert b.minimal_nontrivial == is_minimal_nontrivial_barrier(g, b.vertices)
 
 
 @settings(max_examples=200, deadline=None)
