@@ -16,11 +16,15 @@ Families (tags match the CLI):
   edge. Exactly the cubic bipartite graphs whose nice-pair rectangles never
   exceed 3 by 3.
 
-Recognition is structural (2-cut/barrier peeling) and self-verifying: the
-recognizers only peel, and every returned witness is replayed once, by
-``verify_membership``, through the constructors and checked isomorphic to
-the input; ``recognize_family`` raises InternalCheckError when that replay
-does not rebuild its input. That the recognized families are exactly the
+Recognition is structural and self-verifying. Hdiamond, F and T are
+peeled: quadrangles off the unique 22-edge, chain blocks off minimal 2-cut
+sides. G1 and G2 start from a minimal barrier of size 3: contracting its
+guest components must leave the K3,3-with-triangle graph with non-nice
+merged vertices, and candidate specs over the hosts' attachments and phis
+are then built until one is isomorphic to the input. ``recognize_family``
+replays each returned witness once, by ``verify_membership``, through the
+constructors, and raises InternalCheckError when that replay does not
+rebuild its input. That the recognized families are exactly the
 graphs with the extremal nice-vertex counts and nice-pair bounds is checked
 by the ``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
 """
@@ -28,7 +32,7 @@ by the ``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 from typing import Any
 
 from .catalog import k33, k33_triangle, k33_triangle_non_nice, k4, triangular_prism
@@ -99,7 +103,9 @@ class FamilyG1Spec:
     one of its two non-nice vertices) with ``host`` at ``host_vertex``.
 
     ``phi`` lists the host neighbors paired with sorted(N(attachment)); None
-    means sorted order. For these guests phi genuinely matters, so it is an
+    means sorted order. Every phi gives the same G1 member up to isomorphism
+    (the core's automorphisms fixing the attachment permute its neighbors
+    every way), but the two phis of a G2 member genuinely matter, so it is an
     explicit parameter.
     """
 
@@ -137,13 +143,27 @@ FamilySpec = HdiamondSpec | FamilyFSpec | FamilyG1Spec | FamilyG2Spec | FamilyTS
 # Constructors
 
 
+def _host_fault(host: Graph, three_connected_required: bool) -> str | None:
+    """Why host cannot carry a chain (a simple, connected, cubic bipartite
+    graph) or a vertex splice (one that is also 3-connected), or None when
+    it can."""
+    if not (
+        host.simple
+        and host.is_cubic
+        and is_connected(host)
+        and bipartition(host) is not None
+    ):
+        return "host must be a connected cubic bipartite graph"
+    if three_connected_required and not connectivity_profile(host).three_connected:
+        return "host must be 3-connected for this family"
+    return None
+
+
 def _validated_host(graph6: str, three_connected_required: bool) -> Graph:
     host = parse_graph6(graph6)
-    profile = connectivity_profile(host)
-    if not (profile.cubic and profile.connected and profile.bipartition is not None):
-        raise InvalidFamilySpecError("host must be a connected cubic bipartite graph")
-    if three_connected_required and not profile.three_connected:
-        raise InvalidFamilySpecError("host must be 3-connected for this family")
+    fault = _host_fault(host, three_connected_required)
+    if fault is not None:
+        raise InvalidFamilySpecError(fault)
     return host
 
 
@@ -438,9 +458,7 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
             continue
         patched = patched_side(current, remaining, p2, q2)
         host, h1, h2 = patched.graph, patched.old_to_new[p2], patched.old_to_new[q2]
-        profile = connectivity_profile(host)
-        if not (profile.cubic and profile.connected and profile.bipartition is not None
-                and host.simple):
+        if _host_fault(host, three_connected_required=False) is not None:
             return None
         spec = HdiamondSpec(
             quads=quads, host_graph6=write_graph6(host), host_edge=(h1, h2)
@@ -527,45 +545,33 @@ def _recognize_t(g: Graph) -> list[dict] | None:
 def _first_splice_build(g: Graph, hosts: list[tuple[Graph, int]]) -> FamilySpec | None:
     """The first candidate spec splicing one (G1) or two (G2) host vertices
     into the non-nice vertices of the K3,3-with-triangle graph whose build is
-    isomorphic to g. Candidates run over the attachments (G1) or the host
-    order (G2), then over every phi in permutation order."""
-    nn = k33_triangle_non_nice()
+    isomorphic to g. Candidates assign the hosts, in the order given, to the
+    non-nice vertices, one permutation of those vertices after another; for
+    each assignment they run over the product of the splices' phi
+    permutations in attachment order, so the phi at the first non-nice
+    vertex varies slowest."""
     parts = [(write_graph6(h), v, sorted(h.neighbor_sets[v])) for h, v in hosts]
-    if len(parts) == 1:
-        g6, v, nbrs = parts[0]
-        candidates = (
-            FamilyG1Spec(attachment, g6, v, phi)
-            for attachment in nn
-            for phi in permutations(nbrs)
-        )
-    else:
-        candidates = (
-            FamilyG2Spec(
-                FamilyG1Spec(nn[0], g6_a, va, phi_a), FamilyG1Spec(nn[1], g6_b, vb, phi_b)
-            )
-            for (g6_a, va, nbrs_a), (g6_b, vb, nbrs_b) in (parts, parts[::-1])
-            for phi_a in permutations(nbrs_a)
-            for phi_b in permutations(nbrs_b)
-        )
-    return next(
-        (spec for spec in candidates if is_isomorphic(build_family(spec), g) is not None),
-        None,
-    )
-
-
-def _is_valid_splice_host(h: Graph) -> bool:
-    profile = connectivity_profile(h)
-    return (
-        h.simple
-        and profile.cubic
-        and profile.three_connected
-        and profile.bipartition is not None
-    )
+    for attachments in permutations(k33_triangle_non_nice(), len(parts)):
+        # the non-nice vertices come sorted, so this is attachment order
+        splices = sorted(zip(attachments, parts))
+        for phis in product(*(permutations(nbrs) for _, (_, _, nbrs) in splices)):
+            specs = [
+                FamilyG1Spec(attachment, g6, v, phi)
+                for (attachment, (g6, v, _)), phi in zip(splices, phis)
+            ]
+            spec = specs[0] if len(specs) == 1 else FamilyG2Spec(*specs)
+            if is_isomorphic(build_family(spec), g) is not None:
+                return spec
+    return None
 
 
 def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
     # the host is simple, cubic and 3-connected, so matching covered and every
-    # barrier is independent; minimal size-3 barriers come in sorted order
+    # barrier is independent; minimal size-3 barriers come in sorted order.
+    # Of the three components of g - S, every nontrivial one but the core's
+    # own is a guest: contracting the guests must leave the core, and each
+    # guest's host is g with everything outside that guest contracted.
+    everything = frozenset(range(g.n))
     for barrier in barriers(g):
         s = barrier.vertices
         if not barrier.minimal_nontrivial or len(s) != 3:
@@ -574,45 +580,26 @@ def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
         if len(comps) != 3:
             continue
         nontrivial = [c for c in comps if len(c) > 1]
-        if len(nontrivial) == 2:
-            for guest in nontrivial:
-                merged = contract(g, guest)
-                if is_isomorphic(merged.graph, k33_triangle()) is None:
-                    continue
-                if is_nice_vertex(merged.graph, merged.merged):
-                    continue
-                host_con = contract(g, frozenset(range(g.n)) - guest)
-                if not _is_valid_splice_host(host_con.graph):
-                    continue
-                spec = _first_splice_build(g, [(host_con.graph, host_con.merged)])
-                if spec is not None:
-                    return "G1", spec
-        elif len(nontrivial) == 3:
-            for g1_comp, g2_comp in permutations(nontrivial, 2):
-                first = contract(g, g1_comp)
-                second = contract(
-                    first.graph, {first.old_to_new[v] for v in g2_comp}
-                )
-                if is_isomorphic(second.graph, k33_triangle()) is None:
-                    continue
-                merged_a = second.old_to_new[first.merged]
-                merged_b = second.merged
-                if is_nice_vertex(second.graph, merged_a) or is_nice_vertex(
-                    second.graph, merged_b
-                ):
-                    continue
-                host1 = contract(g, frozenset(range(g.n)) - g1_comp)
-                host2 = contract(g, frozenset(range(g.n)) - g2_comp)
-                if not (
-                    _is_valid_splice_host(host1.graph)
-                    and _is_valid_splice_host(host2.graph)
-                ):
-                    continue
-                spec = _first_splice_build(
-                    g, [(host1.graph, host1.merged), (host2.graph, host2.merged)]
-                )
-                if spec is not None:
-                    return "G2", spec
+        if len(nontrivial) < 2:
+            continue
+        for guests in permutations(nontrivial, len(nontrivial) - 1):
+            core, merged = g, []
+            label = {v: v for v in range(g.n)}  # g's vertices, in core's labels
+            for guest in guests:
+                con = contract(core, {label[v] for v in guest})
+                label = {v: con.old_to_new[w] for v, w in label.items() if w in con.old_to_new}
+                merged = [con.old_to_new[m] for m in merged] + [con.merged]
+                core = con.graph
+            if is_isomorphic(core, k33_triangle()) is None:
+                continue
+            if any(is_nice_vertex(core, m) for m in merged):
+                continue
+            hosts = [contract(g, everything - guest) for guest in guests]
+            if any(_host_fault(h.graph, three_connected_required=True) for h in hosts):
+                continue
+            spec = _first_splice_build(g, [(h.graph, h.merged) for h in hosts])
+            if spec is not None:
+                return f"G{len(guests)}", spec
     return None
 
 
@@ -642,14 +629,14 @@ def recognize_family(g: Graph) -> FamilyMembership:
     return membership
 
 
+_CATALOG = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}
+
+
 def _recognize_cubic(g: Graph) -> FamilyMembership:
     if not g.simple:
         return FamilyMembership("none", None, {})
-    for name, base in (
-        ("K4", k4()),
-        ("prism", triangular_prism()),
-        ("K33_triangle", k33_triangle()),
-    ):
+    for name, make in _CATALOG.items():
+        base = make()
         mapping = is_isomorphic(base, g)
         if mapping is not None:
             return FamilyMembership(
@@ -687,9 +674,6 @@ def verify_membership(g: Graph, membership: FamilyMembership) -> bool:
         return False
 
 
-_CATALOG = {"K4": k4, "prism": triangular_prism, "K33_triangle": k33_triangle}
-
-
 def _is_graph6(value: Any) -> bool:
     return isinstance(value, str)
 
@@ -720,14 +704,16 @@ _STEP_FIELDS = {
 
 def _well_shaped(family: str, witness: Any) -> bool:
     """Does the witness hold what its family's replay reads, with the types
-    it reads? What those values say (graph6 text, vertex ids, spec fields)
-    is left to the parser and the constructors, which reject it."""
+    it reads, and a spec its own family's tag? What those values say (graph6
+    text, vertex ids, spec fields) is left to the parser and the
+    constructors, which reject it."""
     if not isinstance(witness, dict):
         return False
     if family in _CATALOG:
         return isinstance(witness.get("catalog_map"), (list, tuple))
     if family in ("Hdiamond", "G1", "G2"):
-        return isinstance(witness.get("spec"), dict)
+        spec = witness.get("spec")
+        return isinstance(spec, dict) and spec.get("family") == family
     fields = _STEP_FIELDS.get(family)
     steps = witness.get("steps")
     return (

@@ -330,6 +330,18 @@ def test_verify_membership_rejects_g1_with_another_host(family_zoo):
     assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))
 
 
+def test_verify_membership_rejects_a_spec_tagged_with_another_family(family_zoo):
+    t_spec = {"spec": {"family": "T", "steps": []}}
+    assert not verify_membership(k33(), FamilyMembership("G1", None, t_spec))
+    spliced = {"Hdiamond", "G1", "G2"}
+    for family in sorted(spliced):
+        graph = _member(family_zoo, family)
+        found = recognize_family(graph)
+        assert found.family == family
+        for other in sorted(spliced - {family}):
+            assert not verify_membership(graph, FamilyMembership(other, None, found.witness))
+
+
 def _g1_witness_on_h44(family_zoo, **changes):
     """The recognized G1 witness of K3,3 spliced in at vertex 0, with its host
     swapped for H44 and phi kept: a spec the constructors reject."""
