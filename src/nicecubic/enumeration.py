@@ -20,7 +20,8 @@ cubic graphs of order n is the connected corpus of order n plus the disjoint
 unions of connected corpus graphs of smaller orders. Corpora are cached on
 disk as graph6 files keyed by (n, connected), written atomically; a cached
 corpus whose size is not the published count, or with an entry that repeats
-or is not a cubic graph of its order (connected, for a connected corpus), is
+or is not a cubic graph of its order (connected, for a connected corpus), or
+whose ids hash otherwise than the pinned corpus of its order (n <= 16), is
 regenerated, with a ``RuntimeWarning`` that names the file and the reason.
 A corpus read from a file and found sound is kept with the file's bytes,
 one per order and flavour: while the bytes stay the same, later calls in the
@@ -33,6 +34,7 @@ graphs it is sent again, with their facts (see ``suites``).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import warnings
@@ -53,6 +55,28 @@ CACHE_ENV = "NICECUBIC_CACHE_DIR"
 # regenerated.
 CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301}
 ALL_COUNTS = {4: 1, 6: 2, 8: 6, 10: 21, 12: 94, 14: 540, 16: 4207, 18: 42110}
+
+# sha256 of the pinned corpus files, one canonical graph6 id per line, by
+# (n, connected_only). A cached corpus of a listed order that passes the count
+# and entry checks but hashes otherwise holds another labelling of some class
+# in place of another class (the checks do not test each id canonical), and
+# is regenerated.
+CORPUS_SHA256 = {
+    (4, True): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    (6, True): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
+    (8, True): "b8fc0a55ba7e3caf1078b0dfa2cb491988d24d974937035ceffce342b39996ee",
+    (10, True): "b42cba53a34d278006300a3ef51b489e513c7cbb86c65a873662f39fb469b999",
+    (12, True): "856b0d2729ee2fa33cf6296f0c8d96ba58dd6324a933db780bc76b9cbf260e08",
+    (14, True): "7a1a89982fbf93bccbb5825db56f89c0dbfb613bca1cd84924400d91fee6e304",
+    (16, True): "20ee4d85870350a7bac124772ff6fb4310841014245ee3a247768090f12a2956",
+    (4, False): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    (6, False): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
+    (8, False): "9e7953010de9b1a449aba161d2d3e202241433a75de44cbeec4f6a83d397a67f",
+    (10, False): "66199e97987ca16b257588e39bc670baef72e4b689e86ef6f7a86d0d30247618",
+    (12, False): "bfd97a5ce6b5fd21d2273172e33c2e42c2dc718d6a39fc99ee6ae23feb755eb0",
+    (14, False): "4e800873938ed60b241fe2913931d6816086cca6895bbc5cab8890af8a66a4b8",
+    (16, False): "e8dcbde1f829bd291acd4d92b7b06bbadaf730fcf64775ab9268f1e45355096f",
+}
 
 
 @dataclass(frozen=True)
@@ -197,8 +221,9 @@ _corpus_memo: dict[tuple[int, bool], tuple[bytes, list[CorpusEntry]]] = {}
 
 def _read_cache(path: Path, n: int, connected_only: bool) -> list[CorpusEntry] | None:
     """The cached corpus in ``path``, or None, with a warning that names the
-    file and the reason, when it does not parse, has the wrong count or is
-    unsound. Unchanged bytes are not parsed or checked again."""
+    file and the reason, when it does not parse, has the wrong count, is
+    unsound or is not the pinned corpus of its order. Unchanged bytes are not
+    parsed or checked again."""
     data = path.read_bytes()
     key = (n, connected_only)
     memo = _corpus_memo.get(key)
@@ -218,9 +243,15 @@ def _read_cache(path: Path, n: int, connected_only: bool) -> list[CorpusEntry] |
                 f"repeats an entry or holds one that is not a {flavor} graph on {n} vertices"
             )
         else:
-            entries = [CorpusEntry(g, write_graph6(g), "file") for g in graphs]
-            _corpus_memo[key] = (data, entries)
-            return list(entries)
+            # the ids, not the file's bytes, so blank lines do not count
+            ids = [write_graph6(g) for g in graphs]
+            digest = hashlib.sha256("".join(i + "\n" for i in ids).encode()).hexdigest()
+            if CORPUS_SHA256.get(key, digest) != digest:
+                problem = "is not the pinned corpus of its order"
+            else:
+                entries = [CorpusEntry(g, i, "file") for g, i in zip(graphs, ids)]
+                _corpus_memo[key] = (data, entries)
+                return list(entries)
     warnings.warn(f"corpus cache {path} {problem}; regenerating it", RuntimeWarning, stacklevel=3)
     return None
 

@@ -19,9 +19,9 @@ Families (tags match the CLI):
 Recognition is structural and self-verifying. Hdiamond, F and T are
 peeled: quadrangles off the unique 22-edge, chain blocks off minimal 2-cut
 sides. G1 and G2 start from a minimal barrier of size 3: contracting its
-guest components must leave the K3,3-with-triangle graph with non-nice
-merged vertices, and candidate specs over the hosts' attachments and phis
-are then built until one is isomorphic to the input. ``recognize_family``
+guest components must leave the K3,3-with-triangle graph, and candidate
+specs over the second splice's phis are then built until one is isomorphic
+to the input: one candidate for G1, at most six for G2. ``recognize_family``
 replays each returned witness once, by ``verify_membership``, through the
 constructors, and raises InternalCheckError when that replay does not
 rebuild its input. That the recognized families are exactly the
@@ -32,7 +32,7 @@ by the ``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Any
 
 from .catalog import k33, k33_triangle, k33_triangle_non_nice, k4, triangular_prism
@@ -56,7 +56,6 @@ from .graphs import (
     two_cut_orientations,
 )
 from .isomorphism import is_isomorphic, is_isomorphism
-from .nice import is_nice_vertex
 from .splicing import (
     SpliceResult,
     chain_end_edges,
@@ -105,8 +104,9 @@ class FamilyG1Spec:
     ``phi`` lists the host neighbors paired with sorted(N(attachment)); None
     means sorted order. Every phi gives the same G1 member up to isomorphism
     (the core's automorphisms fixing the attachment permute its neighbors
-    every way), but the two phis of a G2 member genuinely matter, so it is an
-    explicit parameter.
+    every way), so G1 recognition builds one candidate. The phis of a G2
+    member genuinely matter; its recognition sorts the first (those same
+    automorphisms fix the other non-nice vertex) and tries six for the second.
     """
 
     attachment: int
@@ -468,10 +468,12 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
 
 def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int, Graph, tuple[int, int]]]:
     """(side, a, c, side-graph-with-restored-edge, restored-edge) for every
-    2-cut side, ordered by side size, then cut order (a stable sort)."""
+    2-cut side, ordered by side size, then cut order (a stable sort). a != c,
+    as cut edges ab and cb would make c's third edge a bridge, and F graphs,
+    their patched sides and T hosts are bridgeless."""
     out = []
     for side, a, c, _, _ in two_cut_orientations(g):
-        if a == c or g.multiplicity(a, c):
+        if g.multiplicity(a, c):
             continue
         patched = patched_side(g, side, a, c)
         restored = (patched.old_to_new[a], patched.old_to_new[c])
@@ -482,13 +484,12 @@ def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int, Graph,
 
 def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
     """Peel Hdiamond blocks off the minimal non-bipartite 2-cut side until K4
-    remains. Returns (i, steps) or None."""
+    remains. Returns (i, steps) or None. g is 2-connected but not
+    3-connected, so not K4 itself, and i >= 1."""
     current = g
     steps: list[dict] = []
     while True:
         if is_isomorphic(current, k4()) is not None:
-            if not steps:
-                return None
             return len(steps), steps
         if len(steps) >= 6:
             return None
@@ -543,56 +544,51 @@ def _recognize_t(g: Graph) -> list[dict] | None:
 
 
 def _first_splice_build(g: Graph, hosts: list[tuple[Graph, int]]) -> FamilySpec | None:
-    """The first candidate spec splicing one (G1) or two (G2) host vertices
-    into the non-nice vertices of the K3,3-with-triangle graph whose build is
-    isomorphic to g. Candidates assign the hosts, in the order given, to the
-    non-nice vertices, one permutation of those vertices after another; for
-    each assignment they run over the product of the splices' phi
-    permutations in attachment order, so the phi at the first non-nice
-    vertex varies slowest."""
+    """The first candidate spec splicing one (G1) or two (G2) host vertices,
+    in the order given, into the non-nice vertices 0 and 1 of the
+    K3,3-with-triangle graph whose build is isomorphic to g. Swapping 0 and 1
+    fixes 2, 3 and 4, so the other assignment builds the same members; the
+    automorphisms permuting 2, 3, 4 (5, 6, 7 with them) turn any first phi
+    into the sorted host neighbours. G1 builds one candidate, G2 six."""
     parts = [(write_graph6(h), v, sorted(h.neighbor_sets[v])) for h, v in hosts]
-    for attachments in permutations(k33_triangle_non_nice(), len(parts)):
-        # the non-nice vertices come sorted, so this is attachment order
-        splices = sorted(zip(attachments, parts))
-        for phis in product(*(permutations(nbrs) for _, (_, _, nbrs) in splices)):
-            specs = [
-                FamilyG1Spec(attachment, g6, v, phi)
-                for (attachment, (g6, v, _)), phi in zip(splices, phis)
-            ]
-            spec = specs[0] if len(specs) == 1 else FamilyG2Spec(*specs)
-            if is_isomorphic(build_family(spec), g) is not None:
-                return spec
+    first_phi = [tuple(parts[0][2])]
+    for phis in product(first_phi, *(permutations(nbrs) for _, _, nbrs in parts[1:])):
+        specs = [
+            FamilyG1Spec(attachment, g6, v, phi)
+            for attachment, (g6, v, _), phi in zip(k33_triangle_non_nice(), parts, phis)
+        ]
+        spec = specs[0] if len(specs) == 1 else FamilyG2Spec(*specs)
+        if is_isomorphic(build_family(spec), g) is not None:
+            return spec
     return None
 
 
 def _recognize_g1_g2(g: Graph) -> tuple[str, FamilySpec] | None:
-    # the host is simple, cubic and 3-connected, so matching covered and every
-    # barrier is independent; minimal size-3 barriers come in sorted order.
-    # Of the three components of g - S, every nontrivial one but the core's
-    # own is a guest: contracting the guests must leave the core, and each
-    # guest's host is g with everything outside that guest contracted.
+    # g is simple, cubic and 3-connected, so matching covered: every barrier
+    # is independent and leaves only odd components (Lovász & Plummer), three
+    # for the minimal size-3 ones, which come in sorted order. Every
+    # nontrivial one but the core's own is a guest: contracting the guests
+    # must leave the core, and each guest's host is g with everything outside
+    # that guest contracted. A contracted guest's neighbours form the core's
+    # only size-3 barrier {2, 3, 4}, so it lands on the non-nice 0 or 1. The
+    # guests are unordered: swapping 0 and 1 maps one order's candidates to
+    # the other's.
     everything = frozenset(range(g.n))
     for barrier in barriers(g):
         s = barrier.vertices
         if not barrier.minimal_nontrivial or len(s) != 3:
             continue
-        comps = connected_components(g, s)
-        if len(comps) != 3:
-            continue
-        nontrivial = [c for c in comps if len(c) > 1]
+        nontrivial = [c for c in connected_components(g, s) if len(c) > 1]
         if len(nontrivial) < 2:
             continue
-        for guests in permutations(nontrivial, len(nontrivial) - 1):
-            core, merged = g, []
+        for guests in combinations(nontrivial, len(nontrivial) - 1):
+            core = g
             label = {v: v for v in range(g.n)}  # g's vertices, in core's labels
             for guest in guests:
                 con = contract(core, {label[v] for v in guest})
                 label = {v: con.old_to_new[w] for v, w in label.items() if w in con.old_to_new}
-                merged = [con.old_to_new[m] for m in merged] + [con.merged]
                 core = con.graph
             if is_isomorphic(core, k33_triangle()) is None:
-                continue
-            if any(is_nice_vertex(core, m) for m in merged):
                 continue
             hosts = [contract(g, everything - guest) for guest in guests]
             if any(_host_fault(h.graph, three_connected_required=True) for h in hosts):

@@ -38,10 +38,10 @@ def splice(
     """Splice g1 at u with g2 at v.
 
     phi maps each neighbor of u to a distinct neighbor of v; as a sequence it
-    pairs sorted(N(u)) with the given neighbors of v in order. None means the
-    sorted-order bijection. For K4 or K3,3 guests the result is independent
-    of phi up to isomorphism, otherwise phi matters and should be chosen
-    deliberately.
+    pairs sorted(N(u)) with the given neighbors of v in order, one for each
+    neighbor. None means the sorted-order bijection. For K4 or K3,3 guests
+    the result is independent of phi up to isomorphism, otherwise phi matters
+    and should be chosen deliberately.
     """
     if not (0 <= u < g1.n and 0 <= v < g2.n):
         raise SpliceError("splice vertices out of range")
@@ -56,6 +56,8 @@ def splice(
         pairing = dict(zip(sorted(n1), sorted(n2)))
     elif isinstance(phi, Mapping):
         pairing = dict(phi)
+    elif len(phi) != len(n1):
+        raise SpliceError(f"phi lists {len(phi)} neighbors for a vertex of degree {len(n1)}")
     else:
         pairing = dict(zip(sorted(n1), phi))
     if sorted(pairing) != sorted(n1) or sorted(pairing.values()) != sorted(n2):

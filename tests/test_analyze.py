@@ -105,3 +105,25 @@ def test_capped_tight_cut_sweep_leaves_section_not_applicable(schema):
     assert cycle["classification"]["matching_covered"]
     assert cycle["nontrivial_tight_cuts"] == {"applicable": False}
     assert complete["family"]["family"] == "K4"
+
+
+@pytest.mark.parametrize("n", [0, 26])
+def test_empty_graph_and_graph_above_the_size_cap_get_only_connectivity(schema, n):
+    from nicecubic.graphs import Graph
+
+    cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    report = analyze_graph(cycle)
+    _validate([report], schema)
+    assert report["classification"] is None
+    sections = ("barriers", "nontrivial_tight_cuts", "nice_vertices", "nice_pairs", "family")
+    assert all(report[key] == {"applicable": False} for key in sections)
+    assert report["connectivity"]["connected"] == (n > 0)
+
+
+def test_analyze_text_skips_blank_lines():
+    reports, errors = analyze_text("\n   \n" + write_graph6(k4()) + "\n\n")
+    assert [r["graph6"] for r in reports] == ["C~"] and errors == []
+
+
+def test_render_text_lists_the_nice_pair_count():
+    assert "nice pairs    9" in render_text(analyze_graph(k33())).splitlines()

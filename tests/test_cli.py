@@ -89,6 +89,11 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope", "--max-n", "6"]) == 2
 
 
+def test_verify_without_suite_or_list_exits_2(capsys):
+    assert main(["verify", "--max-n", "6"]) == 2
+    assert capsys.readouterr().err.startswith("error: --suite or --list required")
+
+
 def test_build_hdiamond(capsys):
     params = json.dumps({"quads": 1, "host": write_graph6(k33()), "host_edge": [0, 3]})
     assert main(["build", "--family", "Hdiamond", "--params", params]) == 0
@@ -124,6 +129,8 @@ def test_build_f_roundtrip(capsys, tmp_path):
         ("Hdiamond", {"quads": 2.9, "host": "EFz_", "host_edge": [0, 3]}),
         ("G1", {"attachment": "1", "host": "EFz_", "host_vertex": 0}),
         ("G1", {"attachment": 1, "host": "EFz_", "host_vertex": "0"}),
+        ("G1", {"attachment": 0, "host": "EFz_", "host_vertex": 0, "phi": [3, 4, 5, 99]}),
+        ("G1", []),
     ],
 )
 def test_build_malformed_spec_values_exit_2(family, params, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from nicecubic.enumeration import (
     enumerate_cubic,
 )
 from nicecubic.errors import DomainError
-from nicecubic.graph6 import parse_graph6
+from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import Graph, bipartition, connectivity_profile, is_connected
 from nicecubic.isomorphism import _distance_profiles, is_isomorphic
 
@@ -167,6 +168,34 @@ def test_cache_with_bad_and_repeated_entries_regenerated(tmp_path, cache_dir):
     assert all(e.provenance == "enumerated" for e in entries)
     text = path.read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[8, True]
+
+
+def test_cache_with_a_second_labelling_of_one_class_regenerated(tmp_path, cache_dir):
+    ids = [e.graph6 for e in enumerate_cubic(8, cache_dir=cache_dir)]
+    first = parse_graph6(ids[0])
+    # a relabelling of the first class in place of the second: the count
+    # holds and each entry is a connected cubic graph, but a class is missing
+    relabelled = next(
+        line
+        for p in permutations(range(8))
+        if (line := write_graph6(Graph(8, [(p[u], p[v]) for u, v in first.edges]))) not in ids
+    )
+    path = tmp_path / "cubic-n8-connected.g6"
+    path.write_text("".join(line + "\n" for line in [ids[0], relabelled, *ids[2:]]))
+    with pytest.warns(RuntimeWarning, match=f"{path.name} is not the pinned corpus"):
+        entries = enumerate_cubic(8, cache_dir=tmp_path)
+    assert [e.graph6 for e in entries] == ids
+    assert all(e.provenance == "enumerated" for e in entries)
+    assert path.read_text().splitlines() == ids
+
+
+def test_pinned_corpus_digests_are_the_tests_and_ci_pins():
+    data = Path(__file__).resolve().parent / "data"
+    pins = dict(CORPUS_SHA256)
+    for n in (14, 16):
+        for connected_only, flavor in ((True, "connected"), (False, "all")):
+            pins[n, connected_only] = (data / f"cubic-n{n}-{flavor}.sha256").read_text().strip()
+    assert enumeration.CORPUS_SHA256 == pins
 
 
 def test_truncated_all_graphs_cache_regenerated(tmp_path, cache_dir):

@@ -430,6 +430,10 @@ def test_verify_membership_says_no_to_a_malformed_step(family_zoo, family):
         dict(first, block={k: v for k, v in block.items() if k != "host"}),
         dict(first, block=dict(block, host_edge=[0, 3, 4])),
     ]
+    # well-shaped steps that rebuild another graph: a block with one more
+    # quad, and H44 as the residue, leaf or rest
+    broken += [dict(first, block=dict(block, quads=block["quads"] + 1))]
+    broken += [dict(first, **{key: H44_G6}) for key in first if key.endswith("_graph6")]
     for step in broken:
         membership = FamilyMembership(family, found.index, {"steps": [step, *rest]})
         assert not verify_membership(graph, membership)
@@ -457,3 +461,31 @@ def test_verify_membership_rejects_hdiamond_with_one_more_quad():
 def test_spec_from_dict_rejects_non_string_host_and_non_integer_vertices(spec):
     with pytest.raises(InvalidFamilySpecError):
         family_spec_from_dict(spec)
+
+
+def test_a_failed_splice_search_builds_one_g1_and_six_g2_candidates(monkeypatch):
+    # K4 is no G1 or G2 member, so the search tries every candidate it has:
+    # the core's symmetry leaves one for G1 and the second phi's six for G2
+    builds = []
+    build = families.build_family
+
+    def counting(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(families, "build_family", counting)
+    assert families._first_splice_build(k4(), [(k33(), 0)]) is None
+    assert builds == [FamilyG1Spec(0, K33_G6, 0, (3, 4, 5))]
+    builds.clear()
+    assert families._first_splice_build(k4(), [(k33(), 0), (h44(), 0)]) is None
+    assert len(builds) == 6
+    assert {spec.first for spec in builds} == {FamilyG1Spec(0, K33_G6, 0, (3, 4, 5))}
+    assert len({spec.second.phi for spec in builds}) == 6
+
+
+def test_verify_membership_rejects_g1_phi_longer_than_the_degree():
+    spec = {"family": "G1", "attachment": 0, "host": K33_G6, "host_vertex": 0, "phi": [3, 4, 5, 99]}
+    graph = build_family(dict(spec, phi=[3, 4, 5]))
+    with pytest.raises(SpliceError, match="phi lists 4"):
+        build_family(spec)
+    assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))

@@ -38,6 +38,13 @@ def test_truncated_payload_rejected():
         parse_graph6("C")
 
 
+@pytest.mark.parametrize("line", ["~~", "~?"])
+def test_long_form_order_out_of_range_or_truncated_rejected(line):
+    # "~~" starts the 8-byte form (orders above 258047), "~?" a cut-off 4-byte one
+    with pytest.raises(GraphParseError):
+        parse_graph6(line)
+
+
 def test_header_tolerated():
     assert parse_graph6(">>graph6<<C~") == k4()
 

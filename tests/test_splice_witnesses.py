@@ -3,12 +3,14 @@ for a slate of splice-family members, compared entry by entry with
 ``tests/data/splice-witnesses.json``.
 
 The recognizer returns the first candidate spec, in its search order, whose
-build is isomorphic to the input, so these witnesses pin that order. No phi
-changes a G1 member up to isomorphism (the core's automorphisms that fix a
-non-nice vertex permute its neighbours every way), so the G1 entries pin the
-attachment order and the phi order through which candidate comes first. The
-phis of a G2 member do matter once neither host vertex has that symmetry,
-as with the 10-vertex host spliced in twice.
+build is isomorphic to the input, so these witnesses pin that order. It
+tries only the candidates that the core's automorphisms leave distinct: the
+hosts go to the non-nice vertices 0 and 1 in guest order (swapping 0 and 1
+fixes their neighbours 2, 3 and 4), and the first splice takes the sorted
+phi (permuting 2, 3 and 4 fixes 0 and 1). So each G1 entry pins the one
+candidate G1 builds, and the G2 entries pin the order of the second
+splice's six phis. Those phis matter once neither host vertex has the
+core's symmetry, as with the 10-vertex host spliced in twice.
 
 To rewrite the file after a deliberate change of the search order:
 

@@ -50,6 +50,24 @@ def test_splice_rejects_bad_bijection():
         splice(k4(), 0, k4(), 0, {1: 1, 2: 1, 3: 2})
 
 
+def test_splice_rejects_a_phi_sequence_longer_than_the_degree():
+    # at a cubic vertex a fourth entry would be dropped without a word
+    with pytest.raises(SpliceError, match="phi lists 4 neighbors"):
+        splice(k33(), 0, k4(), 0, (1, 2, 3, 0))
+    with pytest.raises(SpliceError, match="phi lists 2 neighbors"):
+        splice(k33(), 0, k4(), 0, (1, 2))
+
+
+def test_splice_rejects_out_of_range_vertices_and_parallel_edges():
+    with pytest.raises(SpliceError, match="out of range"):
+        splice(k4(), 4, k4(), 0)
+    with pytest.raises(SpliceError, match="out of range"):
+        splice(k4(), 0, k4(), -1)
+    theta = Graph(2, [(0, 1), (0, 1), (0, 1)])
+    with pytest.raises(SpliceError, match="parallel"):
+        splice(theta, 0, k4(), 0)
+
+
 def test_splice_maps_point_back():
     result = splice(k33(), 0, k4(), 0)
     # every original edge not at the spliced vertices survives under the maps
@@ -76,6 +94,8 @@ def test_edge_splice_merged_degrees():
 def test_edge_splice_requires_edges():
     with pytest.raises(SpliceError):
         edge_splice(k4(), (0, 1), k33(), (0, 1))  # (0,1) not an edge of K33
+    with pytest.raises(SpliceError, match="first graph"):
+        edge_splice(k33(), (0, 1), k4(), (0, 1))
 
 
 def test_linear_chain_one_is_a_quadrilateral():
