@@ -3,26 +3,33 @@
 Generation is labeled backtracking in discovery order: vertex labels are
 assigned the moment a vertex is first attached, which is the
 lexicographically-smallest-extension constraint and cuts the duplication per
-isomorphism class from n!-sized to a few thousand. The backtracker yields
-each class's breadth-first labeling from every root and in every order of
-each vertex's children (the vertices whose least neighbour it is), so the
-dedup keeps only breadth-first-canonical candidates: vertex 0 has a largest
-distance profile and siblings come in non-increasing profile order (95 of
-639 at n = 10, 708 of 9,609 at n = 12, 6,873 of 167,234 at n = 14). The
-filter walks the profiles in label order and stops at the first violation.
-The dedup buckets the kept candidates by their sorted distance profiles
-(refinement is blind on regular graphs) and settles ties with explicit
-isomorphism tests against the bucket's representatives. A representative
-goes first in each test, so its refinement, search order and profiles,
-memoised on it, serve every later candidate; a kept candidate's profiles
-are walked twice, by the filter and for the memoised fact. The corpus of all
-cubic graphs of order n is the connected corpus of order n plus the disjoint
-unions of connected corpus graphs of smaller orders. Corpora are cached on
-disk as graph6 files keyed by (n, connected), written atomically; a cached
-corpus whose size is not the published count, or with an entry that repeats
-or is not a cubic graph of its order (connected, for a connected corpus), or
-whose ids hash otherwise than the pinned corpus of its order (n <= 16), is
-regenerated, with a ``RuntimeWarning`` that names the file and the reason.
+isomorphism class from n!-sized to a few thousand. Unpruned, the backtracker
+reaches each class's breadth-first labeling from every root and in every
+order of each vertex's children (the vertices whose least neighbour it is),
+so the dedup needs only the breadth-first-canonical ones: vertex 0 has a
+largest distance profile and siblings come in non-increasing profile order
+(95 of 639 labelings at n = 10, 708 of 9,609 at n = 12, 6,873 of 167,234 at
+n = 14). The backtracker applies that rule while it generates (orderly
+generation, McKay 1998): it keeps the neighbour masks, and cuts a subtree as
+soon as a vertex's radius-2 ball is final and larger than vertex 0's, or
+than that of the sibling before it, since then every leaf below fails the
+rule. Only the leaves it reaches go through the exact filter (95 at n = 10,
+857 at n = 12, 14,098 at n = 14), which walks the profiles on the masks in
+label order and stops at the first violation, and only a survivor becomes a
+``Graph``. The dedup buckets the survivors by their sorted distance
+profiles (refinement is blind on regular graphs) and settles ties with
+explicit isomorphism tests against the bucket's representatives. The
+profiles the filter walked are the bucket key and the graph's memoised
+profiles, so each is walked once. A representative goes first in each test,
+so its refinement and search order, memoised on it, serve every later
+candidate. The corpus of all cubic graphs of order n is the connected corpus
+of order n plus the disjoint unions of connected corpus graphs of smaller
+orders. Corpora are cached on disk as graph6 files keyed by (n, connected),
+written atomically; a cached corpus whose size is not the published count,
+or with an entry that repeats or is not a cubic graph of its order
+(connected, for a connected corpus), or whose ids hash otherwise than the
+pinned corpus of its order (n <= 16), is regenerated, with a
+``RuntimeWarning`` that names the file and the reason.
 A corpus read from a file and found sound is kept with the file's bytes,
 one per order and flavour: while the bytes stay the same, later calls in the
 process return the same graphs, so the facts memoised on them persist from
@@ -93,15 +100,80 @@ class CorpusEntry:
     provenance: str
 
 
-def _labeled_connected_cubic(n: int):
-    """Yield edge tuples of connected cubic graphs on n labeled vertices,
-    labels in discovery order (each isomorphism class appears, many times)."""
+# every vertex's distance profile, by vertex (``isomorphism._distance_profiles``)
+Profiles = tuple[tuple[int, ...], ...]
+
+
+def _canonical_candidates(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], Profiles]]:
+    """The breadth-first-canonical connected cubic graphs on n labeled
+    vertices, labels in discovery order, as sorted edge tuples with their
+    distance profiles (each isomorphism class appears, a few times).
+
+    A labeled backtracker: ``extend(v)`` gives vertex v its missing edges,
+    to higher vertices already attached and to new ones, which take the
+    next unused labels. It keeps every vertex's neighbour mask, and prunes
+    as it goes. On entering ``extend(v)`` vertices 0..v-1 have degree 3 and
+    gain no edge, so the radius-2 ball of a vertex whose closed
+    neighbourhood lies below v is final: adding edges only grows balls, and
+    B_2(u) changes only through edges at N[u]. Profiles compare
+    lexicographically as the ball sizes B_0, B_1, ... do, so a final ball
+    larger than vertex 0's (final from v = 4), or larger than that of the
+    sibling labeled just before it (a vertex's least neighbour is the one
+    that attached it, so siblings are known from the start), means every
+    leaf below fails ``_bfs_canonical_profiles``, and the subtree is cut. A
+    leaf that survives the cut and the filter is yielded with the profiles
+    the filter walked."""
     deg = [0] * n
+    masks = [0] * n
     edges: list[tuple[int, int]] = []
+    ball = [0] * n  # |B_2(u)|, read only once u's closed neighbourhood is final
+
+    def beaten(v: int) -> bool:
+        """Whether a ball that became final on entering ``extend(v)`` breaks
+        the root or the sibling order. Only the u in N[v - 1] become final
+        now: u < v with no neighbour at v or above."""
+        fresh = around = masks[v - 1] | 1 << v - 1
+        while around:  # u in increasing order, vertex 0 first when it is here
+            low = around & -around
+            around ^= low
+            u = low.bit_length() - 1
+            rest = masks[u]
+            if u >= v or rest >> v:
+                continue
+            least = rest & -rest
+            reach = rest | low
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                reach |= masks[w.bit_length() - 1]
+            size = ball[u] = reach.bit_count()
+            # vertex 0's ball is final from v = 4, and final before any other
+            if size > ball[0]:
+                return True
+            # siblings share their least neighbour, the lowest bit of their
+            # masks; u - 1, if final, has its ball already (it came before
+            # u), and u + 1 has one only if it was final before this call
+            a, b = u - 1, u + 1
+            if a >= 1 and not masks[a] >> v and masks[a] & -masks[a] == least and size > ball[a]:
+                return True
+            if (
+                b < v
+                and not masks[b] >> v
+                and not fresh >> b & 1
+                and masks[b] & -masks[b] == least
+                and ball[b] > size
+            ):
+                return True
+        return False
 
     def extend(v: int, next_unused: int):
+        # a closed neighbourhood has four vertices, so none lies below v < 4
+        if v >= 4 and beaten(v):
+            return
         if v == n:
-            yield tuple(edges)
+            profiles = _bfs_canonical_profiles(masks)
+            if profiles is not None:
+                yield tuple(edges), profiles
             return
         if v == next_unused:
             return  # component exhausted with vertices left over
@@ -117,31 +189,36 @@ def _labeled_connected_cubic(n: int):
                 for w in targets:
                     deg[v] += 1
                     deg[w] += 1
+                    masks[v] |= 1 << w
+                    masks[w] |= 1 << v
                     edges.append((v, w))
                 yield from extend(v + 1, next_unused + num_new)
                 for w in targets:
                     deg[v] -= 1
                     deg[w] -= 1
+                    masks[v] ^= 1 << w
+                    masks[w] ^= 1 << v
                     edges.pop()
 
     yield from extend(0, 1)
 
 
-def _is_bfs_canonical(g: Graph) -> bool:
-    """Vertex 0 has a largest distance profile and the children of each
-    vertex (the vertices whose least neighbour it is, consecutively labeled)
-    have non-increasing profiles. Walks the profiles in label order and stops
-    at the first violation."""
-    masks = g.neighbor_masks
-    root = previous = _distance_profile(g, 0)
-    for v in range(1, g.n):
-        profile = _distance_profile(g, v)
+def _bfs_canonical_profiles(masks: list[int]) -> Profiles | None:
+    """Every vertex's distance profile, or None unless vertex 0 has a
+    largest one and the children of each vertex (the vertices whose least
+    neighbour it is, consecutively labeled) have non-increasing ones. Walks
+    the profiles in label order and stops at the first violation."""
+    root = previous = _distance_profile(masks, 0)
+    profiles = [root]
+    for v in range(1, len(masks)):
+        profile = _distance_profile(masks, v)
         # siblings share their least neighbour, the lowest bit of their masks
         sibling = masks[v] & -masks[v] == masks[v - 1] & -masks[v - 1]
         if profile > root or (sibling and profile > previous):
-            return False
+            return None
+        profiles.append(profile)
         previous = profile
-    return True
+    return tuple(profiles)
 
 
 def _connected_cubic_classes(n: int) -> list[Graph]:
@@ -149,15 +226,10 @@ def _connected_cubic_classes(n: int) -> list[Graph]:
     # regular graph is equitable) are the same for every candidate, so the
     # profiles alone bucket them
     buckets: dict[tuple, list[Graph]] = {}
-    for edge_tuple in _labeled_connected_cubic(n):
+    for edge_tuple, profiles in _canonical_candidates(n):
         g = Graph(n, edge_tuple)
-        # every class is yielded in discovery order from every root and in
-        # every order of each vertex's children, so from a root of largest
-        # profile with children in non-increasing profile order too: the
-        # other candidates are redundant
-        if not _is_bfs_canonical(g):
-            continue
-        bucket = buckets.setdefault(tuple(sorted(_distance_profiles(g))), [])
+        _distance_profiles.remember(g, profiles)
+        bucket = buckets.setdefault(tuple(sorted(profiles)), [])
         if all(is_isomorphic(seen, g) is None for seen in bucket):
             bucket.append(g)
     return [g for bucket in buckets.values() for g in bucket]

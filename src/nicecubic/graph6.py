@@ -8,7 +8,7 @@ prefix is tolerated and stripped.
 from __future__ import annotations
 
 from .errors import FormatUnsupportedError, GraphParseError
-from .graphs import Graph
+from .graphs import Graph, _graph_fact
 
 HEADER = ">>graph6<<"
 _MAX_SHORT_N = 62
@@ -51,8 +51,11 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
+@_graph_fact
 def write_graph6(g: Graph) -> str:
-    """Encode a simple graph as a graph6 line (no header, no newline)."""
+    """Encode a simple graph as a graph6 line (no header, no newline).
+    Memoised on the graph, so a graph sent to the ``verify --jobs`` workers
+    pass after pass is encoded once."""
     if not g.simple:
         raise FormatUnsupportedError(
             "graph6 cannot represent parallel edges; multigraphs are internal-only"

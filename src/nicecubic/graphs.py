@@ -117,7 +117,8 @@ def _graph_fact(fn):
     """Memoise ``fn(g)`` on the immutable graph g, as ``cached_property``
     does: the value is stored in ``g.__dict__``, keyed by the function object
     itself. Every caller then shares one value, so only facts whose values
-    are immutable qualify."""
+    are immutable qualify. ``fact.remember(g, value)`` stores a value that a
+    caller computed on the way, so ``fn`` does not compute it again."""
 
     @wraps(fn)
     def fact(g):
@@ -126,6 +127,10 @@ def _graph_fact(fn):
             memo[fn] = fn(g)
         return memo[fn]
 
+    def remember(g, value):
+        g.__dict__[fn] = value
+
+    fact.remember = remember
     return fact
 
 
@@ -237,6 +242,7 @@ def _odd_component_count(g: Graph, removed: int) -> int:
     return odd
 
 
+@_graph_fact
 def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(connected_components(g)) == 1
 
@@ -372,12 +378,22 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
     F = F' + b, a side with cut exactly F is a union of the t <= k+1
     components of G - F across which every F edge runs, so F is settled by
     one component pass and the 2^(t-1) unions that contain vertex 0's
-    component. Sorted by edge indices, then side.
+    component. Sorted by edge indices, then side. Memoised per graph and k,
+    in ``g.__dict__`` as ``_graph_fact`` does; each call returns a new list.
     """
     if not is_connected(g):
         raise DomainError("cut enumeration requires a connected graph")
     if k < 1:
         raise ValueError("cut size must be positive")
+    known = g.__dict__.setdefault(_cuts_of_size, {})
+    cuts = known.get(k)
+    if cuts is None:
+        cuts = known[k] = _cuts_of_size(g, k)
+    return list(cuts)
+
+
+def _cuts_of_size(g: Graph, k: int) -> tuple[EdgeCut, ...]:
+    """``enumerate_cuts`` of a connected g, computed."""
     labels = _cut_space_labels(g)
     edges_by_label: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
@@ -400,7 +416,7 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
                 if len(side) >= 2 and g.n - len(side) >= 2:
                     found.append(EdgeCut(side=side, edge_indices=subset, nontrivial=True))
     found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
-    return found
+    return tuple(found)
 
 
 def _cut_space_labels(g: Graph) -> list[int]:

@@ -21,7 +21,7 @@ plain search's.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, _graph_fact
 
@@ -120,10 +120,10 @@ def refined_colors(g: Graph) -> tuple[int, ...]:
     return tuple(index[cell_at[v]] for v in range(g.n))
 
 
-def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
+def _distance_profile(masks: Sequence[int], start: int) -> tuple[int, ...]:
     """How many vertices lie at each distance from start (ignoring
-    multiplicity), then how many it cannot reach; breadth-first on masks."""
-    masks = g.neighbor_masks
+    multiplicity), then how many it cannot reach; breadth-first on the
+    neighbour masks of a graph (``Graph.neighbor_masks``)."""
     seen = frontier = 1 << start
     counts = [1]
     while True:
@@ -137,7 +137,7 @@ def _distance_profile(g: Graph, start: int) -> tuple[int, ...]:
             break
         seen |= frontier
         counts.append(frontier.bit_count())
-    counts.append(g.n - seen.bit_count())  # vertices in other components
+    counts.append(len(masks) - seen.bit_count())  # vertices in other components
     return tuple(counts)
 
 
@@ -146,7 +146,8 @@ def _distance_profiles(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every vertex's distance profile, by vertex; relabeling g permutes
     them, so their sorted tuple is an invariant that refinement, blind on
     regular graphs, is not."""
-    return tuple(_distance_profile(g, v) for v in range(g.n))
+    masks = g.neighbor_masks
+    return tuple(_distance_profile(masks, v) for v in range(g.n))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:

@@ -359,6 +359,7 @@ def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
     return tuple(rows)
 
 
+@_graph_fact
 def is_matching_covered(g: Graph) -> bool:
     """True iff g is connected, has >= 2 vertices, and every edge lies in some
     perfect matching: read off g's ``pair_deletion_table``, g has edges and a

@@ -1019,7 +1019,7 @@ def _pool_pass(
 def _run_in_pool(names: tuple[str, ...], graphs: list[Graph], size: int) -> list[_Tally]:
     """``_check_all`` over the graphs on the pool's workers (``_pool_pass``),
     with one rerun on fresh workers if one dies."""
-    lines = [write_graph6(g) for g in graphs]
+    lines = [write_graph6(g) for g in graphs]  # memoised: encoded once per process
     for attempt in range(2):
         workers = _pool(size)
         try:

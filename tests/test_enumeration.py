@@ -1,7 +1,7 @@
 import hashlib
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -10,14 +10,14 @@ from nicecubic import enumeration, isomorphism
 from nicecubic.catalog import h44, k4, k33, triangular_prism
 from nicecubic.enumeration import (
     CACHE_ENV,
+    _canonical_candidates,
     _connected_cubic_classes,
-    _labeled_connected_cubic,
     enumerate_cubic,
 )
 from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import Graph, bipartition, connectivity_profile, is_connected
-from nicecubic.isomorphism import _distance_profiles, is_isomorphic
+from nicecubic.isomorphism import _distance_profile, _distance_profiles, is_isomorphic
 
 # Connected cubic graph counts by order, from the published sequence.
 KNOWN_CONNECTED_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
@@ -318,25 +318,22 @@ def test_dedup_builds_each_search_order_once():
     assert set(builds) <= {id(g) for g in classes}
 
 
-def test_dedup_walks_each_distance_profile_at_most_twice():
-    # the filter walks a candidate's profiles in label order, stopping at the
-    # first violation; a kept candidate then builds its memoised fact once,
-    # which serves the bucket key and is_isomorphic's first-image check, so
-    # no (graph, start vertex) pair is walked a third time, representatives'
-    # roots included, and only graphs with a fact are walked twice
+def test_dedup_walks_each_distance_profile_at_most_once():
+    # the filter walks a leaf's profiles in label order on the backtracker's
+    # masks, stopping at the first violation; a survivor's profiles become
+    # its bucket key and its memoised fact, which is_isomorphic's first-image
+    # check reads, so no labeled graph is walked twice from one start vertex
+    # and the fact is never built
     walk = isomorphism._distance_profile.__code__
     build = isomorphism._distance_profiles.__wrapped__.__code__
     walks = Counter()
-    builds = Counter()
-    graphs = []  # keeps every counted graph alive, so no id is reused
+    builds = []
 
     def count_walks(frame, event, arg):
-        if event == "call" and frame.f_code in (walk, build):
-            graphs.append(frame.f_locals["g"])
-            if frame.f_code is walk:
-                walks[id(graphs[-1]), frame.f_locals["start"]] += 1
-            else:
-                builds[id(graphs[-1])] += 1
+        if event == "call" and frame.f_code is walk:
+            walks[tuple(frame.f_locals["masks"]), frame.f_locals["start"]] += 1
+        elif event == "call" and frame.f_code is build:
+            builds.append(frame.f_locals["g"])
 
     sys.setprofile(count_walks)
     try:
@@ -344,9 +341,82 @@ def test_dedup_walks_each_distance_profile_at_most_twice():
     finally:
         sys.setprofile(None)
     assert len(classes) == 19
-    assert builds and max(builds.values()) == 1
-    assert walks and max(walks.values()) == 2
-    assert {g for (g, _), count in walks.items() if count == 2} <= set(builds)
+    assert walks and max(walks.values()) == 1
+    assert not builds
+    for g in classes:
+        assert _distance_profiles(g) == tuple(_distance_profile(g.neighbor_masks, v) for v in range(10))
+
+
+# The reference the pruned walk is checked against: the plain discovery-order
+# backtracker, which yields every candidate, and the breadth-first-canonical
+# filter on a built graph.
+def _labeled_connected_cubic(n: int):
+    """Yield edge tuples of connected cubic graphs on n labeled vertices,
+    labels in discovery order (each isomorphism class appears, many times)."""
+    deg = [0] * n
+    edges: list[tuple[int, int]] = []
+
+    def extend(v: int, next_unused: int):
+        if v == n:
+            yield tuple(edges)
+            return
+        if v == next_unused:
+            return  # component exhausted with vertices left over
+        need = 3 - deg[v]
+        existing = [w for w in range(v + 1, next_unused) if deg[w] < 3]
+        for num_new in range(min(need, n - next_unused) + 1):
+            take = need - num_new
+            if take > len(existing):
+                continue
+            new_vertices = range(next_unused, next_unused + num_new)
+            for combo in combinations(existing, take):
+                targets = list(combo) + list(new_vertices)
+                for w in targets:
+                    deg[v] += 1
+                    deg[w] += 1
+                    edges.append((v, w))
+                yield from extend(v + 1, next_unused + num_new)
+                for w in targets:
+                    deg[v] -= 1
+                    deg[w] -= 1
+                    edges.pop()
+
+    yield from extend(0, 1)
+
+
+def _is_bfs_canonical(g: Graph) -> bool:
+    """Vertex 0 has a largest distance profile and the children of each
+    vertex (the vertices whose least neighbour it is, consecutively labeled)
+    have non-increasing profiles."""
+    profiles = _distance_profiles(g)
+    for v in range(1, g.n):
+        sibling = min(g.adjacency[v]) == min(g.adjacency[v - 1])
+        if profiles[v] > profiles[0] or (sibling and profiles[v] > profiles[v - 1]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, leaves", [(4, 1), (6, 5), (8, 26), (10, 95), (12, 857)])
+def test_pruned_walk_keeps_the_filter_survivors(monkeypatch, n, leaves):
+    # the walk cuts a subtree only when a final radius-2 ball shows that
+    # every leaf below fails the filter, so the leaves it keeps are the plain
+    # backtracker's survivors, the same edge tuples in the same order, with
+    # their profiles; of the 639 candidates at n = 10 and 9,609 at n = 12,
+    # only 95 and 857 reach the filter
+    reached = []
+    profiles_of = enumeration._bfs_canonical_profiles
+
+    def counted(masks):
+        reached.append(tuple(masks))
+        return profiles_of(masks)
+
+    monkeypatch.setattr(enumeration, "_bfs_canonical_profiles", counted)
+    kept = list(_canonical_candidates(n))
+    survivors = [e for e in _labeled_connected_cubic(n) if _is_bfs_canonical(Graph(n, e))]
+    assert [edges for edges, _ in kept] == survivors
+    for edges, profiles in kept:
+        assert profiles == _distance_profiles(Graph(n, edges))
+    assert len(reached) == len(set(reached)) == leaves
 
 
 def _bfs_relabelings(g, root):
@@ -366,8 +436,9 @@ def _bfs_relabelings(g, root):
 def test_every_bfs_relabeling_is_a_candidate(corpus10):
     # the filter keeps only candidates rooted at a largest distance profile
     # whose siblings come in non-increasing profile order; it is sound
-    # because the backtracker yields every class's breadth-first relabeling
-    # from every root, in every tie order
+    # because the plain backtracker, which the pruned walk only cuts,
+    # yields every class's breadth-first relabeling from every root, in
+    # every tie order
     for n in (4, 6, 8, 10):
         candidates = {Graph(n, edges) for edges in _labeled_connected_cubic(n)}
         for entry in corpus10:

@@ -317,6 +317,16 @@ def test_enumerate_cuts_finds_triangle_separation():
     assert [sorted(c.side) for c in cuts] == [[0, 1, 2, 3, 4]]
 
 
+def test_enumerate_cuts_hands_each_caller_a_list_of_its_own():
+    # memoised per graph and k: a caller that changes its list changes no
+    # later answer, and another k has its own answer
+    g = k33_triangle()
+    first = enumerate_cuts(g, 3)
+    first.clear()
+    assert [sorted(c.side) for c in enumerate_cuts(g, 3)] == [[0, 1, 2, 3, 4]]
+    assert enumerate_cuts(g, 2) == []
+
+
 def _every_cut(g):
     """The cut of every side containing vertex 0."""
     return [

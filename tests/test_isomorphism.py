@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicecubic.catalog import h44, k4, k33, k33_triangle, r8, triangular_prism
-from nicecubic.enumeration import _labeled_connected_cubic, enumerate_cubic
+from nicecubic.enumeration import enumerate_cubic
 from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     _distance_profiles,
@@ -22,6 +22,7 @@ from nicecubic.isomorphism import (
 )
 
 from .strategies import multigraphs, simple_graphs
+from .test_enumeration import _labeled_connected_cubic
 
 
 def _relabel(g, perm):

@@ -16,8 +16,8 @@ from nicecubic.catalog import triangular_prism
 from nicecubic.enumeration import CorpusEntry, corpus_up_to
 from nicecubic.errors import DomainError, InternalCheckError, UnknownSuiteError
 from nicecubic.graph6 import parse_graph6, write_graph6
-from nicecubic.graphs import Graph, _cut_masks, connectivity_profile
-from nicecubic.matching import _deletion_sets, pair_deletion_table
+from nicecubic.graphs import Graph, _cut_masks, _cuts_of_size, connectivity_profile, is_connected
+from nicecubic.matching import _deletion_sets, is_matching_covered, pair_deletion_table
 from nicecubic.nice import nice_vertices
 from nicecubic.suites import SUITES, list_suites, verify_suite, verify_suites
 
@@ -183,7 +183,15 @@ def _record_builds(monkeypatch, fact):
     return built
 
 
-def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
+@pytest.fixture
+def fresh_corpus(monkeypatch):
+    """No corpus kept from earlier tests, so the corpus graphs this test
+    loads start without facts: a fact derived from a memoised one, as
+    connectivity is from matching coverage, is then computed in the test."""
+    monkeypatch.setattr(enumeration, "_corpus_memo", {})
+
+
+def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir, fresh_corpus):
     loads = []
     load = suites_module.corpus_up_to
 
@@ -214,7 +222,20 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
 
     monkeypatch.setattr(suites_module, "perfect_matchings", recorded_enumeration)
     monkeypatch.setattr(matching_module, "perfect_matchings", recorded_enumeration)
-    reports = verify_suites(sorted(SUITES), 10, cache_dir=cache_dir)
+    connected = _record_builds(monkeypatch, is_connected)
+    covered = _record_builds(monkeypatch, is_matching_covered)
+    cut_sweep = _cuts_of_size.__code__
+    cut_sweeps = []
+
+    def record_cut_sweeps(frame, event, arg):
+        if event == "call" and frame.f_code is cut_sweep:
+            cut_sweeps.append((frame.f_locals["g"], frame.f_locals["k"]))
+
+    sys.setprofile(record_cut_sweeps)
+    try:
+        reports = verify_suites(sorted(SUITES), 10, cache_dir=cache_dir)
+    finally:
+        sys.setprofile(None)
     assert all(report.passed for report in reports)
     (entries,) = loads
     corpus = {id(e.graph) for e in entries}
@@ -239,9 +260,17 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir):
     # every deletion query G - W runs the blossom search once per graph
     deletions = Counter((id(g), removed) for g, removed in searches if removed)
     assert deletions and set(deletions.values()) == {1}
+    # connectivity and matching coverage are decided once per corpus graph,
+    # and its k-edge cuts are swept at most once per k
+    for built in (connected, covered):
+        per_graph = Counter(id(g) for g in built if id(g) in corpus)
+        assert set(per_graph) == corpus
+        assert set(per_graph.values()) == {1}
+    per_size = Counter((id(g), k) for g, k in cut_sweeps if id(g) in corpus)
+    assert per_size and set(per_size.values()) == {1}
 
 
-def test_suite_calls_share_each_corpus_graph_facts(monkeypatch, cache_dir):
+def test_suite_calls_share_each_corpus_graph_facts(monkeypatch, cache_dir, fresh_corpus):
     corpus_up_to(10, cache_dir=cache_dir)  # a cold run writes the cache files
     parsed = []
     parse = enumeration.read_graph6_lines
