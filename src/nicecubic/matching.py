@@ -9,18 +9,25 @@ are reproducible across runs.
 
 There is one blossom search (Edmonds, "Paths, trees, and flowers", 1965).
 It reads the host's ``g.adjacency`` and skips a mask of deleted vertices,
-so every question "is G - W perfectly matchable" (``has_perfect_matching``,
-``nice_check``) runs on the host itself and no subgraph is built. The
-answers are memoised on the host by mask, so each G - W runs it once.
-``maximum_matching`` augments with it; ``pair_deletion_table`` reuses it
-once per vertex u, with u masked out, to read, from one perfect matching,
-which vertex pairs leave a perfectly matchable graph when deleted. The
-table is a fact of the graph, memoised on it, so every reader shares one
-computation. Matching covered and bicritical are read off it, and so are
-the blocked pairs u, v (v outside row u) among which ``structure.barriers``
-looks for barriers; in a matching covered graph, u with the vertices
-blocked with it form one maximal barrier (Kotzig; Lovász & Plummer,
-*Matching Theory*, §5.2).
+so no subgraph is ever built. Each graph keeps one maximum matching found
+with it, the host matching, which ``maximum_matching`` and
+``has_perfect_matching`` read. Every question "is G - W perfectly
+matchable" (``nice_check`` and the readers in ``nice`` and ``structure``)
+starts from the host matching with W's vertices and their mates unmatched,
+and stops at the first exposed vertex with no augmenting path. The answers
+are memoised on the host by mask, so each G - W is searched once. The
+question "do edges e and f lie in one perfect matching", which tightness
+and 2-extendability ask, is answered from the perfect matchings found so
+far when one holds both, and otherwise by the deletion query on their four
+ends. ``pair_deletion_table`` reuses the blossom search once per vertex u,
+on a copy of the host matching with u masked out, to read, from one perfect
+matching, which vertex pairs leave a perfectly matchable graph when
+deleted. The table is a fact of the graph, memoised on it, so every reader
+shares one computation. Matching covered and bicritical are read off it,
+and so are the blocked pairs u, v (v outside row u) among which
+``structure.barriers`` looks for barriers; in a matching covered graph, u
+with the vertices blocked with it form one maximal barrier (Kotzig; Lovász
+& Plummer, *Matching Theory*, §5.2).
 
 Apart from that path, ``_deletion_sets`` sweeps the vertex sets of at most
 half the vertices once per graph, memoised, for the two exponential oracles:
@@ -78,8 +85,9 @@ def make_matching(g: Graph, edge_indices: Iterable[int]) -> Matching:
 
 def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching via augmenting search with blossom
-    contraction (general graphs). Deterministic lowest-index tie-breaking."""
-    match = _maximum_mates(g)
+    contraction (general graphs): the host matching, memoised on g.
+    Deterministic lowest-index tie-breaking."""
+    match = _host_mates(g)
     lowest_index: dict[tuple[int, int], int] = {}
     for i, e in enumerate(g.edges):
         lowest_index.setdefault(e, i)
@@ -91,30 +99,37 @@ def maximum_matching(g: Graph) -> Matching:
     return make_matching(g, indices)
 
 
-def _maximum_mates(g: Graph, removed: int = 0) -> list[int]:
-    """Mate of each vertex in a maximum matching of g minus the vertices of
-    the mask ``removed`` (-1 if exposed or removed): a greedy start, then
-    one augmenting search from each exposed vertex."""
+@_graph_fact
+def _host_mates(g: Graph) -> tuple[int, ...]:
+    """Mate of each vertex in one maximum matching of g (-1 if exposed): a
+    greedy start, then one augmenting search from each exposed vertex. Every
+    matching question on g starts from it, so g computes it once."""
     adj = g.adjacency
     match = [-1] * g.n
     for v in range(g.n):
-        if match[v] == -1 and not removed >> v & 1:
+        if match[v] == -1:
             for u in adj[v]:
-                if match[u] == -1 and not removed >> u & 1:
+                if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
 
     for v in range(g.n):
-        if match[v] == -1 and not removed >> v & 1:
-            end, parent, _ = _find_augmenting(g, removed, match, v)
-            while end != -1:
-                prev = parent[end]
-                nxt = match[prev]
-                match[end] = prev
-                match[prev] = end
-                end = nxt
-    return match
+        if match[v] == -1:
+            end, parent, _ = _find_augmenting(g, 0, match, v)
+            _augment(match, parent, end)
+    return tuple(match)
+
+
+def _augment(match: list[int], parent: list[int], end: int) -> None:
+    """Flip the augmenting path that ``parent`` traces back from its exposed
+    end ``end`` (nothing when end is -1)."""
+    while end != -1:
+        prev = parent[end]
+        nxt = match[prev]
+        match[end] = prev
+        match[prev] = end
+        end = nxt
 
 
 def _find_augmenting(
@@ -190,26 +205,109 @@ def _find_augmenting(
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    return _matchable_without(g, 0)
+    return -1 not in _host_mates(g)
 
 
 def _matchable_without(g: Graph, removed: int) -> bool:
     """True iff g minus the vertices of the mask ``removed`` has a perfect
-    matching: every vertex left exposed by a maximum matching is removed.
+    matching.
 
     Memoised per graph and mask, in ``g.__dict__`` as ``_graph_fact`` does,
-    so each deletion query runs the blossom search once per graph, whichever
-    reader (nice vertices and pairs, tightness, 2-extendability, the
-    four-deletion brace test) asks first. Odd remainders need no search."""
-    gone = removed.bit_count()
-    if (g.n - gone) % 2:
+    so each deletion query runs ``_deletion_search`` at most once per graph,
+    whichever reader (nice vertices and pairs, tightness, 2-extendability,
+    the four-deletion brace test) asks first. Odd remainders need no search."""
+    if (g.n - removed.bit_count()) % 2:
         return False
     known = g.__dict__.get(_matchable_without)
     if known is None:
         known = g.__dict__[_matchable_without] = {}
     matchable = known.get(removed)
     if matchable is None:
-        matchable = known[removed] = _maximum_mates(g, removed).count(-1) == gone
+        matchable = known[removed] = _deletion_search(g, removed) is not None
+    return matchable
+
+
+def _deletion_search(g: Graph, removed: int) -> list[int] | None:
+    """Mates of a perfect matching of g minus the vertices of the mask
+    ``removed`` (-1 on the removed vertices), or None when there is none.
+
+    The search starts from the host matching M with the removed vertices and
+    their mates unmatched, and augments from each exposed vertex in index
+    order. It answers None at the first exposed vertex v with no augmenting
+    path: if g - removed had a perfect matching M*, the component of the
+    current matching xor M* at v would be a path from v, alternating, that
+    ends at another exposed vertex, an augmenting path.
+    """
+    match = list(_host_mates(g))
+    rest = removed
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        if match[v] != -1:
+            match[match[v]] = -1
+            match[v] = -1
+        rest &= rest - 1
+    for v in range(g.n):
+        if match[v] == -1 and not removed >> v & 1:
+            end, parent, _ = _find_augmenting(g, removed, match, v)
+            if end == -1:
+                return None
+            _augment(match, parent, end)
+    return match
+
+
+class _FoundMatchings:
+    """Perfect matchings of one graph found so far, as one bitset per vertex
+    pair: bit k is set when the k-th matching joins the pair, whichever of
+    the pair's parallel edges it uses. A plain class, not a dataclass: with
+    a dataclass here, short benchmark processes that import the package
+    peaked 0.2 to 0.4 MB higher."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.by_pair: dict[tuple[int, int], int] = {}
+
+    def add(self, match: Iterable[int]) -> None:
+        bit = 1 << self.count
+        self.count += 1
+        for v, w in enumerate(match):
+            if v < w:
+                self.by_pair[v, w] = self.by_pair.get((v, w), 0) | bit
+
+
+def _in_common_perfect_matching(g: Graph, i: int, j: int) -> bool:
+    """True iff edges i and j of g lie in one perfect matching of g.
+
+    For vertex-disjoint edges this is the deletion query on their four ends,
+    and it shares ``_matchable_without``'s memo. A pair that the memo does
+    not hold is answered True without a search when a perfect matching found
+    so far holds both edges: g keeps the host matching, if perfect, and each
+    matching that this question's searches find, with the two edges put
+    back. A stored matching only ever answers True for a pair it holds, so
+    every answer is the definitional one.
+    """
+    (a, b), (c, d) = g.edges[i], g.edges[j]
+    removed = 1 << a | 1 << b | 1 << c | 1 << d
+    if removed.bit_count() < 4 or g.n % 2:
+        return False
+    known = g.__dict__.get(_matchable_without)
+    if known is None:
+        known = g.__dict__[_matchable_without] = {}
+    matchable = known.get(removed)
+    if matchable is None:
+        found = g.__dict__.get(_in_common_perfect_matching)
+        if found is None:
+            found = g.__dict__[_in_common_perfect_matching] = _FoundMatchings()
+            if has_perfect_matching(g):
+                found.add(_host_mates(g))
+        if found.by_pair.get((a, b), 0) & found.by_pair.get((c, d), 0):
+            matchable = True
+        else:
+            match = _deletion_search(g, removed)
+            matchable = match is not None
+            if matchable:
+                match[a], match[b], match[c], match[d] = b, a, d, c
+                found.add(match)
+        known[removed] = matchable
     return matchable
 
 
@@ -337,18 +435,16 @@ def pair_deletion_table(g: Graph) -> PairDeletionTable | None:
     """Row u is ``frozenset({v != u : g - u - v has a perfect matching})``;
     None when g has no perfect matching.
 
-    One maximum matching M, then one blossom search per vertex: in g - u,
+    The host matching M, then one blossom search per vertex: in g - u,
     M minus u's edge is maximum and leaves only u's partner exposed, so the
     outer vertices of the search from the partner are the vertices that some
     maximum matching of g - u misses, i.e. the v with g - u - v perfectly
     matchable. That is n searches where pair-by-pair deletion would need
     n(n - 1)/2 fresh matchings.
     """
-    if g.n % 2:
+    if g.n % 2 or not has_perfect_matching(g):
         return None
-    match = _maximum_mates(g)
-    if -1 in match:
-        return None
+    match = list(_host_mates(g))
     rows = []
     for u in range(g.n):
         partner = match[u]

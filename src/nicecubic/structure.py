@@ -11,12 +11,15 @@ tight cuts. The table is memoised on the graph, and the
 classification and the tight-cut domain check read the same one; the
 barriers, the classification and the nontrivial tight cuts are memoised
 too. Tightness of a cut means every perfect matching crosses it exactly
-once; it is decided by deletion-set matching queries, without enumerating
-perfect matchings, on the cut's edge mask (``_is_tight``, which
-``is_tight_cut`` wraps). The second characterizations of these facts (the
-deletion-set sweep, perfect-matching enumeration, the bipartite split
-criterion, the balanced four-deletion brace test) live in the suites that
-check them.
+once; it is decided, without enumerating perfect matchings, by asking
+whether two disjoint cut edges lie in one perfect matching
+(``matching._in_common_perfect_matching``, which answers from the perfect
+matchings it has found or by one deletion-set matching query), on the
+cut's edge mask (``_is_tight``, which ``is_tight_cut`` wraps). The brace
+test asks the same question of every two disjoint edges. The second
+characterizations of these facts (the deletion-set sweep, perfect-matching
+enumeration, the bipartite split criterion, the balanced four-deletion
+brace test) live in the suites that check them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .graphs import (
 )
 from .matching import (
     PairDeletionTable,
-    _matchable_without,
+    _in_common_perfect_matching,
     is_matching_covered,
     pair_deletion_table,
 )
@@ -279,11 +282,14 @@ def _is_two_extendable(g: Graph) -> bool:
     if g.n < 6 or pair_deletion_table(g) is None or not is_connected(g):
         return False
     ends = [1 << u | 1 << v for u, v in g.edges]
-    return all(x & y or _matchable_without(g, x | y) for x, y in combinations(ends, 2))
+    return all(
+        ends[i] & ends[j] or _in_common_perfect_matching(g, i, j)
+        for i, j in combinations(range(len(ends)), 2)
+    )
 
 
 def is_tight_cut(g: Graph, cut: EdgeCut) -> CutWitness:
-    """Tightness by deletion-set matching queries (see ``_is_tight``)."""
+    """Tightness by two-edge perfect-matching questions (see ``_is_tight``)."""
     mask = sum(1 << i for i in cut.edge_indices)
     return CutWitness(cut=cut, tight=_is_tight(g, len(cut.side), mask))
 
@@ -295,22 +301,22 @@ def _is_tight(g: Graph, side_size: int, cut: int) -> bool:
     A perfect matching crosses a side an odd or even number of times as the
     side is odd or even, so an even side is never tight. An odd side is
     crossed three or more times by some perfect matching exactly when two
-    vertex-disjoint cut edges lie in one perfect matching, that is when
-    deleting their four ends leaves a perfectly matchable graph.
+    vertex-disjoint cut edges lie in one perfect matching.
     """
     if pair_deletion_table(g) is None:
         raise DomainError("tightness is defined over hosts with perfect matchings")
     if side_size % 2 == 0:
         return False
-    earlier = []  # the ends of the cut edges taken so far, as vertex masks
+    earlier = []  # each cut edge taken so far, with its ends as a vertex mask
     while cut:
         low = cut & -cut
-        u, v = g.edges[low.bit_length() - 1]
+        i = low.bit_length() - 1
+        u, v = g.edges[i]
         x = 1 << u | 1 << v
-        for y in earlier:
-            if not x & y and _matchable_without(g, x | y):
+        for j, y in earlier:
+            if not x & y and _in_common_perfect_matching(g, j, i):
                 return False
-        earlier.append(x)
+        earlier.append((i, x))
         cut ^= low
     return True
 

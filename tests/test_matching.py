@@ -13,12 +13,14 @@ from nicecubic.errors import DomainError
 from nicecubic.graphs import (
     Graph,
     _odd_component_count,
+    _vertex_mask,
     connected_components,
     induced_subgraph,
     is_connected,
 )
 from nicecubic.matching import (
     _deletion_sets,
+    _in_common_perfect_matching,
     _matchable_without,
     count_perfect_matchings,
     has_perfect_matching,
@@ -33,7 +35,7 @@ from nicecubic.matching import (
 from nicecubic.nice import nice_pair_matrix, nice_vertices
 from nicecubic.structure import classify, nontrivial_tight_cuts
 
-from .strategies import multigraphs, simple_graphs
+from .strategies import cubic_multigraphs, multigraphs, simple_graphs
 
 
 def _brute_force_maximum(g):
@@ -343,13 +345,13 @@ def test_pruned_deletion_sweep_counts_under_a_third_of_the_sets(monkeypatch, cor
 
 def test_deletion_queries_run_one_blossom_search_per_graph_and_mask(monkeypatch):
     searched = []
-    search = matching_module._maximum_mates
+    search = matching_module._deletion_search
 
-    def recorded(g, removed=0):
+    def recorded(g, removed):
         searched.append(removed)
         return search(g, removed)
 
-    monkeypatch.setattr(matching_module, "_maximum_mates", recorded)
+    monkeypatch.setattr(matching_module, "_deletion_search", recorded)
     g = h44()
     deleted = [(), (0, 1), (0, 1, 2, 3), (6, 7), (0, 1, 2)]
     masks = [sum(1 << v for v in w) for w in deleted]
@@ -358,6 +360,82 @@ def test_deletion_queries_run_one_blossom_search_per_graph_and_mask(monkeypatch)
     assert [_matchable_without(g, mask) for mask in masks] == expected
     # one search per mask, and none for the odd remainder
     assert searched == masks[:4]
+
+
+# Examples: an odd order; a disconnected graph whose components are odd; a
+# spider with no perfect matching, which deleting two of vertex 0's leaves
+# makes matchable; the prism, where every G - N[u] is perfectly matchable.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        simple_graphs(max_n=9),
+        multigraphs(max_n=8, max_edges=16),
+        cubic_multigraphs(max_n=10),
+    ),
+    st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=10),
+)
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), [0b10110])
+@example(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), [0b1, 0b1001])
+@example(Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]), [0b110, 0b10010])
+@example(triangular_prism(), [0b110000, 0b1111])
+def test_warm_started_deletion_queries_agree_with_subgraph_enumeration(g, drawn):
+    masks = {_vertex_mask(g, g.closed_neighborhood(u)) for u in range(g.n)}
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    masks |= {x | y for x, y in combinations(ends, 2) if not x & y}
+    masks |= {mask & (1 << g.n) - 1 for mask in drawn}
+    for mask in sorted(masks):
+        w = [v for v in range(g.n) if mask >> v & 1]
+        assert _matchable_without(g, mask) == _matchable_after_deleting(g, w), w
+
+
+def _pairs_in_some_perfect_matching(g):
+    return {pair for m in perfect_matchings(g) for pair in combinations(m.edge_indices, 2)}
+
+
+def test_common_perfect_matching_agrees_with_enumeration_on_corpus(corpus12):
+    for entry in corpus12:
+        g = Graph(entry.graph.n, entry.graph.edges)  # nothing found yet
+        expected = _pairs_in_some_perfect_matching(g)
+        for i, j in combinations(range(len(g.edges)), 2):
+            if not set(g.edges[i]) & set(g.edges[j]):
+                assert _in_common_perfect_matching(g, i, j) == ((i, j) in expected), (
+                    entry.graph6, i, j,
+                )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(multigraphs(max_n=8, max_edges=16), cubic_multigraphs(max_n=10)))
+def test_common_perfect_matching_agrees_with_enumeration_on_multigraphs(g):
+    # a matching found through one parallel copy answers for the others too
+    expected = _pairs_in_some_perfect_matching(g)
+    for i, j in combinations(range(len(g.edges)), 2):
+        assert _in_common_perfect_matching(g, i, j) == ((i, j) in expected)
+
+
+def _heawood():
+    # LCF notation [5, -5]^7: the 14-cycle with the chord from each even
+    # vertex to the vertex five steps on
+    cycle = [(v, (v + 1) % 14) for v in range(14)]
+    return Graph(14, cycle + [(v, (v + 5) % 14) for v in range(0, 14, 2)])
+
+
+def test_brace_test_on_the_heawood_graph_takes_a_quarter_of_the_searches(monkeypatch):
+    searched = []
+    search = matching_module._deletion_search
+
+    def recorded(g, removed):
+        searched.append(removed)
+        return search(g, removed)
+
+    monkeypatch.setattr(matching_module, "_deletion_search", recorded)
+    g = _heawood()
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    disjoint = sum(1 for x, y in combinations(ends, 2) if not x & y)
+    assert (len(g.edges), disjoint) == (21, 168)
+    flags = classify(g)
+    assert flags.two_extendable and flags.brace
+    # each question not answered by a stored matching costs one search
+    assert 4 * len(searched) <= disjoint
 
 
 def test_pickled_graph_carries_no_deletion_memo():

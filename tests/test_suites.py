@@ -206,13 +206,13 @@ def test_one_pass_builds_each_fact_once_per_graph(monkeypatch, cache_dir, fresh_
     masks = _record_builds(monkeypatch, suites_module._perfect_matching_masks)
     nices = _record_builds(monkeypatch, nice_vertices)
     searches = []
-    search = matching_module._maximum_mates
+    search = matching_module._deletion_search
 
-    def recorded_search(g, removed=0):
+    def recorded_search(g, removed):
         searches.append((g, removed))  # holds g, so no id is reused
         return search(g, removed)
 
-    monkeypatch.setattr(matching_module, "_maximum_mates", recorded_search)
+    monkeypatch.setattr(matching_module, "_deletion_search", recorded_search)
     enumerations = []
     enumerate_matchings = matching_module.perfect_matchings
 
