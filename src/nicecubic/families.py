@@ -444,14 +444,14 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
         nb_p = [x for x in current.neighbor_sets[p] if x != q]
         nb_q = [x for x in current.neighbor_sets[q] if x != p]
         if len(nb_p) != 1 or len(nb_q) != 1:
-            return None
+            return None  # never: each peel leaves p and q of degree 2 in a simple graph
         p2, q2 = nb_p[0], nb_q[0]
         if p2 == q2:
-            return None
+            return None  # never: p, q and p2 = q2 would be a triangle in a bipartite graph
         quads += 1
         remaining = frozenset(range(current.n)) - {p, q}
         if len(remaining) < 6:
-            return None
+            return None  # never: a bipartite graph of this degree shape has n >= 8
         if current.multiplicity(p2, q2):
             sub = induced_subgraph(current, remaining)
             current, p, q = sub.graph, sub.old_to_new[p2], sub.old_to_new[q2]
@@ -459,7 +459,7 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
         patched = patched_side(current, remaining, p2, q2)
         host, h1, h2 = patched.graph, patched.old_to_new[p2], patched.old_to_new[q2]
         if _host_fault(host, three_connected_required=False) is not None:
-            return None
+            return None  # never: p2q2 closes a simple, connected, cubic bipartite host
         spec = HdiamondSpec(
             quads=quads, host_graph6=write_graph6(host), host_edge=(h1, h2)
         )
@@ -531,7 +531,7 @@ def _recognize_t(g: Graph) -> list[dict] | None:
         block_side = (frozenset(range(current.n)) - side) | {a, c}
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
-            return None
+            return None  # never: a bipartite cubic graph's 2-cut side closes into a block
         steps.append(
             {
                 "leaf_graph6": write_graph6(leaf),
@@ -763,4 +763,4 @@ def _replays(g: Graph, membership: FamilyMembership) -> bool:
                 return False
             current = parse_graph6(step["rest_graph6"])
         return is_isomorphic(current, k33()) is not None
-    return False
+    return False  # never: _well_shaped refuses every other family

@@ -39,7 +39,6 @@ that needs no matching (see ``_deletion_sets``). Neither fast path reads it.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -357,11 +356,18 @@ def _deletion_sets(g: Graph) -> tuple[bool, tuple[int, ...]]:
     positive lifts of the vertices after v). When that is negative, the
     walk skips S + v and everything under it; d(S) + 2x < 0 exactly when
     x < -floor(d(S) / 2), the pairs of odd components that S lacks.
+
+    Each visit reads the bound without building a list. One scan of v from
+    n - 1 down to ``start`` keeps the positive lifts after v counted by
+    value, reads the n/2 - |S| - 1 largest of them off those counts,
+    largest value first, and marks v in a mask of the children that pass;
+    the walk then visits them in increasing order.
     """
     n = g.n
     limit = n // 2
     neighbors = [[w for w in range(n) if mask >> w & 1] for mask in g.neighbor_masks]
     free = [mask.bit_count() for mask in g.neighbor_masks]  # |N(w) - S|
+    top = max(((p - 1) // 2 for p in free), default=0)  # no lift exceeds it
     tutte = True
     barriers_by_size: list[list[int]] = [[] for _ in range(limit + 1)]
 
@@ -376,21 +382,28 @@ def _deletion_sets(g: Graph) -> tuple[bool, tuple[int, ...]]:
             return
         lacking = -(d // 2)
         room = limit - size - 1  # vertices that may still follow the next one
-        lifts = [(free[v] - 1) // 2 for v in range(start, n)]
-        # reach[i]: the room largest positive lifts after vertex start + i
-        reach = [0] * len(lifts)
-        if room:
-            ahead: list[int] = []
-            for i in range(len(lifts) - 1, -1, -1):
-                reach[i] = sum(ahead[-room:])
-                if lifts[i] > 0:
-                    insort(ahead, lifts[i])
-        for v, lift, more in zip(range(start, n), lifts, reach):
-            if lift + more < lacking:
-                continue
+        counts = [0] * (top + 1)  # counts[k]: vertices after v with lift k > 0
+        children = 0
+        for v in range(n - 1, start - 1, -1):
+            lift = (free[v] - 1) // 2
+            need = lacking - lift  # for the room largest positive lifts after v
+            value, left = top, room
+            while need > 0 and left and value > 0:
+                taken = min(left, counts[value])
+                need -= taken * value
+                left -= taken
+                value -= 1
+            if need <= 0:
+                children |= 1 << v
+            if lift > 0:
+                counts[lift] += 1
+        while children:
+            low = children & -children
+            children ^= low
+            v = low.bit_length() - 1
             for w in neighbors[v]:
                 free[w] -= 1
-            visit(s | 1 << v, size + 1, v + 1)
+            visit(s | low, size + 1, v + 1)
             for w in neighbors[v]:
                 free[w] += 1
 

@@ -40,7 +40,7 @@ from nicecubic.families import (
 from nicecubic.graph6 import write_graph6
 from nicecubic.graphs import Graph, bipartition, connectivity_profile
 from nicecubic.nice import nice_vertices
-from nicecubic.splicing import twotwo_edges
+from nicecubic.splicing import edge_splice, twotwo_edges
 
 K33_G6 = write_graph6(k33())
 H44_G6 = write_graph6(h44())
@@ -244,6 +244,57 @@ def test_recognize_bridged_cubic_is_none():
     from .test_nice import _bridged_cubic
 
     assert recognize_family(_bridged_cubic()).family == "none"
+
+
+def _with_chain_blocks(core, count):
+    """core with its first ``count`` edges each replaced by a one-quad chain
+    block on K3,3, spliced in as ``build_f`` does on K4."""
+    block, block_22 = build_hdiamond(_block())
+    current, where = core, {v: v for v in range(core.n)}
+    for u, v in core.edges[:count]:
+        res = edge_splice(current, (where[u], where[v]), block, block_22)
+        where = {orig: res.first_map[cur] for orig, cur in where.items()}
+        current = res.graph
+    return current
+
+
+def test_recognize_f_stops_at_six_peeled_blocks(monkeypatch):
+    # F has at most six blocks, one per edge of K4. Six blocks on the prism
+    # peel off one by one, and the peel stops at the cap with the prism left,
+    # before it looks for a seventh 2-cut
+    searches = []
+    search = families._two_cut_candidates
+
+    def recorded(g):
+        searches.append(g.n)
+        return search(g)
+
+    monkeypatch.setattr(families, "_two_cut_candidates", recorded)
+    g = _with_chain_blocks(triangular_prism(), 6)
+    assert (g.n, bipartition(g), connectivity_profile(g).three_connected) == (42, None, False)
+    assert recognize_family(g).family == "none"
+    assert searches == [42, 36, 30, 24, 18, 12]
+
+
+def test_recognize_t_refuses_a_leaf_that_is_not_k33():
+    # two cubes joined through a 2-edge cut: bipartite and 2-connected, but
+    # the smallest 2-cut side closes into a cube, not a K3,3 leaf
+    cube = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    cube += [(v, v + 4) for v in range(4)]
+    kept = [e for e in cube if e != (0, 1)]
+    g = Graph(16, kept + [(u + 8, v + 8) for u, v in kept] + [(0, 9), (1, 8)])
+    assert bipartition(g) is not None and connectivity_profile(g).two_connected
+    assert recognize_family(g).family == "none"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(2, [(0, 1)] * 3), Graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])],
+    ids=["theta", "doubled-4-cycle"],
+)
+def test_recognize_cubic_multigraph_is_none(g):
+    assert g.is_cubic and not g.simple
+    assert recognize_family(g).family == "none"
 
 
 def test_g2_rejects_out_of_range_first_host_vertex():

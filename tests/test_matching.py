@@ -315,11 +315,18 @@ def test_pruned_deletion_sweep_is_the_plain_sweep_on_corpus(corpus12):
 # The examples defeat two unsound bounds: in the multigraph a vertex with a
 # doubled edge into S loses one neighbour, not two, so a lift that counts
 # edges with multiplicity skips barriers; K33's colour classes lie below sets
-# with d = -2, which a bound without the parity halving skips.
+# with d = -2, which a bound without the parity halving skips. K6 (lift 2),
+# the wheel whose hub has seven spokes (lift 3) and two stars of five leaves
+# (lift 2 at each centre) put lifts above 1 into the counts the bound is read
+# from, which no cubic graph does; a bound that reads each positive lift as 1
+# skips barriers of the stars.
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(simple_graphs(max_n=10), multigraphs(max_n=9, max_edges=18)))
 @example(Graph(6, [(0, 2), (0, 4), (1, 5), (2, 3), (2, 3), (4, 5), (4, 5)]))
 @example(k33())
+@example(Graph(6, list(combinations(range(6), 2))))
+@example(Graph(8, [(0, v) for v in range(1, 8)] + [(v, v % 7 + 1) for v in range(1, 8)]))
+@example(Graph(12, [(0, v) for v in range(1, 6)] + [(6, v) for v in range(7, 12)]))
 def test_pruned_deletion_sweep_is_the_plain_sweep(g):
     # simple and multigraphs, disconnected ones and odd orders included
     assert _deletion_sets(g) == _plain_deletion_sets(g)
@@ -334,13 +341,19 @@ def test_pruned_deletion_sweep_counts_under_a_third_of_the_sets(monkeypatch, cor
         return count(g, removed)
 
     monkeypatch.setattr(matching_module, "_odd_component_count", recorded)
-    hosts = [Graph(e.graph.n, e.graph.edges) for e in corpus12 if e.graph.n == 12]
-    assert len(hosts) == 85
-    for g in hosts:
-        _deletion_sets(g)
+    visits = {}
+    for order, graphs in ((10, 19), (12, 85)):
+        hosts = [Graph(e.graph.n, e.graph.edges) for e in corpus12 if e.graph.n == order]
+        assert len(hosts) == graphs
+        before = len(counted)
+        for g in hosts:
+            _deletion_sets(g)
+        visits[order] = len(counted) - before
+    # one count per visited set: a bound that is loosened or tightened moves these
+    assert visits == {10: 3821, 12: 48342}
     every_set = sum(comb(12, size) for size in range(7))
     assert every_set == 2510
-    assert 3 * len(counted) < len(hosts) * every_set
+    assert 3 * visits[12] < 85 * every_set
 
 
 def test_deletion_queries_run_one_blossom_search_per_graph_and_mask(monkeypatch):
