@@ -28,7 +28,7 @@ orders. Corpora are cached on disk as graph6 files keyed by (n, connected),
 written atomically; a cached corpus whose size is not the published count,
 or with an entry that repeats or is not a cubic graph of its order
 (connected, for a connected corpus), or whose ids hash otherwise than the
-pinned corpus of its order (n <= 16), is regenerated, with a
+pinned corpus of its order (n <= 18), is regenerated, with a
 ``RuntimeWarning`` that names the file and the reason.
 A corpus read from a file and found sound is kept with the file's bytes,
 one per order and flavour: while the bytes stay the same, later calls in the
@@ -76,6 +76,7 @@ CORPUS_SHA256 = {
     (12, True): "856b0d2729ee2fa33cf6296f0c8d96ba58dd6324a933db780bc76b9cbf260e08",
     (14, True): "7a1a89982fbf93bccbb5825db56f89c0dbfb613bca1cd84924400d91fee6e304",
     (16, True): "20ee4d85870350a7bac124772ff6fb4310841014245ee3a247768090f12a2956",
+    (18, True): "3d78964297d9c862c43683655f9f26e405387818b85b622a4196fc25d1f33d6d",
     (4, False): "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
     (6, False): "a1b05647b5355feab146269f6686e3fd6b23dd14f31868150cdfc2ea07418764",
     (8, False): "9e7953010de9b1a449aba161d2d3e202241433a75de44cbeec4f6a83d397a67f",
@@ -83,6 +84,7 @@ CORPUS_SHA256 = {
     (12, False): "bfd97a5ce6b5fd21d2273172e33c2e42c2dc718d6a39fc99ee6ae23feb755eb0",
     (14, False): "4e800873938ed60b241fe2913931d6816086cca6895bbc5cab8890af8a66a4b8",
     (16, False): "e8dcbde1f829bd291acd4d92b7b06bbadaf730fcf64775ab9268f1e45355096f",
+    (18, False): "439c0842fcdacfa155f1e7fb8b75a4bc0114adcd80daeb75bdd9aec1deb1318c",
 }
 
 

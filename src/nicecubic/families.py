@@ -18,15 +18,15 @@ Families (tags match the CLI):
 
 Recognition is structural and self-verifying. Hdiamond, F and T are
 peeled: quadrangles off the unique 22-edge, chain blocks off minimal 2-cut
-sides. G1 and G2 start from a minimal barrier of size 3: contracting its
-guest components must leave the K3,3-with-triangle graph, and candidate
-specs over the second splice's phis are then built until one is isomorphic
-to the input: one candidate for G1, at most six for G2. ``recognize_family``
-replays each returned witness once, by ``verify_membership``, through the
-constructors, and raises InternalCheckError when that replay does not
-rebuild its input. That the recognized families are exactly the
-graphs with the extremal nice-vertex counts and nice-pair bounds is checked
-by the ``nice-count-bounds`` and ``nice-pair-rectangle`` suites.
+sides. Only what an input can fail is tested (a block's shape, the K4 or
+K3,3 a peel ends at); proofs in ``_recognize_hdiamond`` and ``_recognize_t``
+rule out the rest. G1 and G2 start from a minimal barrier of size 3 whose
+guests contract to the K3,3-with-triangle graph, then build candidate specs
+(one for G1, at most six for G2) until one is isomorphic to the input.
+``recognize_family`` replays each witness once, by ``verify_membership``,
+and raises InternalCheckError when it does not rebuild its input. The
+``nice-count-bounds`` and ``nice-pair-rectangle`` suites check that the
+families are exactly the graphs with the extremal nice counts and bounds.
 """
 
 from __future__ import annotations
@@ -429,10 +429,17 @@ def _splice_matches(
 
 def _recognize_hdiamond(g: Graph) -> dict | None:
     """Peel quadrangles from the unique 22-edge; returns a witness dict with
-    the chain length and inner host, or None if g has no such shape."""
-    if not g.simple or g.n < 8 or not is_connected(g):
-        return None
-    if bipartition(g) is None:
+    the chain length and inner host, or None if g has no such shape.
+
+    The entry shape (simple, connected, bipartite, one 22-edge pq, the rest
+    cubic) forces n >= 8: p and q differ in colour, so 3|A| - 1 = 3|B| - 1,
+    |A| = |B| >= 3, and |A| = 3 would give q degree 3. So p and q have other
+    neighbours p2 != q2 (else p, q, p2 form a triangle). If p2q2 is an edge,
+    deleting p and q keeps the shape, with 22-edge p2q2. Otherwise p2q2
+    closes a simple, connected, cubic, bipartite host: p2 and q2 are three
+    steps apart, and every vertex of G - p - q reaches one of them.
+    """
+    if not g.simple or not is_connected(g) or bipartition(g) is None:
         return None
     ends = twotwo_edges(g)
     if len(ends) != 1 or sorted(g.degrees) != [2, 2] + [3] * (g.n - 2):
@@ -441,25 +448,16 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
     p, q = ends[0]
     quads = 0
     while True:
-        nb_p = [x for x in current.neighbor_sets[p] if x != q]
-        nb_q = [x for x in current.neighbor_sets[q] if x != p]
-        if len(nb_p) != 1 or len(nb_q) != 1:
-            return None  # never: each peel leaves p and q of degree 2 in a simple graph
-        p2, q2 = nb_p[0], nb_q[0]
-        if p2 == q2:
-            return None  # never: p, q and p2 = q2 would be a triangle in a bipartite graph
+        (p2,) = current.neighbor_sets[p] - {q}
+        (q2,) = current.neighbor_sets[q] - {p}
         quads += 1
         remaining = frozenset(range(current.n)) - {p, q}
-        if len(remaining) < 6:
-            return None  # never: a bipartite graph of this degree shape has n >= 8
         if current.multiplicity(p2, q2):
             sub = induced_subgraph(current, remaining)
             current, p, q = sub.graph, sub.old_to_new[p2], sub.old_to_new[q2]
             continue
         patched = patched_side(current, remaining, p2, q2)
         host, h1, h2 = patched.graph, patched.old_to_new[p2], patched.old_to_new[q2]
-        if _host_fault(host, three_connected_required=False) is not None:
-            return None  # never: p2q2 closes a simple, connected, cubic bipartite host
         spec = HdiamondSpec(
             quads=quads, host_graph6=write_graph6(host), host_edge=(h1, h2)
         )
@@ -516,7 +514,14 @@ def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
 
 def _recognize_t(g: Graph) -> list[dict] | None:
     """Peel leaf K3,3 blocks through minimal 2-cut sides. Returns the step
-    list (empty for K3,3 itself) or None."""
+    list (empty for K3,3 itself) or None.
+
+    Every ``current`` (g, then peeled hosts) is connected, cubic, bipartite,
+    and so 2-connected: no side X of a bridge has 3|A∩X| - 3|B∩X| = ±1. So
+    both sides of a 2-edge cut are connected, and the cut ends a, c inside a
+    side differ in colour, as 3|A∩X| - 3|B∩X| is the difference of the cut
+    edges leaving each colour. As ac is no edge (``_two_cut_candidates``),
+    the other side plus a, c and ac has ``_recognize_hdiamond``'s entry shape."""
     current = g
     steps: list[dict] = []
     while True:
@@ -530,8 +535,6 @@ def _recognize_t(g: Graph) -> list[dict] | None:
             return None
         block_side = (frozenset(range(current.n)) - side) | {a, c}
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
-        if block_witness is None:
-            return None  # never: a bipartite cubic graph's 2-cut side closes into a block
         steps.append(
             {
                 "leaf_graph6": write_graph6(leaf),
@@ -610,7 +613,7 @@ def recognize_family(g: Graph) -> FamilyMembership:
     if g.is_cubic:
         membership = _recognize_cubic(g)
     else:
-        witness = _recognize_hdiamond(g) if g.simple else None
+        witness = _recognize_hdiamond(g)
         if witness is None:
             raise DomainError(
                 "family recognition expects a cubic graph or a chain block"

@@ -38,16 +38,20 @@ def parse_graph6(text: str) -> Graph:
             f"expected {bytes_needed} payload bytes for n={n}, got {len(data) - pos}",
             offset + pos,
         )
+    # column-major upper triangle as write_graph6 walks it: (0,1), (0,2),
+    # (1,2), (0,3), ...; the bits past the last pair are padding
     edges = []
-    bit_index = 0
+    i, j = 0, 1
     for byte in data[pos:]:
         value = byte - 63
         for shift in range(5, -1, -1):
-            if bit_index >= bits_needed:
+            if j >= n:
                 break
             if value >> shift & 1:
-                edges.append(_edge_at(bit_index))
-            bit_index += 1
+                edges.append((i, j))
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, edges)
 
 
@@ -113,13 +117,3 @@ def _encode_order(n: int) -> list[int]:
     if n <= _MAX_SHORT_N:
         return [n + 63]
     return [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-
-
-def _edge_at(bit_index: int) -> tuple[int, int]:
-    # Column-major upper triangle: bit order (0,1), (0,2), (1,2), (0,3), ...
-    j = 1
-    total = 0
-    while total + j <= bit_index:
-        total += j
-        j += 1
-    return bit_index - total, j

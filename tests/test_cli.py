@@ -8,8 +8,10 @@ import pytest
 
 from nicecubic.cli import main
 from nicecubic.catalog import k33
+from nicecubic.counterexample import CounterexampleHit
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.isomorphism import is_isomorphic
+from nicecubic.suites import VerificationReport, Violation
 
 
 @pytest.fixture(autouse=True)
@@ -200,3 +202,24 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     assert b"Traceback" not in err
     assert err == b""
     assert proc.returncode == 1
+
+
+def test_text_verify_prints_each_violation_and_exits_one(capsys, monkeypatch):
+    violation = Violation("C~", "a claim", "vertex 0 is not nice")
+    report = VerificationReport("tutte-existence", "a claim", 4, 1, (violation,), 0.5)
+    monkeypatch.setattr("nicecubic.cli.verify_suites", lambda names, max_n, jobs: [report])
+    assert main(["verify", "--suite", "tutte-existence", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] tutte-existence: 1 graphs checked up to n=4 (0.50s)",
+        "    C~: vertex 0 is not nice",
+    ]
+
+
+def test_search_counterexample_prints_each_hit_and_exits_zero(capsys, monkeypatch):
+    hit = CounterexampleHit("C~", (0, 1, 2), (3,))
+    monkeypatch.setattr(
+        "nicecubic.cli.search_barrier_counterexample",
+        lambda max_n, include_constructed: [hit],
+    )
+    assert main(["search-counterexample", "--max-n", "4"]) == 0
+    assert capsys.readouterr().out == "C~  barrier=[0, 1, 2] non-nice=[3]\n"

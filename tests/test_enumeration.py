@@ -192,7 +192,7 @@ def test_cache_with_a_second_labelling_of_one_class_regenerated(tmp_path, cache_
 def test_pinned_corpus_digests_are_the_tests_and_ci_pins():
     data = Path(__file__).resolve().parent / "data"
     pins = dict(CORPUS_SHA256)
-    for n in (14, 16):
+    for n in (14, 16, 18):
         for connected_only, flavor in ((True, "connected"), (False, "all")):
             pins[n, connected_only] = (data / f"cubic-n{n}-{flavor}.sha256").read_text().strip()
     assert enumeration.CORPUS_SHA256 == pins

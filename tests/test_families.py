@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -540,3 +541,21 @@ def test_verify_membership_rejects_g1_phi_longer_than_the_degree():
     with pytest.raises(SpliceError, match="phi lists 4"):
         build_family(spec)
     assert not verify_membership(graph, FamilyMembership("G1", None, {"spec": spec}))
+
+
+@pytest.mark.parametrize(
+    "build, arg, message",
+    [
+        (build_hdiamond, _block(quads=0), "chain needs at least one quadrangle"),
+        (build_hdiamond, _block(edge=(0, 1)), "(0, 1) is not an edge of the host"),
+        (families.build_f, FamilyFSpec(()), "between 1 and 6 edge replacements required"),
+        (families.build_f, FamilyFSpec((Replacement((0, 4), _block()),)), "(0, 4) is not a K4 edge"),
+        (build_t, FamilyTSpec((TStep(0, (0, 3)),)), "chain needs at least one quadrangle"),
+        (build_family, object(), "unrecognized spec <object"),
+        (family_spec_to_dict, object(), "unrecognized spec <object"),
+        (family_spec_from_dict, {"family": "X"}, "unknown family tag 'X'"),
+    ],
+)
+def test_constructors_and_spec_forms_refuse_what_they_cannot_read(build, arg, message):
+    with pytest.raises(InvalidFamilySpecError, match=re.escape(message)):
+        build(arg)

@@ -101,3 +101,8 @@ def test_long_form_order():
 def test_known_catalog_encodings_round_trip():
     for g in (k4(), k33(), h44()):
         assert parse_graph6(write_graph6(g)) == g
+
+
+def test_write_refuses_an_order_beyond_the_long_form():
+    with pytest.raises(FormatUnsupportedError, match="graph6 order above 258047 not supported"):
+        write_graph6(Graph(258048))

@@ -459,3 +459,18 @@ def test_contraction_order_commutes_with_both_sides():
     expected = Graph(2, [(0, 1)] * k)
     assert second.graph == expected
     assert other_second.graph == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(-1), "vertex count must be non-negative"),
+        (lambda: induced_subgraph(k4(), [0, 4]), "vertex set not contained in graph"),
+        (lambda: contract(k4(), {0, 9}), "vertex set not contained in graph"),
+        (lambda: edge_cut(k4(), {5}), "vertex set not contained in graph"),
+        (lambda: enumerate_cuts(k4(), 0), "cut size must be positive"),
+    ],
+)
+def test_graph_operations_refuse_vertices_and_sizes_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

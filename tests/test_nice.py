@@ -135,3 +135,24 @@ def test_bounded_notions_differ():
     # need a 4x4, which also exists here.
     assert not nice_pair_sets_bounded(h44(), 3)
     assert find_nice_pair_set(h44(), 4) is not None
+
+
+def _two_k33():
+    return Graph(12, k33().edges + tuple((u + 6, v + 6) for u, v in k33().edges))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: nice_pair_matrix(Graph(3, [(0, 1), (1, 2)])),
+            DomainError,
+            "nice pairs are defined for cubic bipartite graphs",
+        ),
+        (lambda: nice_pair_matrix(_two_k33()), DomainError, "nice-pair analysis expects a connected host"),
+        (lambda: find_nice_pair_set(k33(), 0), ValueError, "rectangle size must be positive"),
+    ],
+)
+def test_nice_pairs_refuse_hosts_and_sizes_outside_their_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -140,3 +140,8 @@ def test_hdiamond_shape_after_splicing_k4():
     assert sorted(block.degrees)[:2] == [2, 2]
     joined = edge_splice(k4(), (0, 1), block, tt)
     assert joined.graph.is_cubic
+
+
+def test_chain_end_edges_refuses_an_empty_chain():
+    with pytest.raises(DomainError, match="a quadrangular chain needs at least one quadrangle"):
+        chain_end_edges(0)
