@@ -350,6 +350,8 @@ def _hdiamond_from_dict(d: dict) -> HdiamondSpec:
 
 
 def _g1_from_dict(d: dict) -> FamilyG1Spec:
+    if not isinstance(d, dict):
+        raise InvalidFamilySpecError(f"a splice must be an object, not {d!r}")
     phi = d.get("phi")
     return FamilyG1Spec(
         attachment=_integer(d["attachment"], "attachment"),
@@ -464,18 +466,14 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
         return {"spec": family_spec_to_dict(spec), "host": host}
 
 
-def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int, Graph, tuple[int, int]]]:
-    """(side, a, c, side-graph-with-restored-edge, restored-edge) for every
-    2-cut side, ordered by side size, then cut order (a stable sort). a != c,
-    as cut edges ab and cb would make c's third edge a bridge, and F graphs,
-    their patched sides and T hosts are bridgeless."""
-    out = []
-    for side, a, c, _, _ in two_cut_orientations(g):
-        if g.multiplicity(a, c):
-            continue
-        patched = patched_side(g, side, a, c)
-        restored = (patched.old_to_new[a], patched.old_to_new[c])
-        out.append((side, a, c, patched.graph, restored))
+def _two_cut_candidates(g: Graph) -> list[tuple[frozenset[int], int, int]]:
+    """(side, a, c) for every 2-cut side, ordered by side size, then cut
+    order (a stable sort). a != c, as cut edges ab and cb would make c's
+    third edge a bridge, and F graphs, their patched sides and T hosts are
+    bridgeless. A peel patches only the side it takes."""
+    out = [
+        (side, a, c) for side, a, c, _, _ in two_cut_orientations(g) if not g.multiplicity(a, c)
+    ]
     out.sort(key=lambda item: len(item[0]))
     return out
 
@@ -491,25 +489,24 @@ def _recognize_f(g: Graph) -> tuple[int, list[dict]] | None:
             return len(steps), steps
         if len(steps) >= 6:
             return None
-        candidates = [
-            item for item in _two_cut_candidates(current)
-            if bipartition(induced_subgraph(current, item[0]).graph) is None
-        ]
-        if not candidates:
+        for side, a, c in _two_cut_candidates(current):
+            if bipartition(induced_subgraph(current, side).graph) is None:
+                break
+        else:
             return None
-        side, a, c, residue, restored = candidates[0]
         block_side = (frozenset(range(current.n)) - side) | {a, c}
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         if block_witness is None:
             return None
+        residue = patched_side(current, side, a, c)
         steps.append(
             {
-                "residue_graph6": write_graph6(residue),
-                "attach_edge": list(restored),
+                "residue_graph6": write_graph6(residue.graph),
+                "attach_edge": [residue.old_to_new[a], residue.old_to_new[c]],
                 "block": block_witness["spec"],
             }
         )
-        current = residue
+        current = residue.graph
 
 
 def _recognize_t(g: Graph) -> list[dict] | None:
@@ -530,15 +527,16 @@ def _recognize_t(g: Graph) -> list[dict] | None:
         candidates = _two_cut_candidates(current)
         if not candidates:
             return None
-        side, a, c, leaf, restored = candidates[0]
-        if is_isomorphic(leaf, k33()) is None:
+        side, a, c = candidates[0]
+        leaf = patched_side(current, side, a, c)
+        if is_isomorphic(leaf.graph, k33()) is None:
             return None
         block_side = (frozenset(range(current.n)) - side) | {a, c}
         block_witness = _recognize_hdiamond(patched_side(current, block_side, a, c).graph)
         steps.append(
             {
-                "leaf_graph6": write_graph6(leaf),
-                "leaf_edge": list(restored),
+                "leaf_graph6": write_graph6(leaf.graph),
+                "leaf_edge": [leaf.old_to_new[a], leaf.old_to_new[c]],
                 "block": block_witness["spec"],
                 "rest_graph6": write_graph6(block_witness["host"]),
             }

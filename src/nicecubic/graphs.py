@@ -481,8 +481,9 @@ def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
     lexicographically. The side is a tuple of its vertices in increasing
     order; the cut is an edge mask (bit i for edge i), the XOR of the side's
     incident-edge masks, in which every edge with both ends in the side
-    cancels. ``all_cuts`` and the bipartite tightness oracle walk all
-    2^(n-1) sides; the tight-cut oracle walks only ``_sides_crossed_once``.
+    cancels. The bipartite tightness oracle walks all 2^(n-1) sides; the
+    tight-cut oracle and the general branch of
+    ``structure.nontrivial_tight_cuts`` walk only ``_sides_crossed_once``.
     Exponential; small orders only."""
     incident = [sum(1 << i for i, _ in g.incidence[v]) for v in range(g.n)]
     for size in range(g.n - 1):
@@ -522,19 +523,6 @@ def _sides_crossed_once(g: Graph, m: int) -> Iterator[tuple[tuple[int, ...], int
     walked = [(tuple(sorted(side)), cut) for side, cut in found]
     walked.sort(key=lambda pair: (len(pair[0]), pair[0]))
     yield from walked
-
-
-def _mask_edge_cut(g: Graph, side: tuple[int, ...], cut: int) -> EdgeCut:
-    """The ``EdgeCut`` of a side and its edge mask from ``_cut_masks``."""
-    indices = tuple(i for i in range(len(g.edges)) if cut >> i & 1)
-    return EdgeCut(frozenset(side), indices, 1 < len(side) < g.n - 1)
-
-
-def all_cuts(g: Graph) -> Iterator[EdgeCut]:
-    """Every edge cut, one per {X, X-bar}, in ``_cut_masks`` order.
-    Exponential; small orders only."""
-    for side, cut in _cut_masks(g):
-        yield _mask_edge_cut(g, side, cut)
 
 
 def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, int]]:

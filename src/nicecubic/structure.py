@@ -36,10 +36,11 @@ from .graphs import (
     Contraction,
     _graph_fact,
     _odd_component_count,
+    _sides_crossed_once,
     _vertex_mask,
-    all_cuts,
     connectivity_profile,
     contract,
+    edge_cut,
     enumerate_cuts,
     is_connected,
 )
@@ -47,6 +48,7 @@ from .matching import (
     PairDeletionTable,
     _in_common_perfect_matching,
     is_matching_covered,
+    maximum_matching,
     pair_deletion_table,
 )
 
@@ -142,11 +144,12 @@ def barriers(g: Graph) -> list[Barrier]:
     tight cut computed and no fill run. Other hosts keep the sweep over the
     sets of pairwise blocked vertices of size at most n/2, one component
     count each (``_pairwise_blocked_sets``): on a non-cubic host the tight
-    cuts would cost a sweep over all 2^(n - 1) sides. Hosts that are not
-    matching covered are capped at 20 vertices. Both routes list every
-    barrier, so a nontrivial barrier is minimal iff no other listed
-    nontrivial barrier is a proper subset of it. The barriers are built
-    once per graph; every call returns a fresh list of the shared result.
+    cuts would cost a sweep over the n * 2^(n/2 - 2) sides that a perfect
+    matching crosses once. Hosts that are not matching covered are capped
+    at 20 vertices. Both routes list every barrier, so a nontrivial barrier
+    is minimal iff no other listed nontrivial barrier is a proper subset of
+    it. The barriers are built once per graph; every call returns a fresh
+    list of the shared result.
     """
     return list(_barriers(g))
 
@@ -325,8 +328,11 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
     """All nontrivial tight cuts.
 
     Cubic hosts only need 3-edge candidates (every tight cut of a cubic
-    matching covered graph is a 3-cut); otherwise all sides are swept. The
-    sweep runs once per graph; every call returns a fresh list of the shared
+    matching covered graph is a 3-cut). Other hosts, up to 20 vertices, sweep
+    the sides that the host matching crosses once: it is perfect, and every
+    perfect matching crosses a tight cut once, so no tight side is skipped
+    (n * 2^(n/2 - 2) sides against 2^(n - 1), in the same order). The sweep
+    runs once per graph; every call returns a fresh list of the shared
     result.
     """
     return list(_nontrivial_tight_cuts(g))
@@ -341,7 +347,9 @@ def _nontrivial_tight_cuts(g: Graph) -> tuple[CutWitness, ...]:
     else:
         if g.n > _SUBSET_ENUMERATION_CAP:
             raise DomainError("general tight-cut sweep capped at desk scale")
-        candidates = [cut for cut in all_cuts(g) if cut.nontrivial]
+        host = sum(1 << i for i in maximum_matching(g).edge_indices)
+        sides = (edge_cut(g, side) for side, _ in _sides_crossed_once(g, host))
+        candidates = [cut for cut in sides if cut.nontrivial]
     witnesses = [is_tight_cut(g, cut) for cut in candidates]
     return tuple(w for w in witnesses if w.tight)
 

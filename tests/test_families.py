@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nicecubic.catalog import (
     h44,
@@ -559,3 +561,41 @@ def test_verify_membership_rejects_g1_phi_longer_than_the_degree():
 def test_constructors_and_spec_forms_refuse_what_they_cannot_read(build, arg, message):
     with pytest.raises(InvalidFamilySpecError, match=re.escape(message)):
         build(arg)
+
+
+_SPEC_KEYS = (
+    "family", "quads", "host", "host_edge", "replacements", "edge",
+    "attachment", "host_vertex", "phi", "splices", "steps", "k33_edge",
+)
+_FAMILY_TAGS = ("Hdiamond", "F", "G1", "G2", "T")
+# JSON-like values over the spec vocabulary: small numbers, family tags,
+# host graph6 strings and short text, nested in lists and spec-keyed objects
+_json_like = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=8)
+    | st.floats(min_value=-2, max_value=8)
+    | st.sampled_from(_FAMILY_TAGS + (K33_G6, H44_G6))
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SPEC_KEYS), inner, max_size=6),
+    max_leaves=24,
+)
+_tagged_specs = st.builds(
+    lambda tag, rest: {**rest, "family": tag},
+    st.sampled_from(_FAMILY_TAGS),
+    st.dictionaries(st.sampled_from(_SPEC_KEYS), _json_like, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tagged_specs | _json_like)
+# a G2 splice that is not an object
+@example({"family": "G2", "splices": [0, 3]})
+def test_build_family_refuses_malformed_specs_with_value_errors_only(spec):
+    # the CLI turns a ValueError into an error line and exit status 2; any
+    # other exception would end in a traceback
+    try:
+        build_family(spec)
+    except ValueError:
+        pass

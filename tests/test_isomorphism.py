@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nicecubic.catalog import h44, k4, k33, k33_triangle, r8, triangular_prism
 from nicecubic.enumeration import enumerate_cubic
+from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     _distance_profiles,
@@ -52,6 +53,9 @@ def test_malformed_mapping_is_no_isomorphism(mapping):
 
 def test_bipartite_vs_nonbipartite_rejected():
     assert is_isomorphic(k33(), triangular_prism()) is None
+    # a triangle plus an edge against the five-vertex path: same order, size
+    # and degrees, told apart by the refined colours
+    assert is_isomorphic(parse_graph6("DwC"), parse_graph6("DqG")) is None
 
 
 def test_distinct_8_vertex_catalog_graphs():
@@ -165,7 +169,7 @@ def test_refined_colors_match_full_refinement(g):
 
 
 def test_canonical_graph_is_isomorphic_to_input():
-    for g in (k4(), k33(), k33_triangle(), r8(), h44()):
+    for g in (Graph(0), k4(), k33(), k33_triangle(), r8(), h44()):
         canon = canonical_graph(g)
         assert is_isomorphic(canon, g) is not None
 

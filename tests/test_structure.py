@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nicecubic import structure
+from nicecubic import graphs, structure
 from nicecubic.analyze import analyze_graph
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
 from nicecubic.errors import DomainError, NotTightCutError
-from nicecubic.graph6 import parse_graph6
+from nicecubic.families import HdiamondSpec, build_hdiamond
+from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import (
     Graph,
     _cut_masks,
-    _mask_edge_cut,
     _vertex_mask,
     bipartition,
     connected_components,
@@ -261,7 +261,7 @@ def test_tightness_agrees_with_enumeration_on_corpus(corpus10):
         if not pms:
             continue
         for side, mask in _cut_masks(g):
-            tight = is_tight_cut(g, _mask_edge_cut(g, side, mask)).tight
+            tight = is_tight_cut(g, edge_cut(g, side)).tight
             enumerated = tight_by_enumeration(mask, pms)
             assert tight == enumerated, (entry.graph6, side)
             tight_count += tight
@@ -286,7 +286,7 @@ def test_tightness_agrees_with_enumeration_on_multigraphs(g):
     pms = _perfect_matching_masks(g)
     for side, mask in _cut_masks(g):
         enumerated = tight_by_enumeration(mask, pms)
-        assert is_tight_cut(g, _mask_edge_cut(g, side, mask)).tight == enumerated, side
+        assert is_tight_cut(g, edge_cut(g, side)).tight == enumerated, side
 
 
 def test_nontrivial_tight_cuts_bricks_and_braces_are_free():
@@ -372,6 +372,57 @@ def matching_covered_multigraphs(draw, max_n=10):
     allowed = {i for m in perfect_matchings(g) for i in m.edge_indices}
     g = Graph(g.n, [g.edges[i] for i in sorted(allowed)])
     return induced_subgraph(g, connected_components(g)[0]).graph
+
+
+def _tight_cuts_by_definition(g):
+    """Every nontrivial side of the full walk, in its order, that every
+    perfect matching crosses once, with its cut's edge mask."""
+    pms = _perfect_matching_masks(g)
+    return [
+        (side, cut)
+        for side, cut in _cut_masks(g)
+        if 1 < len(side) < g.n - 1 and tight_by_enumeration(cut, pms)
+    ]
+
+
+def _assert_tight_cuts_match_the_definition(g):
+    found = [
+        (tuple(sorted(w.cut.side)), sum(1 << i for i in w.cut.edge_indices))
+        for w in nontrivial_tight_cuts(g)
+    ]
+    assert found == _tight_cuts_by_definition(g)
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", range(4, 21, 2))
+def test_non_cubic_tight_cuts_are_the_definition_on_even_cycles(n):
+    _assert_tight_cuts_match_the_definition(_cycle(n))
+
+
+@pytest.mark.parametrize("quads", range(1, 8))
+def test_non_cubic_tight_cuts_are_the_definition_on_chain_blocks(quads):
+    block, _ = build_hdiamond(HdiamondSpec(quads, write_graph6(k33()), (0, 3)))
+    assert not block.is_cubic and block.n == 6 + 2 * quads
+    _assert_tight_cuts_match_the_definition(block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matching_covered_multigraphs(max_n=12))
+def test_non_cubic_tight_cuts_are_the_definition_on_multigraphs(g):
+    assume(not g.is_cubic)
+    _assert_tight_cuts_match_the_definition(g)
+
+
+def test_non_cubic_tight_cuts_skip_the_full_cut_walk(monkeypatch):
+    # the general sweep reads only the sides the host matching crosses once
+    def refused(g):
+        raise AssertionError("the full cut walk is not for the library")
+
+    monkeypatch.setattr(graphs, "_cut_masks", refused)
+    assert len(nontrivial_tight_cuts(_cycle(20))) == 80
 
 
 def _assert_barriers_match_exhaustive_sweep(g):
