@@ -373,13 +373,19 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
     The representative side is the one containing vertex 0. The cut test is
     carried by the ``_cut_space_labels`` of the edges: an edge set F is the
     cut of some side exactly when its labels XOR to 0. So the sweep runs over
-    the (k-1)-subsets F' of edges and looks up, in a table from label to
-    edges, every edge b > max F' whose label is the XOR of F'. For each such
-    F = F' + b, a side with cut exactly F is a union of the t <= k+1
-    components of G - F across which every F edge runs, so F is settled by
-    one component pass and the 2^(t-1) unions that contain vertex 0's
-    component. Sorted by edge indices, then side. Memoised per graph and k,
-    in ``g.__dict__`` as ``_graph_fact`` does; each call returns a new list.
+    the (k-1)-subsets F' of edges, carrying their label XOR, and looks up, in
+    a table from label to edges, every edge b > max F' whose label is that
+    XOR. Such an F = F' + b is the cut of exactly one side holding vertex 0:
+    a side with cut exactly F is a colour class of a proper 2-colouring of
+    the graph whose vertices are the components of G - F and whose edges are
+    F's, that graph is connected because g is, and a connected graph has at
+    most one proper 2-colouring up to swapping the colours. A vertex lies
+    off that side exactly when its spanning-tree path from vertex 0 crosses
+    F an odd number of times, so the side is the complement of the XOR of
+    the subtree masks of F's tree edges, which the sweep carries too. The
+    F's come in lexicographic order, so the cuts are sorted by edge indices.
+    Memoised per graph and k, in ``g.__dict__`` as ``_graph_fact`` does;
+    each call returns a new list.
     """
     if not is_connected(g):
         raise DomainError("cut enumeration requires a connected graph")
@@ -394,34 +400,37 @@ def enumerate_cuts(g: Graph, k: int) -> list[EdgeCut]:
 
 def _cuts_of_size(g: Graph, k: int) -> tuple[EdgeCut, ...]:
     """``enumerate_cuts`` of a connected g, computed."""
-    labels = _cut_space_labels(g)
+    labels, subtrees = _cut_space_labels(g)
     edges_by_label: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         edges_by_label.setdefault(label, []).append(i)
+    m, n = len(g.edges), g.n
+    # every (k-1)-subset F' in lexicographic order, with the XOR of its
+    # labels and of its subtree masks
+    walk: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    for _ in range(k - 1):
+        walk = [
+            (rest + (i,), label ^ labels[i], outside ^ subtrees[i])
+            for rest, label, outside in walk
+            for i in range(rest[-1] + 1 if rest else 0, m)
+        ]
     found: list[EdgeCut] = []
-    for rest in combinations(range(len(g.edges)), k - 1):
+    for rest, closing, outside in walk:
         floor = rest[-1] if rest else -1
-        closing = reduce(xor, map(labels.__getitem__, rest), 0)
         for b in edges_by_label.get(closing, ()):
             if b <= floor:
                 continue
-            subset = rest + (b,)
-            comp_id, t = _components_without_edges(g, subset)
-            links = [(comp_id[u], comp_id[v]) for u, v in (g.edges[i] for i in subset)]
-            # bit c of `chosen` puts component c on vertex 0's side (component 0)
-            for chosen in range(1, 1 << t, 2):
-                if any((chosen >> a & 1) == (chosen >> c & 1) for a, c in links):
-                    continue
-                side = frozenset(v for v in range(g.n) if chosen >> comp_id[v] & 1)
-                if len(side) >= 2 and g.n - len(side) >= 2:
-                    found.append(EdgeCut(side=side, edge_indices=subset, nontrivial=True))
-    found.sort(key=lambda c: (c.edge_indices, sorted(c.side)))
+            far = outside ^ subtrees[b]  # the vertices off vertex 0's side
+            if 2 <= far.bit_count() <= n - 2:
+                side = frozenset(v for v in range(n) if not far >> v & 1)
+                found.append(EdgeCut(side=side, edge_indices=rest + (b,), nontrivial=True))
     return tuple(found)
 
 
-def _cut_space_labels(g: Graph) -> list[int]:
+def _cut_space_labels(g: Graph) -> tuple[list[int], list[int]]:
     """Per-edge labels (Pritchard & Thurimella) whose XOR over an edge set F
-    is 0 exactly when F is the cut of some side; g must be connected.
+    is 0 exactly when F is the cut of some side, and per-edge subtree masks;
+    g must be connected.
 
     Take a spanning tree, grown breadth first from vertex 0. The j-th
     non-tree edge gets the label 1 << j, and the tree edge from p down to w
@@ -430,7 +439,11 @@ def _cut_space_labels(g: Graph) -> list[int]:
     the j-th non-tree edge. These cycles span the cycle space, and an edge
     set is a cut exactly when it meets every cycle evenly. A subtree's XOR of
     its vertices' incident non-tree labels cancels every non-tree edge with
-    both ends inside, so one bottom-up pass gives the tree labels.
+    both ends inside, so one bottom-up pass gives the tree labels. The same
+    pass gives the tree edge to w the vertex mask of w's subtree (bit v for
+    vertex v), and a non-tree edge the mask 0: the XOR of these masks over a
+    cut F is the set of vertices whose tree path from vertex 0 crosses F an
+    odd number of times, the side of F that does not hold vertex 0.
     """
     parent_edge = {0: -1}
     order = [0]
@@ -441,7 +454,9 @@ def _cut_space_labels(g: Graph) -> list[int]:
                 order.append(w)
     tree = set(parent_edge.values())
     labels = [0] * len(g.edges)
+    subtrees = [0] * len(g.edges)
     below = [0] * g.n
+    inside = [1 << v for v in range(g.n)]
     bit = 1
     for i, (u, v) in enumerate(g.edges):
         if i not in tree:
@@ -452,28 +467,11 @@ def _cut_space_labels(g: Graph) -> list[int]:
     for w in reversed(order[1:]):
         i = parent_edge[w]
         labels[i] = below[w]
+        subtrees[i] = inside[w]
         u, v = g.edges[i]
         below[u + v - w] ^= below[w]
-    return labels
-
-
-def _components_without_edges(g: Graph, removed: tuple[int, ...]) -> tuple[list[int], int]:
-    """Component ids of g minus the edges with the given indices, numbered in
-    order of their smallest vertex, and the number of components."""
-    comp_id = [-1] * g.n
-    count = 0
-    for root in range(g.n):
-        if comp_id[root] != -1:
-            continue
-        comp_id[root] = count
-        todo = [root]
-        while todo:
-            for i, w in g.incidence[todo.pop()]:
-                if comp_id[w] == -1 and i not in removed:
-                    comp_id[w] = count
-                    todo.append(w)
-        count += 1
-    return comp_id, count
+        inside[u + v - w] |= inside[w]
+    return labels, subtrees
 
 
 def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -21,6 +21,8 @@ plain search's.
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .graphs import Graph, _graph_fact
@@ -227,20 +229,39 @@ def _search_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Static target order: most-constrained color classes first, then
     connect outward so partial assignments prune early. Each vertex comes
     with its neighbours placed before it (with multiplicity, sorted), which
-    are the mapped ones when the search reaches it."""
+    are the mapped ones when the search reaches it.
+
+    The next vertex has the most distinct placed neighbours, then the
+    smallest color class, then the least id. Vertices wait in one heap per
+    count of placed neighbours, keyed by (class size, vertex); placing a
+    vertex moves each unplaced neighbour one heap up and leaves its old
+    entry behind, dropped when it reaches the top of its heap.
+    """
     colors = refined_colors(g)
-    class_size = {c: colors.count(c) for c in set(colors)}
-    remaining = set(range(g.n))
+    class_size = Counter(colors)
+    key = [(class_size[colors[v]], v) for v in range(g.n)]
+    attached = [0] * g.n
+    placed = [False] * g.n
+    heaps = [sorted(key)]
     order: list[tuple[int, tuple[int, ...]]] = []
-    placed: set[int] = set()
-    while remaining:
-        def score(v: int) -> tuple:
-            attached = sum(1 for u in g.neighbor_sets[v] if u in placed)
-            return (-attached, class_size[colors[v]], v)
-        v = min(remaining, key=score)
-        order.append((v, tuple(u for u in g.adjacency[v] if u in placed)))
-        placed.add(v)
-        remaining.remove(v)
+    for _ in range(g.n):
+        count = len(heaps) - 1
+        while True:
+            heap = heaps[count]
+            while heap and attached[heap[0][1]] != count:
+                heappop(heap)
+            if heap:
+                break
+            count -= 1
+        v = heappop(heap)[1]
+        order.append((v, tuple(u for u in g.adjacency[v] if placed[u])))
+        placed[v] = True
+        for u in g.neighbor_sets[v]:
+            if not placed[u]:
+                attached[u] += 1
+                if attached[u] == len(heaps):
+                    heaps.append([])
+                heappush(heaps[attached[u]], key[u])
     return tuple(order)
 
 

@@ -396,14 +396,20 @@ def _label_xor(labels, edge_indices):
 @settings(max_examples=100, deadline=None)
 @given(connected_multigraphs())
 def test_cut_space_labels_match_the_cut_oracle(g):
-    labels = _cut_space_labels(g)
-    cuts = {cut for _, cut in _cut_masks(g)}
-    for cut in cuts:
+    # labels XOR to 0 exactly over cuts, and the subtree masks of a cut's
+    # edges XOR to the side without vertex 0: the oracle's side of that cut
+    labels, subtrees = _cut_space_labels(g)
+    sides = {cut: side for side, cut in _cut_masks(g)}
+    for cut in sides:
         assert _label_xor(labels, [i for i in range(len(g.edges)) if cut >> i & 1]) == 0
     for size in range(1, 5):
         for subset in combinations(range(len(g.edges)), size):
             if _label_xor(labels, subset) == 0:
-                assert sum(1 << i for i in subset) in cuts, subset
+                cut = sum(1 << i for i in subset)
+                assert cut in sides, subset
+                far = _label_xor(subtrees, subset)
+                side = tuple(v for v in range(g.n) if not far >> v & 1)
+                assert side == sides[cut], subset
 
 
 def test_sides_crossed_once_filter_the_cut_walk_on_corpus(corpus12):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nicecubic.catalog import h44, k4, k33, k33_triangle, r8, triangular_prism
@@ -14,6 +14,7 @@ from nicecubic.graphs import Graph
 from nicecubic.isomorphism import (
     _distance_profiles,
     _refine,
+    _search_order,
     _unit_partition,
     canonical_graph,
     canonical_labeling,
@@ -166,6 +167,36 @@ def test_irregular_graph_still_splits():
 @given(multigraphs(max_n=7))
 def test_refined_colors_match_full_refinement(g):
     assert refined_colors(g) == _colors_by_full_refinement(g)
+
+
+def _greedy_search_order(g):
+    """The search order by its definition: each step takes, among the
+    unplaced vertices, the least (-distinct placed neighbours, class size,
+    vertex)."""
+    colors = refined_colors(g)
+    remaining, placed, order = set(range(g.n)), set(), []
+    while remaining:
+        v = min(
+            remaining,
+            key=lambda v: (-len(g.neighbor_sets[v] & placed), colors.count(colors[v]), v),
+        )
+        order.append((v, tuple(u for u in g.adjacency[v] if u in placed)))
+        placed.add(v)
+        remaining.remove(v)
+    return tuple(order)
+
+
+def test_search_order_matches_the_greedy_definition_on_corpus(corpus12):
+    for entry in corpus12:
+        assert _search_order(entry.graph) == _greedy_search_order(entry.graph), entry.graph6
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=9, max_edges=20))
+def test_search_order_matches_the_greedy_definition(g):
+    # irregular graphs, whose refinement splits the vertices into classes
+    assume(len(set(g.degrees)) > 1)
+    assert _search_order(g) == _greedy_search_order(g)
 
 
 def test_canonical_graph_is_isomorphic_to_input():
