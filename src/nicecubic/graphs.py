@@ -4,6 +4,13 @@ Graphs live on vertex ids 0..n-1. Parallel edges are first class (vertex-set
 contractions create them); loops are rejected everywhere. All operations are
 pure functions over immutable values, so evaluating them in parallel across
 distinct graphs is safe.
+
+Connectivity and the k-edge cuts share one memoised spanning-tree pass per
+graph, the cut-space labels. On a graph whose degrees are all at most 3, the
+inputs the paper is about, vertex and edge connectivity agree up to 3, so
+``connectivity_profile`` reads its flags off those labels (bridges and 2-edge
+cuts); a graph with a vertex of degree 4 or more takes n + 1 low-link
+searches instead.
 """
 
 from __future__ import annotations
@@ -278,21 +285,56 @@ def connectivity_profile(g: Graph) -> ConnectivityProfile:
     """Vertex-connectivity classes up to 3, cubic flag and bipartition.
 
     A graph is k-connected when it is connected, has more than k vertices and
-    no deletion of fewer than k vertices disconnects it. One low-link DFS
-    finds the cut vertices (Hopcroft & Tarjan), so the graph is 2-connected
-    when it is connected, has n >= 3 and no cut vertex. A vertex pair {u, v}
-    disconnects a 2-connected graph exactly when u is a cut vertex of G - v,
-    so it is 3-connected when n >= 4 and no G - v has a cut vertex: one DFS
-    per vertex. Parallel edges change neither class. On cubic graphs vertex
-    and edge connectivity agree (kappa = lambda), so there the flags are also
-    the 2- and 3-edge-connectivity classes.
+    no deletion of fewer than k vertices disconnects it. Parallel edges change
+    neither class. The input selects one of two paths.
+
+    When every degree of g, counted with multiplicity, is at most 3, vertex
+    and edge connectivity agree up to 3 (kappa = lambda), and the flags are
+    read off the memoised ``_cut_space_labels`` that ``enumerate_cuts``
+    shares: an edge is a bridge exactly when its label is 0, and two edges
+    form a cut exactly when their labels are equal. So a connected g with
+    n >= 3 is 2-connected when no label is 0, and then 3-connected when the
+    labels are pairwise distinct. That leaves every degree 3, since the edges
+    at a vertex of degree 2 form a cut, so n is even and n >= 4 follows. Why,
+    for such a g:
+
+    - A bridge has an end of degree at least 2, since n >= 3, and that end
+      is a cut vertex. A cut vertex v sends at most 3 edges into the two or
+      more components of G - v, so exactly one into some component, and that
+      edge is a bridge.
+    - Let g be 2-connected with n >= 4. If a 2-edge cut {xy, x'y'}, with x
+      and x' on the side X, has two vertices on each side, deleting x and y'
+      leaves X - x and the rest of the other side with no edge between them.
+      If X = {v}, v has degree 2 and two distinct neighbours (a doubled edge
+      vu leaves u at most one more edge, a bridge), and deleting them cuts v
+      off from the n - 3 other vertices. Conversely, let {u, v} separate g
+      into components C1, ..., Cr: each receives edges from both u and v,
+      else the other is a cut vertex. If r >= 3, u and v send one edge to
+      each, and C1 has a 2-edge cut. If r = 2, u sends one edge to some Ci
+      and v one to some Cj. If i = j, Ci has a 2-edge cut; if not, an edge
+      uv would leave u one edge to each component, so i could be chosen
+      equal to j, and with no edge uv the cut of Ci + v is u's edge to Ci
+      and v's edge to Cj.
+
+    Otherwise (a vertex of degree 4 or more, which ``analyze`` accepts), one
+    low-link DFS finds the cut vertices of G (Hopcroft & Tarjan), so a
+    connected g with n >= 3 is 2-connected when it has none. A vertex pair {u, v} disconnects a
+    2-connected graph exactly when u is a cut vertex of G - v, so it is
+    3-connected when n >= 4 and no G - v has a cut vertex: one DFS per
+    vertex, n + 1 searches in all.
     """
-    forest = _low_link(g)
-    connected = forest.components == 1
-    two = connected and g.n >= 3 and not forest.has_cut_vertex
-    three = two and g.n >= 4 and all(
-        not _low_link(g, removed=v).has_cut_vertex for v in range(g.n)
-    )
+    connected = is_connected(g)
+    two = three = False
+    if connected and g.n >= 3:
+        if max(g.degrees) <= 3:
+            labels = _cut_space_labels(g)[0]
+            two = 0 not in labels
+            three = two and len(set(labels)) == len(labels)
+        else:
+            two = not _low_link(g)
+            three = two and g.n >= 4 and not any(
+                _low_link(g, removed=v) for v in range(g.n)
+            )
     return ConnectivityProfile(
         connected=connected,
         two_connected=two,
@@ -427,10 +469,12 @@ def _cuts_of_size(g: Graph, k: int) -> tuple[EdgeCut, ...]:
     return tuple(found)
 
 
-def _cut_space_labels(g: Graph) -> tuple[list[int], list[int]]:
+@_graph_fact
+def _cut_space_labels(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-edge labels (Pritchard & Thurimella) whose XOR over an edge set F
     is 0 exactly when F is the cut of some side, and per-edge subtree masks;
-    g must be connected.
+    g must be connected. One pass per graph, which ``enumerate_cuts`` for
+    every k and ``connectivity_profile`` share.
 
     Take a spanning tree, grown breadth first from vertex 0. The j-th
     non-tree edge gets the label 1 << j, and the tree edge from p down to w
@@ -471,7 +515,7 @@ def _cut_space_labels(g: Graph) -> tuple[list[int], list[int]]:
         u, v = g.edges[i]
         below[u + v - w] ^= below[w]
         inside[u + v - w] |= inside[w]
-    return labels, subtrees
+    return tuple(labels), tuple(subtrees)
 
 
 def _cut_masks(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -534,17 +578,9 @@ def two_cut_orientations(g: Graph) -> Iterator[tuple[VertexSet, int, int, int, i
             yield side, a, c, b, d
 
 
-@dataclass(frozen=True)
-class _DfsForest:
-    """One low-link DFS over G minus at most one vertex: the number of
-    components and whether some vertex disconnects its component."""
-
-    components: int
-    has_cut_vertex: bool
-
-
-def _low_link(g: Graph, removed: int = -1) -> _DfsForest:
-    """Iterative low-link DFS of G - removed vertex (Hopcroft & Tarjan).
+def _low_link(g: Graph, removed: int = -1) -> bool:
+    """Whether some vertex disconnects its component of G - removed vertex,
+    by an iterative low-link DFS (Hopcroft & Tarjan).
 
     A non-root p is a cut vertex when some child w has low(w) >= pre(p), and
     a root when it has two or more children. The DFS skips only the tree
@@ -553,8 +589,6 @@ def _low_link(g: Graph, removed: int = -1) -> _DfsForest:
     pre = [-1] * g.n
     low = [0] * g.n
     visited = 0
-    has_cut_vertex = False
-    components = 0
     incidence = g.incidence
     for root in range(g.n):
         if pre[root] != -1 or root == removed:
@@ -585,8 +619,7 @@ def _low_link(g: Graph, removed: int = -1) -> _DfsForest:
                 if p == root:
                     root_children += 1
                 elif low[v] >= pre[p]:
-                    has_cut_vertex = True
+                    return True
         if root_children > 1:
-            has_cut_vertex = True
-        components += 1
-    return _DfsForest(components, has_cut_vertex)
+            return True
+    return False

@@ -55,3 +55,22 @@ def cubic_multigraphs(draw, max_n=14):
         if all(u != v for u, v in edges):
             return Graph(n, edges)
     reject()
+
+
+@st.composite
+def subcubic_graphs(draw, max_n=9):
+    """A graph of maximum degree at most 3, simple or with parallel edges,
+    possibly disconnected and with vertices of degree 0, 1 or 2: drawn
+    vertex pairs, each kept while both its ends have degree below 3."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    simple = draw(st.booleans())
+    pool = list(combinations(range(n), 2))
+    drawn = draw(st.lists(st.sampled_from(pool), max_size=2 * n)) if pool else []
+    degree = [0] * n
+    edges = []
+    for u, v in drawn:
+        if degree[u] < 3 and degree[v] < 3 and not (simple and (u, v) in edges):
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v))
+    return Graph(n, edges)

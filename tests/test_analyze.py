@@ -5,7 +5,10 @@ import pytest
 
 from nicecubic.analyze import analyze_graph, analyze_text, load_schema, render_text, to_json
 from nicecubic.catalog import k4, k33, k33_triangle
-from nicecubic.graph6 import write_graph6
+from nicecubic.graph6 import parse_graph6, write_graph6
+from nicecubic.graphs import _cut_space_labels, _cuts_of_size
+
+from .test_suites import _record_builds
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +130,39 @@ def test_analyze_text_skips_blank_lines():
 
 def test_render_text_lists_the_nice_pair_count():
     assert "nice pairs    9" in render_text(analyze_graph(k33())).splitlines()
+
+
+@pytest.mark.parametrize(
+    "graph6, two_connected, three_connected",
+    [("DxK", False, False), ("D~{", True, True)],
+)
+def test_dossier_of_a_graph_with_a_vertex_of_degree_four(
+    schema, graph6, two_connected, three_connected
+):
+    # the bowtie and K5: their connectivity comes from the low-link sweep,
+    # the path of every graph with a vertex of degree 4 or more
+    assert max(parse_graph6(graph6).degrees) == 4
+    reports, errors = analyze_text(graph6 + "\n")
+    assert errors == []
+    _validate(reports, schema)
+    (report,) = reports
+    connectivity = report["connectivity"]
+    assert connectivity["connected"] and not connectivity["cubic"]
+    assert (connectivity["two_connected"], connectivity["three_connected"]) == (
+        two_connected,
+        three_connected,
+    )
+    assert report["barriers"] == {"applicable": False}  # n = 5: no perfect matching
+
+
+def test_one_dossier_builds_the_cut_space_labels_once(monkeypatch):
+    # GB]DMG is 2-connected with a 2-edge cut: its dossier reads the profile,
+    # the 2-cuts (family peels) and the 3-cuts (cubic tight cuts), and all
+    # three read one spanning-tree pass
+    built = _record_builds(monkeypatch, _cut_space_labels)
+    g = parse_graph6("GB]DMG")
+    report = analyze_graph(g)
+    assert report["connectivity"]["two_connected"]
+    assert not report["connectivity"]["three_connected"]
+    assert sorted(g.__dict__[_cuts_of_size]) == [2, 3]
+    assert built == [g]

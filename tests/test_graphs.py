@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nicecubic.graphs as graphs_module
 from nicecubic.catalog import k4, k33, k33_triangle, triangular_prism
+from nicecubic.enumeration import enumerate_cubic
 from nicecubic.errors import DomainError
 from nicecubic.graph6 import parse_graph6
 from nicecubic.graphs import (
     Graph,
     _cut_masks,
     _cut_space_labels,
+    _low_link,
     _odd_component_count,
     _sides_crossed_once,
     bipartition,
@@ -33,7 +36,7 @@ from nicecubic.nice import nice_pair_matrix
 from nicecubic.structure import _barriers, _nontrivial_tight_cuts, classify
 from nicecubic.suites import _perfect_matching_masks, tight_by_enumeration
 
-from .strategies import connected_multigraphs, multigraphs, simple_graphs
+from .strategies import connected_multigraphs, multigraphs, simple_graphs, subcubic_graphs
 
 
 def test_graph_normalizes_and_sorts_edges():
@@ -60,6 +63,7 @@ GRAPH_FACTS = (
     classify,
     _nontrivial_tight_cuts,
     _perfect_matching_masks,
+    _cut_space_labels,
 )
 
 
@@ -178,8 +182,9 @@ def test_connectivity_profile_matches_networkx(g):
 
 
 def test_vertex_and_edge_connectivity_agree_on_cubic(corpus10):
-    # kappa = lambda on cubic graphs: the profile's vertex sweep also
-    # classifies 2- and 3-edge-connectivity there
+    # kappa = lambda on cubic graphs: the profile reads its vertex classes
+    # off the edge classes there (bridges and 2-edge cuts in the cut-space
+    # labels), so networkx's vertex classes must match them
     for entry in corpus10:
         h = _to_networkx(entry.graph)
         assert nx.edge_connectivity(h) == nx.node_connectivity(h), entry.graph6
@@ -192,6 +197,78 @@ def test_connectivity_profile_matches_networkx_on_corpus(corpus12):
         p = connectivity_profile(entry.graph)
         assert p.connected, entry.graph6
         assert (p.two_connected, p.three_connected) == _networkx_classes(entry.graph), entry.graph6
+
+
+def _low_link_classes(g):
+    """(2-connected, 3-connected) by the low-link sweep over G and every
+    G - v, the profile's path for a graph with a vertex of degree >= 4."""
+    two = is_connected(g) and g.n >= 3 and not _low_link(g)
+    three = two and g.n >= 4 and not any(_low_link(g, removed=v) for v in range(g.n))
+    return two, three
+
+
+# K4 with its edge 23 subdivided by vertex 4: the ends of 4 separate it
+_K4_SUBDIVIDED = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+# two doubled edges joined by the 2-edge cut {02, 13}: {0, 3} separates it
+_DOUBLED_LADDER = Graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(subcubic_graphs())
+# three parallel edges: lambda = 3, but n < 4
+@example(Graph(2, [(0, 1)] * 3))
+@example(_DOUBLED_LADDER)
+@example(_K4_SUBDIVIDED)
+def test_cut_space_labels_classify_connectivity_up_to_degree_three(g):
+    assert max(g.degrees, default=0) <= 3
+    p = connectivity_profile(g)
+    assert (p.two_connected, p.three_connected) == _low_link_classes(g)
+
+
+@pytest.mark.parametrize(
+    "g, classes",
+    [
+        (Graph(2, [(0, 1)] * 3), (True, False, False)),
+        (_DOUBLED_LADDER, (True, True, False)),
+        (_K4_SUBDIVIDED, (True, True, False)),
+    ],
+)
+def test_connectivity_classes_of_the_label_path_examples(g, classes):
+    assert _classes(g) == classes
+
+
+def test_cut_space_labels_classify_connectivity_on_corpora(corpus12, cache_dir):
+    # the connected corpus and the all-graphs corpus, disconnected graphs
+    # included, up to n = 12
+    every = [
+        entry
+        for n in range(4, 13, 2)
+        for entry in enumerate_cubic(n, connected_only=False, cache_dir=cache_dir)
+    ]
+    for entry in corpus12 + every:
+        p = connectivity_profile(entry.graph)
+        assert p.connected == is_connected(entry.graph), entry.graph6
+        assert (p.two_connected, p.three_connected) == _low_link_classes(entry.graph), entry.graph6
+
+
+def test_low_link_sweep_runs_only_on_a_vertex_of_degree_four(monkeypatch):
+    searched = []
+
+    def recorded(g, removed=-1):
+        searched.append(g)
+        return _low_link(g, removed)
+
+    monkeypatch.setattr(graphs_module, "_low_link", recorded)
+    for g in (k4(), k33_triangle(), _K4_SUBDIVIDED, _DOUBLED_LADDER):
+        connectivity_profile(Graph(g.n, g.edges))  # a copy with no facts
+    assert searched == []
+    # K5 and the bowtie: G and every G - v for K5, G alone for the bowtie,
+    # which has a cut vertex
+    assert _classes(Graph(5, combinations(range(5), 2))) == (True, True, True)
+    assert len(searched) == 6
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert _classes(bowtie) == (True, False, False)
+    assert len(searched) == 7
 
 
 @settings(max_examples=200, deadline=None)
