@@ -1,14 +1,17 @@
 """Per-graph analysis dossiers, as JSON documents and aligned text tables.
 
 The JSON layout is frozen by schemas/analyze.schema.json (schema_version
-bumps on breaking changes); serialization sorts keys so reports are
-byte-stable.
+bumps on breaking changes). ``stable_json`` writes every JSON report of
+the package, dossiers and verify reports alike: the text of
+``json.dumps(value, indent=2, sort_keys=True)``, so reports are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError, GraphParseError
 from .families import recognize_family
@@ -25,10 +28,10 @@ _ANALYSIS_SIZE_CAP = 24
 def analyze_graph(g: Graph) -> dict:
     """Full dossier for one graph. Sections that require structure the graph
     lacks (a perfect matching, cubicity, bipartiteness) mark themselves not
-    applicable instead of failing. So do the sections whose sweep is capped
-    at 20 vertices: the barrier section of a host that is not matching
-    covered, and the tight-cut section of a matching covered host that is
-    not cubic."""
+    applicable instead of failing. So does the barrier section of a host
+    that is not matching covered and has more than 20 vertices, where the
+    barrier sweep is capped. Graphs over 24 vertices get only the
+    connectivity section."""
     profile = connectivity_profile(g)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -88,7 +91,7 @@ def analyze_graph(g: Graph) -> dict:
     try:
         witnesses = nontrivial_tight_cuts(g)
     except DomainError:
-        pass  # not matching covered, or a non-cubic host over the sweep's cap
+        pass  # not matching covered
     else:
         report["nontrivial_tight_cuts"] = {
             "applicable": True,
@@ -149,8 +152,60 @@ def analyze_text(text: str) -> tuple[list[dict], list[str]]:
     return reports, errors
 
 
+def _stable_json(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, built in
+    one recursion over the types reports hold: dicts with ``str`` keys,
+    lists, tuples, ``str``, ``int``, ``True``, ``False`` and ``None``. Any
+    other value or key raises ``TypeError``. ``newline`` is the line break
+    and indent that close the value. A list of plain ints, most of a
+    dossier's lines, is joined in one ``str.join``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # a bool is no plain int here
+            body = map(int.__repr__, value)
+        else:
+            body = [_stable_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [
+            encode_basestring_ascii(key) + ": " + _stable_json(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not a report value")
+
+
+if sys.version_info >= (3, 13):
+    # 3.13 writes indented JSON in C, 2.5 times as fast as _stable_json on
+    # dossiers; below it any indent sends json.dumps through the pure-Python
+    # encoder, which takes 1.5 to 2.5 times as long as _stable_json
+    def stable_json(value) -> str:
+        """The byte-stable JSON text of a report."""
+        return json.dumps(value, indent=2, sort_keys=True)
+
+else:
+    stable_json = _stable_json
+
+
 def to_json(reports: list[dict]) -> str:
-    return json.dumps({"reports": reports}, indent=2, sort_keys=True)
+    return stable_json({"reports": reports})
 
 
 def load_schema() -> dict:

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analyze import analyze_text, render_text, to_json
+from .analyze import analyze_text, render_text, stable_json, to_json
 from .counterexample import search_barrier_counterexample
 from .enumeration import enumerate_cubic
 from .errors import DomainError, InvalidFamilySpecError, UnknownSuiteError
@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
     reports = verify_suites(names, max_n=args.max_n, jobs=args.jobs)
     for report in reports:
         if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(stable_json(report.to_dict()))
         else:
             status = "pass" if report.passed else "FAIL"
             print(

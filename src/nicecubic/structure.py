@@ -52,7 +52,12 @@ from .matching import (
     pair_deletion_table,
 )
 
-_SUBSET_ENUMERATION_CAP = 20
+# the barrier sweep over the sets of pairwise blocked vertices of a host
+# that is not matching covered
+_BARRIER_SWEEP_CAP = 20
+# the tight-cut sweep over the sides the host matching crosses once, on a
+# matching covered host that is not cubic: analyze's size cap
+_TIGHT_CUT_SWEEP_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,10 @@ def _barriers(g: Graph) -> tuple[Barrier, ...]:
     if g.is_cubic and g.n >= 2 and is_matching_covered(g):
         masks = _cubic_barrier_masks(g, table)
     else:
-        if g.n > _SUBSET_ENUMERATION_CAP and not is_matching_covered(g):
+        if g.n > _BARRIER_SWEEP_CAP and not is_matching_covered(g):
             raise DomainError(
                 f"barrier enumeration on a non matching covered host is capped "
-                f"at {_SUBSET_ENUMERATION_CAP} vertices (got {g.n})"
+                f"at {_BARRIER_SWEEP_CAP} vertices (got {g.n})"
             )
         masks = (
             mask
@@ -328,8 +333,9 @@ def nontrivial_tight_cuts(g: Graph) -> list[CutWitness]:
     """All nontrivial tight cuts.
 
     Cubic hosts only need 3-edge candidates (every tight cut of a cubic
-    matching covered graph is a 3-cut). Other hosts, up to 20 vertices, sweep
-    the sides that the host matching crosses once: it is perfect, and every
+    matching covered graph is a 3-cut). Other hosts, up to 24 vertices
+    (``analyze``'s size cap; larger ones raise ``DomainError``), sweep the
+    sides that the host matching crosses once: it is perfect, and every
     perfect matching crosses a tight cut once, so no tight side is skipped
     (n * 2^(n/2 - 2) sides against 2^(n - 1), in the same order). The sweep
     runs once per graph; every call returns a fresh list of the shared
@@ -345,8 +351,11 @@ def _nontrivial_tight_cuts(g: Graph) -> tuple[CutWitness, ...]:
     if g.is_cubic:
         candidates = enumerate_cuts(g, 3)
     else:
-        if g.n > _SUBSET_ENUMERATION_CAP:
-            raise DomainError("general tight-cut sweep capped at desk scale")
+        if g.n > _TIGHT_CUT_SWEEP_CAP:
+            raise DomainError(
+                f"the tight-cut sweep on a non-cubic host is capped at "
+                f"{_TIGHT_CUT_SWEEP_CAP} vertices (got {g.n})"
+            )
         host = sum(1 << i for i in maximum_matching(g).edge_indices)
         sides = (edge_cut(g, side) for side, _ in _sides_crossed_once(g, host))
         candidates = [cut for cut in sides if cut.nontrivial]

@@ -2,8 +2,17 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nicecubic.analyze import analyze_graph, analyze_text, load_schema, render_text, to_json
+from nicecubic.analyze import (
+    _stable_json,
+    analyze_graph,
+    analyze_text,
+    load_schema,
+    render_text,
+    to_json,
+)
 from nicecubic.catalog import k4, k33, k33_triangle
 from nicecubic.graph6 import parse_graph6, write_graph6
 from nicecubic.graphs import _cut_space_labels, _cuts_of_size
@@ -71,6 +80,60 @@ def test_json_output_is_byte_stable():
     assert to_json(reports1) == to_json(reports2)
 
 
+def _json_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# every class of character that json escapes or passes: ASCII, quote,
+# backslash, the control characters, beyond ASCII in and above the BMP, and
+# lone surrogates of both halves (a fixed alphabet, since st.characters()
+# makes the test several times slower)
+_TEXT = st.text(
+    st.sampled_from(
+        ["a", " ", "/", '"', "\\", "\x7f", "\u00e9", "\u2028", "\uffff"]
+        + ["\U0001f600", "\U0010ffff", "\ud800", "\udbff", "\udc00", "\udfff"]
+        + [chr(c) for c in range(0x20)]
+    )
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | _TEXT
+)
+# lists, tuples and str-keyed dicts, each possibly empty, at every depth
+_REPORT_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_REPORT_VALUES)
+@example({"a": [], "b": {}})
+# a bool is an int to Python but not to JSON: the all-int join must skip it
+@example([True, 1, False, 0])
+@example([[1, 2], (3,), [], {"k": [0, -1]}])
+def test_stable_json_writes_the_text_of_json_dumps(value):
+    assert _stable_json(value) == _json_dumps(value)
+
+
+def test_stable_json_writes_the_corpus_dossiers_as_json_dumps(corpus12):
+    reports = [analyze_graph(entry.graph) for entry in corpus12]
+    for report in reports:
+        assert _stable_json(report) == _json_dumps(report)
+    assert _stable_json({"reports": reports}) == to_json(reports)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, {"a": [0.0]}, {(0, 1): None}])
+def test_stable_json_refuses_floats_sets_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _stable_json(value)
+
+
 def test_render_text_mentions_key_facts():
     text = render_text(analyze_graph(k33_triangle()))
     assert "nice vertices 6" in text
@@ -94,19 +157,28 @@ def test_capped_barrier_sweep_leaves_section_not_applicable(schema):
     assert report["nice_vertices"]["applicable"]
 
 
-# The 22-cycle: matching covered and not cubic, so its tight-cut sweep is the
-# general one, capped at 20 vertices.
+# The 22-cycle: matching covered and not cubic, so its tight cuts come from
+# the general sweep over the sides the host matching crosses once.
 CYCLE_22 = "UhCGGC@?G?_@?@??_?G?@??C??G??G??C??@_??G"
 
 
-def test_capped_tight_cut_sweep_leaves_section_not_applicable(schema):
-    reports, errors = analyze_text(CYCLE_22 + "\n" + write_graph6(k4()) + "\n")
+def test_tight_cut_sweep_covers_non_cubic_hosts_up_to_the_size_cap(schema):
+    from nicecubic.graphs import Graph
+
+    cycle_24 = Graph(24, [(i, (i + 1) % 24) for i in range(24)])
+    text = CYCLE_22 + "\n" + write_graph6(cycle_24) + "\n" + write_graph6(k4()) + "\n"
+    reports, errors = analyze_text(text)
     assert errors == []
     _validate(reports, schema)
-    cycle, complete = reports
-    assert cycle["vertices"] == 22
-    assert cycle["classification"]["matching_covered"]
-    assert cycle["nontrivial_tight_cuts"] == {"applicable": False}
+    *cycles, complete = reports
+    for n, cycle in zip((22, 24), cycles):
+        assert cycle["vertices"] == n
+        assert cycle["classification"]["matching_covered"]
+        # both perfect matchings cross once only the 2-edge cuts around an
+        # odd path of 3 to n - 3 vertices: n/2 - 2 lengths at n/2 starts each
+        cuts = cycle["nontrivial_tight_cuts"]
+        assert cuts["applicable"] and cuts["count"] == (n // 2 - 2) * (n // 2)
+        assert all(len(item["edges"]) == 2 for item in cuts["items"])
     assert complete["family"]["family"] == "K4"
 
 

@@ -348,6 +348,15 @@ def test_nontrivial_tight_cuts_on_non_cubic_host():
         assert len(witness.cut.edge_indices) == 2
 
 
+def test_tight_cut_sweep_on_a_non_cubic_host_is_capped_above_24_vertices():
+    # the cap is analyze's size cap; the 26-cycle is matching covered, so
+    # only the cap refuses it
+    c26 = Graph(26, [(i, (i + 1) % 26) for i in range(26)])
+    assert is_matching_covered(c26)
+    with pytest.raises(DomainError, match="capped at 24"):
+        nontrivial_tight_cuts(c26)
+
+
 @settings(max_examples=150, deadline=None)
 @given(multigraphs(max_n=8, max_edges=16))
 def test_bicritical_flag_matches_all_pairs_definition(g):
