@@ -450,8 +450,8 @@ def _recognize_hdiamond(g: Graph) -> dict | None:
     p, q = ends[0]
     quads = 0
     while True:
-        (p2,) = current.neighbor_sets[p] - {q}
-        (q2,) = current.neighbor_sets[q] - {p}
+        (p2,) = set(current.adjacency[p]) - {q}
+        (q2,) = set(current.adjacency[q]) - {p}
         quads += 1
         remaining = frozenset(range(current.n)) - {p, q}
         if current.multiplicity(p2, q2):
@@ -551,7 +551,7 @@ def _first_splice_build(g: Graph, hosts: list[tuple[Graph, int]]) -> FamilySpec 
     fixes 2, 3 and 4, so the other assignment builds the same members; the
     automorphisms permuting 2, 3, 4 (5, 6, 7 with them) turn any first phi
     into the sorted host neighbours. G1 builds one candidate, G2 six."""
-    parts = [(write_graph6(h), v, sorted(h.neighbor_sets[v])) for h, v in hosts]
+    parts = [(write_graph6(h), v, sorted(set(h.adjacency[v]))) for h, v in hosts]
     first_phi = [tuple(parts[0][2])]
     for phis in product(first_phi, *(permutations(nbrs) for _, _, nbrs in parts[1:])):
         specs = [

@@ -15,7 +15,7 @@ searches instead.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
 from itertools import combinations
@@ -32,7 +32,10 @@ class Graph:
 
     Edges are normalized to (min, max) pairs and stored sorted, so an edge is
     identified by its index into ``edges``. Equality and hashing compare the
-    vertex count and the edge multiset.
+    vertex count and the edge multiset. Three per-vertex views are built on
+    first use: ``adjacency`` where order and multiplicity matter (the blossom
+    search, refinement, canonical labelling), ``neighbor_masks`` for every
+    question about neighbour sets, and ``incidence`` where edge indices do.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -76,10 +79,6 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def neighbor_sets(self) -> tuple[VertexSet, ...]:
-        return tuple(frozenset(a) for a in self.adjacency)
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor set as an int bit mask (bit w for neighbor w)."""
         masks = [0] * self.n
@@ -111,9 +110,6 @@ class Graph:
     @cached_property
     def _multiplicity(self) -> dict[tuple[int, int], int]:
         return dict(Counter(self.edges))
-
-    def closed_neighborhood(self, u: int) -> VertexSet:
-        return self.neighbor_sets[u] | {u}
 
     def __reduce__(self):
         # Pickle the value alone; cached facts are rebuilt on demand.
@@ -198,23 +194,19 @@ class Contraction:
 
 
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Components of g minus the given vertices, ordered by smallest member."""
-    removed_set = set(removed)
-    seen = set(removed_set)
+    """Components of g minus the given vertices, ordered by smallest member,
+    by a flood fill on the neighbour masks; raises ValueError when a removed
+    vertex is not one of g's."""
+    neighbor_masks = g.neighbor_masks
+    rest = ((1 << g.n) - 1) & ~_vertex_mask(g, removed)
     comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbor_sets[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    queue.append(y)
+    while rest:
+        todo, comp = rest & -rest, []
+        while todo:
+            low = todo & -todo
+            rest ^= low
+            comp.append(low.bit_length() - 1)
+            todo = (todo | neighbor_masks[comp[-1]]) & rest
         comps.append(frozenset(comp))
     return comps
 
@@ -259,25 +251,27 @@ def bipartition(g: Graph) -> Bipartition | None:
     """Two-coloring of g, or None if an odd cycle exists.
 
     Deterministic: within each component the lowest vertex goes to side a.
+    A component is filled layer by layer from its lowest vertex, the layers
+    alternating sides; an edge within a layer closes an odd cycle.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbor_sets[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return Bipartition(
-        a=frozenset(v for v in range(g.n) if color[v] == 0),
-        b=frozenset(v for v in range(g.n) if color[v] == 1),
-    )
+    neighbor_masks = g.neighbor_masks
+    rest = (1 << g.n) - 1
+    sides = [0, 0]
+    while rest:
+        layer, side = rest & -rest, 0
+        while layer:
+            rest &= ~layer
+            sides[side] |= layer
+            reach, todo = 0, layer
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                reach |= neighbor_masks[low.bit_length() - 1]
+            if reach & layer:
+                return None
+            layer, side = reach & rest, side ^ 1
+    a, b = (frozenset(v for v in range(g.n) if mask >> v & 1) for mask in sides)
+    return Bipartition(a=a, b=b)
 
 
 @_graph_fact

@@ -176,7 +176,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> dict[int, int] | None:
     both_simple = g1.simple and g2.simple
     masks2 = g2.neighbor_masks
     # g2's neighbours of a vertex, sorted, each once
-    pools2 = g2.adjacency if g2.simple else [sorted(s) for s in g2.neighbor_sets]
+    pools2 = g2.adjacency if g2.simple else [sorted(set(a)) for a in g2.adjacency]
     image = [-1] * n  # g1 vertex -> g2 vertex
 
     order = _search_order(g1)
@@ -241,7 +241,7 @@ def _search_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     class_size = Counter(colors)
     key = [(class_size[colors[v]], v) for v in range(g.n)]
     attached = [0] * g.n
-    placed = [False] * g.n
+    placed = 0  # mask of the placed vertices
     heaps = [sorted(key)]
     order: list[tuple[int, tuple[int, ...]]] = []
     for _ in range(g.n):
@@ -254,14 +254,17 @@ def _search_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
                 break
             count -= 1
         v = heappop(heap)[1]
-        order.append((v, tuple(u for u in g.adjacency[v] if placed[u])))
-        placed[v] = True
-        for u in g.neighbor_sets[v]:
-            if not placed[u]:
-                attached[u] += 1
-                if attached[u] == len(heaps):
-                    heaps.append([])
-                heappush(heaps[attached[u]], key[u])
+        order.append((v, tuple(u for u in g.adjacency[v] if placed >> u & 1)))
+        placed |= 1 << v
+        fresh = g.neighbor_masks[v] & ~placed
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            u = low.bit_length() - 1
+            attached[u] += 1
+            if attached[u] == len(heaps):
+                heaps.append([])
+            heappush(heaps[attached[u]], key[u])
     return tuple(order)
 
 

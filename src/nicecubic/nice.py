@@ -46,13 +46,13 @@ class NicePairSet:
     b_side: VertexSet
 
 
-def _closed_neighborhood_mask(g: Graph, u: int) -> int:
+def _closed_mask(g: Graph, u: int) -> int:
     """N[u] as an int bit mask; raises ValueError when u is not a vertex of g."""
     return _vertex_mask(g, (u,)) | g.neighbor_masks[u]
 
 
 def is_nice_vertex(g: Graph, u: int) -> bool:
-    return _matchable_without(g, _closed_neighborhood_mask(g, u))
+    return _matchable_without(g, _closed_mask(g, u))
 
 
 @_graph_fact
@@ -73,7 +73,7 @@ def is_nice_pair(g: Graph, a: int, b: int) -> bool:
     """Nice-pair test; neighborhood overlap (adjacent a, b) needs no special
     casing, the deletion set is a plain union."""
     return _matchable_without(
-        g, _closed_neighborhood_mask(g, a) | _closed_neighborhood_mask(g, b)
+        g, _closed_mask(g, a) | _closed_mask(g, b)
     )
 
 

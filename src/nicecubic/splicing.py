@@ -45,8 +45,8 @@ def splice(
     """
     if not (0 <= u < g1.n and 0 <= v < g2.n):
         raise SpliceError("splice vertices out of range")
-    n1, n2 = g1.neighbor_sets[u], g2.neighbor_sets[v]
-    if g1.degrees[u] != len(n1) or g2.degrees[v] != len(n2):
+    n1, n2 = g1.adjacency[u], g2.adjacency[v]
+    if len(set(n1)) != len(n1) or len(set(n2)) != len(n2):
         raise SpliceError("splicing at a vertex with parallel incident edges")
     if len(n1) != len(n2):
         raise SpliceError(

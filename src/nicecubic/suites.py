@@ -243,9 +243,9 @@ def nice_by_barriers(g: Graph) -> VertexSet:
         )
     not_nice: set[int] = set()
     for barrier in barriers(g):
-        s = barrier.vertices
+        barrier_mask = _vertex_mask(g, barrier.vertices)
         for u in range(g.n):
-            if u not in s and g.neighbor_sets[u] <= s:
+            if not barrier_mask >> u & 1 and not g.neighbor_masks[u] & ~barrier_mask:
                 not_nice.add(u)
     return frozenset(range(g.n)) - not_nice
 
@@ -875,36 +875,33 @@ def _serve(conn: Connection, inherited: list[Connection]) -> None:
     """A pinned worker: check each run of graph6 lines the parent sends,
     one reply per run, until the parent closes its end of the pipe.
 
-    A graph sent a second time is kept, with the facts memoised on it, and
-    every later pass checks that same ``Graph``; any other graph is dropped
-    once checked, so a pass over new graphs holds one graph's facts at a
-    time.
+    The graphs of a run sent with ``keep`` (the parent's homed graphs, each
+    sent here before) are kept, with the facts memoised on them, and every
+    later pass checks those same ``Graph``s; any other graph is dropped once
+    checked, so a pass over new graphs holds one graph's facts at a time.
     """
     for other in inherited:
         # the parent's ends of the pipes, this worker's own among them: a
         # copy held here would keep a pipe open after the parent closes it
         other.close()
     kept: dict[str, Graph] = {}
-    sent_once: set[str] = set()
 
-    def graphs(lines):
+    def graphs(lines, keep):
         for line in lines:
             g = kept.get(line)
             if g is None:
                 g = parse_graph6(line)
-                if line in sent_once:
+                if keep:
                     kept[line] = g
-                else:
-                    sent_once.add(line)
             yield g
 
     while True:
         try:
-            names, lines = conn.recv()
+            names, lines, keep = conn.recv()
         except EOFError:
             return
         try:
-            reply = _check_all(names, graphs(lines)), None
+            reply = _check_all(names, graphs(lines, keep)), None
         except Exception as exc:
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -967,9 +964,10 @@ def _pool_pass(
     or the first checker exception a worker sent back with its traceback.
 
     A graph goes to its home worker, all of a worker's homed graphs as one
-    message. The others are handed out to whichever worker is free, which
-    becomes their home, in runs of a 2K-th of what is left for K workers:
-    the runs shrink to one graph, so the workers finish close together.
+    message, which the worker keeps. The others are handed out to whichever
+    worker is free, which becomes their home, in runs of a 2K-th of what is
+    left for K workers: the runs shrink to one graph, so the workers finish
+    close together.
     """
     homed: list[list[int]] = [[] for _ in workers]
     free: list[int] = []
@@ -978,9 +976,9 @@ def _pool_pass(
         (free if home is None else homed[home]).append(index)
     pending: dict[Connection, tuple[int, list[int]]] = {}
 
-    def send(w: int, indices: list[int]) -> None:
+    def send(w: int, indices: list[int], keep: bool) -> None:
         conn = workers[w][1]
-        conn.send((names, [lines[i] for i in indices]))
+        conn.send((names, [lines[i] for i in indices], keep))
         pending[conn] = (w, indices)
 
     def hand_out(w: int) -> None:
@@ -989,11 +987,11 @@ def _pool_pass(
             del free[: len(run)]
             for i in run:
                 _homes.setdefault(lines[i], w)
-            send(w, run)
+            send(w, run, False)
 
     for w, indices in enumerate(homed):
         if indices:
-            send(w, indices)
+            send(w, indices, True)
         else:
             hand_out(w)
     merged = [_Tally() for _ in names]

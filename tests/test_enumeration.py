@@ -245,6 +245,15 @@ def test_unchanged_cache_file_hands_out_the_same_graphs(tmp_path, monkeypatch, c
     assert len(enumerate_cubic(8, cache_dir=tmp_path)) == 5
 
 
+def test_a_corpus_read_from_a_fresh_cache_builds_no_adjacency(tmp_path, corpus_memo):
+    # the load check reads degrees, neighbour masks and the graph6 id only,
+    # so a held corpus graph carries no per-vertex neighbour tuples
+    enumerate_cubic(10, cache_dir=tmp_path)
+    read = enumerate_cubic(10, cache_dir=tmp_path)
+    assert len(read) == 19 and all(e.provenance == "file" for e in read)
+    assert not any("adjacency" in e.graph.__dict__ for e in read)
+
+
 def test_rewritten_cache_file_is_read_again(tmp_path, monkeypatch, corpus_memo):
     enumerate_cubic(8, cache_dir=tmp_path)
     path = tmp_path / "cubic-n8-connected.g6"

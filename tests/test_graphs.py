@@ -271,15 +271,40 @@ def test_low_link_sweep_runs_only_on_a_vertex_of_degree_four(monkeypatch):
     assert len(searched) == 7
 
 
+def _networkx_components(g, removed=()):
+    """networkx's components of g minus the removed vertices, as frozensets
+    in least-member order."""
+    h = _to_networkx(g)
+    h.remove_nodes_from(removed)
+    return sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+
+
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_mask_odd_component_count_agrees_with_bfs_components(g, data):
     # the barrier sweeps of the library and of the suites share the mask
-    # count, so it is checked here against the BFS components
+    # count, so it is checked here against networkx's components, which
+    # share no code with the library's mask fills
     removed = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
     mask = sum(1 << v for v in removed)
-    expected = sum(len(comp) % 2 for comp in connected_components(g, removed))
+    expected = sum(len(comp) % 2 for comp in _networkx_components(g, removed))
     assert _odd_component_count(g, mask) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_connected_components_match_networkx(g, data):
+    removed = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    assert connected_components(g, removed) == _networkx_components(g, removed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_bipartition_matches_networkx(g):
+    parts = bipartition(g)
+    assert (parts is None) == (not nx.is_bipartite(_to_networkx(g)))
+    if parts is not None:
+        assert all(min(comp) in parts.a for comp in _networkx_components(g))
 
 
 def test_induced_subgraph_triangle_from_k4():
@@ -554,6 +579,7 @@ def test_contraction_order_commutes_with_both_sides():
         (lambda: contract(k4(), {0, 9}), "vertex set not contained in graph"),
         (lambda: edge_cut(k4(), {5}), "vertex set not contained in graph"),
         (lambda: enumerate_cuts(k4(), 0), "cut size must be positive"),
+        (lambda: connected_components(k4(), [7, -1]), "vertex set not contained in graph"),
     ],
 )
 def test_graph_operations_refuse_vertices_and_sizes_out_of_range(call, message):

@@ -178,7 +178,7 @@ def _greedy_search_order(g):
     while remaining:
         v = min(
             remaining,
-            key=lambda v: (-len(g.neighbor_sets[v] & placed), colors.count(colors[v]), v),
+            key=lambda v: (-len(set(g.adjacency[v]) & placed), colors.count(colors[v]), v),
         )
         order.append((v, tuple(u for u in g.adjacency[v] if u in placed)))
         placed.add(v)

@@ -40,7 +40,7 @@ G2_PHIS = ((0, 0), (0, 3), (2, 5), (4, 1), (5, 5), (1, 2))
 
 
 def _phis(host: str, vertex: int) -> list[tuple[int, ...]]:
-    return list(permutations(sorted(parse_graph6(host).neighbor_sets[vertex])))
+    return list(permutations(sorted(set(parse_graph6(host).adjacency[vertex]))))
 
 
 def _slate():

@@ -16,19 +16,19 @@ from nicecubic.splicing import (
 
 
 def test_splice_identity_k4_k4_prism_all_bijections():
-    for phi in permutations(sorted(k4().neighbor_sets[0])):
+    for phi in permutations(sorted(set(k4().adjacency[0]))):
         result = splice(k4(), 0, k4(), 0, phi)
         assert is_isomorphic(result.graph, triangular_prism()) is not None
 
 
 def test_splice_identity_prism_k4_all_bijections():
-    for phi in permutations(sorted(k4().neighbor_sets[0])):
+    for phi in permutations(sorted(set(k4().adjacency[0]))):
         result = splice(triangular_prism(), 0, k4(), 0, phi)
         assert is_isomorphic(result.graph, r8()) is not None
 
 
 def test_splice_identity_k33_k4_all_bijections():
-    for phi in permutations(sorted(k4().neighbor_sets[0])):
+    for phi in permutations(sorted(set(k4().adjacency[0]))):
         result = splice(k33(), 0, k4(), 0, phi)
         assert is_isomorphic(result.graph, k33_triangle()) is not None
 
